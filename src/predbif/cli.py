@@ -163,13 +163,16 @@ def _eq_dict(e: equilibria.Equilibrium) -> dict:
 def cmd_equilibria(cfg, params, fmt, tol, seed):
     region = equilibria.classify_region(params.h, params.c)
     eqs = equilibria.all_equilibria(params)
+    equilibria.check_printed_quartic(params)
     results = {"region": region.tag, "equilibria": [_eq_dict(e) for e in eqs]}
     return [("json", "equilibria", results)]
 
 
 def cmd_stability(cfg, params, fmt, tol, seed):
+    eqs = equilibria.all_equilibria(params)
+    equilibria.check_printed_quartic(params)
     rows = []
-    for e in equilibria.all_equilibria(params):
+    for e in eqs:
         rep = stability.classify_generic(params, e)
         rows.append(
             {

@@ -1,11 +1,11 @@
 """Enumeration of trivial and interior equilibria and the (h, c) region
 taxonomy that governs which closed-form solver applies.
 
-Interior equilibria are abscissas of a monic quartic.  The printed
-coefficient table is transcribed, but the authoritative coefficients come
-from the denominator-cleared expansion of the isocline intersection; a
-disagreement beyond tolerance signals a transcription issue and the derived
-form wins (a warning is emitted, or an exception in strict mode).
+Interior equilibria are abscissas of a monic quartic whose coefficients
+come from the denominator-cleared expansion of the isocline intersection.
+The printed coefficient table is kept as a transcription only: reports
+compare it with the expansion once (``check_printed_quartic``) and surface a
+disagreement as a PrintedFormulaMismatch warning; the solve never reads it.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import polyroots
-from .errors import CoefficientMismatch, CoefficientMismatchWarning, DomainError
+from .errors import DomainError, PrintedFormulaMismatch
 from .model import EQUILIBRIUM_TOL, ModelParams, State, holling_denominator, jacobian, rhs
 
 #: |h - c| below this (relative) threshold counts as the K2 diagonal.
@@ -103,17 +103,18 @@ def predator_free_x(params: ModelParams, which: str) -> float | None:
     return x if x > POSITIVITY_TOL else None
 
 
-def _derived_quartic(params: ModelParams) -> QuarticCoeffs:
-    """Quartic coefficients from the cleared-denominator expansion of
-    eta*p(x)*f(x) = delta*(m+x)*x*(c+x)."""
+def quartic_coeffs(params: ModelParams) -> QuarticCoeffs:
+    """Monic quartic whose positive real roots are the interior abscissas:
+    delta*x*(c+x)*(m+x) - eta*p(x)*f(x) = 0 expanded and divided by a*eta."""
     a, b, c, h = params.a, params.b, params.c, params.h
     delta, eta, m = params.delta, params.eta, params.m
-    p = np.polynomial.Polynomial([1.0, b, a])
-    f = np.polynomial.Polynomial([c - h, 1.0 - c, -1.0])
-    lhs = np.polynomial.Polynomial([0.0, c * m, c + m, 1.0]) * delta
-    poly = (lhs - eta * p * f) / (a * eta)
-    co = poly.coef  # ascending, degree 4, leading 1
-    return QuarticCoeffs(A=co[3], B=co[2], C=co[1], D=co[0])
+    ae = a * eta
+    return QuarticCoeffs(
+        A=(delta - eta * (a * (1.0 - c) - b)) / ae,
+        B=(delta * (c + m) - eta * (a * (c - h) + b * (1.0 - c) - 1.0)) / ae,
+        C=(delta * c * m - eta * (b * (c - h) + 1.0 - c)) / ae,
+        D=(h - c) / a,
+    )
 
 
 def _printed_quartic(params: ModelParams) -> QuarticCoeffs:
@@ -127,14 +128,12 @@ def _printed_quartic(params: ModelParams) -> QuarticCoeffs:
     )
 
 
-def quartic_coeffs(params: ModelParams, strict: bool = False) -> QuarticCoeffs:
-    """Monic quartic whose positive real roots are the interior abscissas.
-
-    Cross-validates the transcribed coefficient table against the derived
-    expansion; on disagreement the derived coefficients win (warning), or
-    CoefficientMismatch is raised when ``strict``.
-    """
-    derived = _derived_quartic(params)
+def check_printed_quartic(params: ModelParams) -> None:
+    """Warn PrintedFormulaMismatch when the transcribed coefficient table
+    disagrees with ``quartic_coeffs`` (its A carries delta/eta where the
+    expansion gives delta/(a*eta)); the derived coefficients are the ones
+    solved."""
+    derived = quartic_coeffs(params)
     printed = _printed_quartic(params)
     bad = [
         name
@@ -142,14 +141,12 @@ def quartic_coeffs(params: ModelParams, strict: bool = False) -> QuarticCoeffs:
         if abs(pv - dv) > COEFF_MISMATCH_TOL * (1.0 + abs(dv))
     ]
     if bad:
-        msg = (
+        warnings.warn(
             f"printed quartic coefficients {bad} disagree with the "
-            f"cleared-denominator expansion (printed={printed}, derived={derived})"
+            f"cleared-denominator expansion (printed={printed}, derived={derived})",
+            PrintedFormulaMismatch,
+            stacklevel=2,
         )
-        if strict:
-            raise CoefficientMismatch(msg)
-        warnings.warn(msg, CoefficientMismatchWarning, stacklevel=2)
-    return derived
 
 
 def isocline_y(params: ModelParams, x: float) -> float:

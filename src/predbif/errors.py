@@ -25,15 +25,6 @@ class NoConvergence(PredbifError):
     """An iterative refinement failed to converge."""
 
 
-class CoefficientMismatch(PredbifError):
-    """Printed and independently derived polynomial coefficients disagree."""
-
-
-class CoefficientMismatchWarning(UserWarning):
-    """Same condition as CoefficientMismatch, emitted as a warning when the
-    derived coefficients are used anyway."""
-
-
 class NoHopf(PredbifError):
     """No self-consistent Hopf point exists in the searched interval."""
 
@@ -71,5 +62,6 @@ class StepFailure(PredbifError):
 
 
 class PrintedFormulaMismatch(UserWarning):
-    """A transcribed closed-form coefficient disagrees with the numerically
-    differentiated field beyond tolerance; the numeric value is used."""
+    """A transcribed closed-form coefficient disagrees with its independent
+    derivation (numerically differentiated field or cleared-denominator
+    expansion) beyond tolerance; the derived value is used."""

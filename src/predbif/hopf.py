@@ -230,9 +230,7 @@ def _empirical_verdict(params: ModelParams, eq: Equilibrium, omega: float) -> st
 def _branch_step(params: ModelParams, delta: float, x_prev: float) -> Equilibrium | None:
     """Interior equilibrium at ``delta`` nearest to x_prev, or None when the
     branch cannot be continued."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        eqs = interior_equilibria(params.with_(delta=delta))
+    eqs = interior_equilibria(params.with_(delta=delta))
     if not eqs:
         return None
     best = min(eqs, key=lambda e: abs(e.x - x_prev))
@@ -278,9 +276,7 @@ def hopf_scan(params: ModelParams, delta_interval: tuple[float, float],
     if not (0 < lo < hi):
         raise DomainError(f"delta_interval must satisfy 0 < lo < hi, got {delta_interval}")
     deltas = np.linspace(lo, hi, n_samples)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        eqs0 = interior_equilibria(params.with_(delta=deltas[0]))
+    eqs0 = interior_equilibria(params.with_(delta=deltas[0]))
     if eq_branch >= len(eqs0):
         raise NoHopf(
             f"no interior branch index {eq_branch} at delta={deltas[0]} "

@@ -35,32 +35,33 @@ class StabilityReport:
         return self.label in ("StableNode", "StableSpiral")
 
 
-def _report(J: np.ndarray, label: str, branch: str, sector: str | None = None,
-            sign_quantity: float | None = None) -> StabilityReport:
-    tr = float(np.trace(J))
-    det = float(np.linalg.det(J))
+def _spectrum(J: np.ndarray) -> tuple[tuple[complex, complex], float, float]:
+    """(eigenvalues, trace, determinant) of a 2x2 linearization."""
     eig = np.linalg.eigvals(J)
-    return StabilityReport((complex(eig[0]), complex(eig[1])), tr, det, label,
-                           sector, branch, sign_quantity)
+    return (complex(eig[0]), complex(eig[1])), float(np.trace(J)), float(np.linalg.det(J))
+
+
+def _report(spectrum: tuple, label: str, branch: str, sector: str | None = None,
+            sign_quantity: float | None = None) -> StabilityReport:
+    return StabilityReport(*spectrum, label, sector, branch, sign_quantity)
 
 
 def classify_generic(params: ModelParams, eq: Equilibrium) -> StabilityReport:
     """Hyperbolic classification from trace/det; dispatches degenerate cases
     of the trivial equilibria to the theorem-specific routines."""
     J = jacobian(params, State(eq.x, eq.y))
+    spectrum = _spectrum(J)
+    eig, tr, det = spectrum
     scale = 1.0 + float(np.abs(J).max())
-    eig = np.linalg.eigvals(J)
-    n_zero = int(np.sum(np.abs(eig) < ZERO_EIG_TOL * scale))
+    n_zero = sum(abs(ev) < ZERO_EIG_TOL * scale for ev in eig)
     if n_zero == 2:
-        return _report(J, "DoubleZero", "generic/double-zero")
+        return _report(spectrum, "DoubleZero", "generic/double-zero")
     if n_zero == 1:
         if eq.kind == "Origin":
             return classify_origin(params)
         if eq.kind == "PreyExtinction":
             return classify_prey_extinction(params)
-        return _report(J, "NonHyperbolic-other", "generic/one-zero-eigenvalue")
-    tr = float(np.trace(J))
-    det = float(np.linalg.det(J))
+        return _report(spectrum, "NonHyperbolic-other", "generic/one-zero-eigenvalue")
     disc = tr * tr - 4.0 * det
     if det < 0:
         label = "Saddle"
@@ -70,7 +71,7 @@ def classify_generic(params: ModelParams, eq: Equilibrium) -> StabilityReport:
         label = "StableNode" if tr < 0 else "UnstableNode"
     else:
         label = "StableSpiral" if tr < 0 else "UnstableSpiral"
-    return _report(J, label, "generic/trace-det")
+    return _report(spectrum, label, "generic/trace-det")
 
 
 def classify_origin(params: ModelParams) -> StabilityReport:
@@ -81,12 +82,12 @@ def classify_origin(params: ModelParams) -> StabilityReport:
     J = np.array([[1.0 - h / c, 0.0], [0.0, params.delta]])
     if abs(c - h) > ZERO_EIG_TOL * max(c, h, 1.0):
         if c > h:
-            return _report(J, "UnstableNode", "origin/c>h")
-        return _report(J, "Saddle", "origin/c<h")
+            return _report(_spectrum(J), "UnstableNode", "origin/c>h")
+        return _report(_spectrum(J), "Saddle", "origin/c<h")
     if abs(c - 1.0) > ZERO_EIG_TOL:
         sector = "Right" if c < 1.0 else "Left"
-        return _report(J, "SaddleNode", "origin/h=c", sector, sign_quantity=1.0 - c)
-    return _report(J, "DegenerateSaddle", "origin/h=c=1")
+        return _report(_spectrum(J), "SaddleNode", "origin/h=c", sector, sign_quantity=1.0 - c)
+    return _report(_spectrum(J), "DegenerateSaddle", "origin/h=c=1")
 
 
 def classify_prey_extinction(params: ModelParams) -> StabilityReport:
@@ -98,16 +99,16 @@ def classify_prey_extinction(params: ModelParams) -> StabilityReport:
     J = np.array([[1.0 - h / c, 0.0], [delta**2 / eta, -delta]])
     if abs(c - h) > ZERO_EIG_TOL * max(c, h, 1.0):
         if c < h:
-            return _report(J, "StableNode", "prey-extinction/c<h")
-        return _report(J, "Saddle", "prey-extinction/c>h")
+            return _report(_spectrum(J), "StableNode", "prey-extinction/c<h")
+        return _report(_spectrum(J), "Saddle", "prey-extinction/c>h")
     q1 = c * delta * m + c * eta - eta
     if abs(q1) > ZERO_EIG_TOL:
         sector = "Right" if q1 > 0 else "Left"
-        return _report(J, "SaddleNode", "prey-extinction/h=c", sector, sign_quantity=q1)
+        return _report(_spectrum(J), "SaddleNode", "prey-extinction/h=c", sector, sign_quantity=q1)
     q2 = b * delta * eta * m - delta**2 * m**2 - 2.0 * delta * eta * m - delta * eta - eta**2
     if q2 < 0:
-        return _report(J, "UnstableNode", "prey-extinction/h=c,cubic", sign_quantity=q2)
-    return _report(J, "Saddle", "prey-extinction/h=c,cubic", sign_quantity=q2)
+        return _report(_spectrum(J), "UnstableNode", "prey-extinction/h=c,cubic", sign_quantity=q2)
+    return _report(_spectrum(J), "Saddle", "prey-extinction/h=c,cubic", sign_quantity=q2)
 
 
 def classify_predator_free(params: ModelParams, which: str) -> StabilityReport:
@@ -121,6 +122,7 @@ def classify_predator_free(params: ModelParams, which: str) -> StabilityReport:
     p = params.a * x * x + params.b * x + 1.0
     J = np.array([[lam2, -x * x / p], [0.0, params.delta]])
     if abs(lam2) < ZERO_EIG_TOL * (1.0 + abs(lam2)):
-        return _report(J, "NonHyperbolic-other", f"predator-free/{which}/zero-eigenvalue")
+        return _report(_spectrum(J), "NonHyperbolic-other",
+                       f"predator-free/{which}/zero-eigenvalue")
     label = "Saddle" if lam2 < 0 else "UnstableNode"
-    return _report(J, label, f"predator-free/{which}")
+    return _report(_spectrum(J), label, f"predator-free/{which}")

@@ -106,6 +106,7 @@ class TestReports:
         assert rep["versions"]["backend"] in ("compiled", "python")
         # the quartic transcription diagnostic must surface in the report
         assert any("coefficient" in d.lower() for d in rep["diagnostics"])
+        assert not any("np.float64(" in d for d in rep["diagnostics"])
 
     def test_bt_locate_golden_values(self, bt_cfg, tmp_path):
         assert run(["bt-locate", "--config", bt_cfg, "--out", str(tmp_path)]) == 0

@@ -6,6 +6,7 @@ import pytest
 
 from predbif.equilibria import (
     all_equilibria,
+    check_printed_quartic,
     classify_region,
     interior_equilibria,
     interior_roots_oracle,
@@ -14,7 +15,7 @@ from predbif.equilibria import (
     quartic_coeffs,
     trivial_equilibria,
 )
-from predbif.errors import CoefficientMismatch, CoefficientMismatchWarning, DomainError
+from predbif.errors import DomainError, PrintedFormulaMismatch
 from predbif.model import ModelParams, State, rhs
 
 GOLD = ModelParams(a=2.0, b=-2.82, c=0.05, h=0.1715598183,
@@ -90,15 +91,11 @@ class TestQuarticCoeffs:
             assert abs(v) < 1e-8
 
     def test_transcription_mismatch_warns(self):
-        with pytest.warns(CoefficientMismatchWarning):
-            quartic_coeffs(GOLD)
-
-    def test_strict_mode_raises(self):
-        with pytest.raises(CoefficientMismatch):
-            quartic_coeffs(GOLD, strict=True)
+        with pytest.warns(PrintedFormulaMismatch):
+            check_printed_quartic(GOLD)
 
     def test_printed_b_c_d_agree(self):
-        from predbif.equilibria import _derived_quartic, _printed_quartic
+        from predbif.equilibria import _printed_quartic
         rng = np.random.default_rng(3)
         for _ in range(50):
             a = rng.uniform(0.2, 3.0)
@@ -106,7 +103,7 @@ class TestQuarticCoeffs:
                             c=rng.uniform(0.05, 1.5), h=rng.uniform(0.05, 1.5),
                             delta=rng.uniform(0.05, 1.5), eta=rng.uniform(0.05, 1.5),
                             m=rng.uniform(0.1, 2.0))
-            d, pr = _derived_quartic(p), _printed_quartic(p)
+            d, pr = quartic_coeffs(p), _printed_quartic(p)
             assert pr.B == pytest.approx(d.B, rel=1e-10)
             assert pr.C == pytest.approx(d.C, rel=1e-10)
             assert pr.D == pytest.approx(d.D, rel=1e-10)
@@ -154,7 +151,7 @@ def test_interior_matches_sign_scan_oracle(region):
 class TestInterior:
     def test_residuals_are_tiny(self):
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+            warnings.simplefilter("error")
             eqs = interior_equilibria(GOLD)
         for e in eqs:
             f = rhs(GOLD, State(e.x, e.y))
@@ -162,14 +159,14 @@ class TestInterior:
 
     def test_y_on_predator_isocline(self):
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+            warnings.simplefilter("error")
             eqs = interior_equilibria(GOLD)
         for e in eqs:
             assert e.y == pytest.approx(GOLD.delta * (GOLD.m + e.x) / GOLD.eta, rel=1e-9)
 
     def test_all_equilibria_is_union(self):
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+            warnings.simplefilter("error")
             allp = all_equilibria(GOLD)
             assert len(allp) == len(trivial_equilibria(GOLD)) + len(interior_equilibria(GOLD))
 
