@@ -198,7 +198,8 @@ def bt_locate(params: ModelParams) -> list[BTPoint]:
 def _field_derivatives(params: ModelParams, x: float, y: float, lam: tuple[float, float]):
     """Values, gradients and Hessians of both components of the perturbed
     field at the frozen expansion point (x, y), with h -> h + lam1 and
-    delta -> delta + lam2."""
+    delta -> delta + lam2, as nested tuples of floats shaped (2,), (2, 2)
+    and (2, 2, 2)."""
     a, b, c = params.a, params.b, params.c
     eta, m = params.eta, params.m
     h = params.h + lam[0]
@@ -217,25 +218,30 @@ def _field_derivatives(params: ModelParams, x: float, y: float, lam: tuple[float
     g_xx = -2.0 * eta * y * y / (m + x) ** 3
     g_xy = 2.0 * eta * y / (m + x) ** 2
     g_yy = -2.0 * eta / (m + x)
-    vals = np.array([f_val, g_val])
-    grads = np.array([[f_x, f_y], [g_x, g_y]])
-    hess = np.array([[[f_xx, f_xy], [f_xy, f_yy]], [[g_xx, g_xy], [g_xy, g_yy]]])
+    vals = (f_val, g_val)
+    grads = ((f_x, f_y), (g_x, g_y))
+    hess = (((f_xx, f_xy), (f_xy, f_yy)), ((g_xx, g_xy), (g_xy, g_yy)))
     return vals, grads, hess
 
 
 def _ab_coeffs(params_bt: ModelParams, pt: BTPoint, basis, lam: tuple[float, float]) -> dict:
     """Taylor coefficients a_ij(lambda), b_ij(lambda) of the eigenbasis
-    projected field, in the convention with 1/2 on the pure-square terms."""
-    v0, v1, w0, w1 = basis
+    projected field, in the convention with 1/2 on the pure-square terms.
+
+    Every projection is written out as a two-term sum on floats: w.F,
+    w.(DF v) and w.(v^T H_k u)."""
+    (v0x, v0y), (v1x, v1y), w0, w1 = (u.tolist() for u in basis)
     vals, grads, hess = _field_derivatives(params_bt, pt.x, pt.y, lam)
+    # per field component k: F_k, DF_k v0, DF_k v1, v0'H_k v0, v0'H_k v1, v1'H_k v1
+    comps = []
+    for val, (dx, dy), ((hxx, hxy), (hyx, hyy)) in zip(vals, grads, hess):
+        r0x, r0y = v0x * hxx + v0y * hyx, v0x * hxy + v0y * hyy  # v0' H_k
+        r1x, r1y = v1x * hxx + v1y * hyx, v1x * hxy + v1y * hyy  # v1' H_k
+        comps.append((val, dx * v0x + dy * v0y, dx * v1x + dy * v1y,
+                      r0x * v0x + r0y * v0y, r0x * v1x + r0y * v1y, r1x * v1x + r1y * v1y))
     out = {}
-    for name, w in (("a", w0), ("b", w1)):
-        pv = w @ vals
-        g0 = w @ (grads @ v0)
-        g1 = w @ (grads @ v1)
-        h00_ = w @ np.array([v0 @ hess[0] @ v0, v0 @ hess[1] @ v0])
-        h01_ = w @ np.array([v0 @ hess[0] @ v1, v0 @ hess[1] @ v1])
-        h11_ = w @ np.array([v1 @ hess[0] @ v1, v1 @ hess[1] @ v1])
+    for name, (wx, wy) in (("a", w0), ("b", w1)):
+        pv, g0, g1, h00_, h01_, h11_ = (wx * f + wy * g for f, g in zip(*comps))
         out[name + "00"] = pv
         out[name + "10"] = g0
         out[name + "01"] = g1 - (1.0 if name == "a" else 0.0)

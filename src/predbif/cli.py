@@ -8,6 +8,7 @@ rerun with the same config is byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import warnings
@@ -18,8 +19,8 @@ import numpy as np
 from . import __version__, bt, equilibria, hopf, stability
 from . import sim as simmod
 from ._backend import BACKEND
-from .errors import PredbifError
-from .model import ModelParams, State
+from .errors import ParameterOutOfRange, PredbifError
+from .model import ModelParams, State, validate
 
 PARAM_NAMES = ("a", "b", "c", "h", "delta", "eta", "m")
 
@@ -55,11 +56,15 @@ def parse_config(path: str | Path) -> dict:
 
 
 def params_from_config(cfg: dict) -> ModelParams:
+    """Admissible model parameters from the ``params`` section.
+
+    Raises ValueError on missing keys and ParameterOutOfRange on values
+    that violate ``model.validate``."""
     p = cfg.get("params", {})
     missing = [n for n in PARAM_NAMES if n not in p]
     if missing:
         raise ValueError(f"config is missing params: {missing}")
-    return ModelParams(**{n: float(p[n]) for n in PARAM_NAMES})
+    return validate(ModelParams(**{n: float(p[n]) for n in PARAM_NAMES}))
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +330,10 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every ``run``
+    in the process."""
     ap = argparse.ArgumentParser(
         prog="predbif",
         description="Bifurcation analyses of the harvested Holling-III / "
@@ -350,7 +358,7 @@ def run(argv: list[str]) -> int:
     try:
         cfg = parse_config(args.config)
         params = params_from_config(cfg)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, ParameterOutOfRange) as exc:
         print(f"predbif: config error: {exc}", file=sys.stderr)
         return 2
     out_dir = Path(args.out)

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from predbif.bt import (
+    _ab_coeffs,
+    _field_derivatives,
     beta_map,
     bifurcation_curves,
     bt_candidate_x,
@@ -161,6 +163,46 @@ class TestNormalForm:
 
     def test_nondegeneracy_flags(self, nf):
         assert nf.nondegeneracy == {"BT.1": True, "BT.2": True, "BT.3": True}
+
+
+def _ab_coeffs_matrix_form(nf, lam, op=np.asarray):
+    """Reference projections in numpy matrix form.  With ``op=np.abs`` every
+    term enters with its magnitude, which bounds the rounding error of the
+    sums."""
+    vals, grads, hess = (op(np.array(t)) for t in
+                         _field_derivatives(nf.params, nf.point.x, nf.point.y, lam))
+    v0, v1 = op(nf.v0), op(nf.v1)
+    out = {}
+    for name, w in (("a", op(nf.w0)), ("b", op(nf.w1))):
+        out[name + "00"] = w @ vals
+        out[name + "10"] = w @ (grads @ v0)
+        out[name + "01"] = w @ (grads @ v1) + (op(-1.0) if name == "a" else 0.0)
+        out[name + "20"] = w @ np.array([v0 @ hess[k] @ v0 for k in (0, 1)])
+        out[name + "11"] = w @ np.array([v0 @ hess[k] @ v1 for k in (0, 1)])
+        out[name + "02"] = w @ np.array([v1 @ hess[k] @ v1 for k in (0, 1)])
+    return out
+
+
+class TestCoefficientChain:
+    def test_scalar_projections_match_matrix_form(self, nf):
+        rng = np.random.default_rng(8)
+        lams = [(0.0, 0.0)] + [(float(rng.uniform(0.0, 1e-4)), float(rng.uniform(-1e-4, 1e-4)))
+                               for _ in range(8)]
+        basis = (nf.v0, nf.v1, nf.w0, nf.w1)
+        for lam in lams:
+            want = _ab_coeffs_matrix_form(nf, lam)
+            size = _ab_coeffs_matrix_form(nf, lam, op=np.abs)
+            got = _ab_coeffs(nf.params, nf.point, basis, lam)
+            assert got.keys() == want.keys()
+            for key, value in want.items():
+                assert type(got[key]) is float, key
+                # a10 and b10 cancel to ~0 at lambda = 0 (J v0 = 0), so the
+                # error is relative to the size of the summed terms
+                assert abs(got[key] - value) <= 1e-12 * size[key], (key, lam)
+
+    def test_beta_map_is_numpy_free_on_floats(self, nf):
+        b1, b2 = beta_map(nf, 3e-5, -2e-5)
+        assert type(b1) is float and type(b2) is float
 
 
 class TestBetaMap:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from predbif.cli import parse_config, params_from_config, run, to_json
+from predbif.cli import build_parser, parse_config, params_from_config, run, to_json
 
 GOLD_KV = """\
 # worked-example parameters
@@ -79,6 +79,21 @@ class TestExitCodes:
     def test_success_is_exit_zero(self, gold_cfg, tmp_path):
         assert run(["equilibria", "--config", gold_cfg, "--out", str(tmp_path)]) == 0
 
+    @pytest.mark.parametrize("good, bad", [("params.a = 2", "params.a = 0"),
+                                           ("params.b = -2.82", "params.b = -3.0")],
+                             ids=["a_zero", "b_below_minus_two_sqrt_a"])
+    def test_inadmissible_params_are_config_errors(self, good, bad, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(BT_SEED_KV.replace(good, bad))
+        assert run(["equilibria", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("predbif: config error: ")
+        assert not (tmp_path / "equilibria.json").exists()
+
+    def test_parser_reused_across_runs(self, gold_cfg, tmp_path):
+        assert run(["equilibria"]) == 2  # --config is required
+        assert run(["equilibria", "--config", gold_cfg, "--out", str(tmp_path)]) == 0
+        assert build_parser() is build_parser()
+
 
 class TestDeterminism:
     def test_repeated_runs_byte_identical(self, gold_cfg, tmp_path):
@@ -86,6 +101,13 @@ class TestDeterminism:
         for out in (out1, out2):
             assert run(["stability", "--config", gold_cfg, "--out", str(out)]) == 0
         assert (out1 / "stability.json").read_bytes() == (out2 / "stability.json").read_bytes()
+
+    def test_repeated_bt_curves_byte_identical(self, bt_cfg, tmp_path):
+        out1, out2 = tmp_path / "r1", tmp_path / "r2"
+        for out in (out1, out2):
+            assert run(["bt-curves", "--config", bt_cfg, "--out", str(out),
+                        "--format", "csv"]) == 0
+        assert (out1 / "bt-curves.csv").read_bytes() == (out2 / "bt-curves.csv").read_bytes()
 
     def test_to_json_sorted_and_reparses(self):
         text = to_json({"b": [1.5, float("nan")], "a": {"z": True, "y": None}})
