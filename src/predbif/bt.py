@@ -6,10 +6,10 @@ in the (h, delta) plane, reduction to the two-parameter normal form
 and local approximations of the fold (T), Hopf (H) and homoclinic (P)
 bifurcation curves.
 
-The coefficient chain is evaluated analytically by differentiating the
-perturbed, eigenbasis-transformed vector field (exact first and second
-partials of the right-hand side); reference closed forms for the simple
-lambda-linear coefficients are kept as cross-checks.
+The coefficient chain projects ``model.jet`` at the frozen BT point, with
+(h, delta) shifted by lambda, onto the generalized eigenbasis; the
+lambda-partials of the coefficients project the jet's exact h- and
+delta-partials, and are cross-checked against their published closed forms.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .errors import (
     PrintedFormulaMismatch,
     SingularSolve,
 )
-from .model import ModelParams, State, holling_denominator, jacobian, rhs, validate
+from .model import ModelParams, State, holling_denominator, jacobian, jet, rhs, validate
 
 BT_RESIDUAL_TOL = 1e-8
 
@@ -195,59 +195,36 @@ def bt_locate(params: ModelParams) -> list[BTPoint]:
 # normal form
 
 
-def _field_derivatives(params: ModelParams, x: float, y: float, lam: tuple[float, float]):
-    """Values, gradients and Hessians of both components of the perturbed
-    field at the frozen expansion point (x, y), with h -> h + lam1 and
-    delta -> delta + lam2, as nested tuples of floats shaped (2,), (2, 2)
-    and (2, 2, 2)."""
-    a, b, c = params.a, params.b, params.c
-    eta, m = params.eta, params.m
-    h = params.h + lam[0]
-    delta = params.delta + lam[1]
-    p = a * x * x + b * x + 1.0
-    f_val = x * (1.0 - x) - x * x * y / p - h * x / (c + x)
-    f_x = 1.0 - 2.0 * x - x * y * (b * x + 2.0) / p**2 - h * c / (c + x) ** 2
-    f_y = -x * x / p
-    f_xx = -2.0 + 2.0 * y * (a * b * x**3 + 3.0 * a * x**2 - 1.0) / p**3 \
-        + 2.0 * h * c / (c + x) ** 3
-    f_xy = -x * (b * x + 2.0) / p**2
-    f_yy = 0.0
-    g_val = y * (delta - eta * y / (m + x))
-    g_x = eta * y * y / (m + x) ** 2
-    g_y = delta - 2.0 * eta * y / (m + x)
-    g_xx = -2.0 * eta * y * y / (m + x) ** 3
-    g_xy = 2.0 * eta * y / (m + x) ** 2
-    g_yy = -2.0 * eta / (m + x)
-    vals = (f_val, g_val)
-    grads = ((f_x, f_y), (g_x, g_y))
-    hess = (((f_xx, f_xy), (f_xy, f_yy)), ((g_xx, g_xy), (g_xy, g_yy)))
-    return vals, grads, hess
+_COEFF_KEYS = (("a00", "a10", "a01", "a20", "a11", "a02"),
+               ("b00", "b10", "b01", "b20", "b11", "b02"))
 
 
-def _ab_coeffs(params_bt: ModelParams, pt: BTPoint, basis, lam: tuple[float, float]) -> dict:
-    """Taylor coefficients a_ij(lambda), b_ij(lambda) of the eigenbasis
-    projected field, in the convention with 1/2 on the pure-square terms.
-
-    Every projection is written out as a two-term sum on floats: w.F,
-    w.(DF v) and w.(v^T H_k u)."""
-    (v0x, v0y), (v1x, v1y), w0, w1 = (u.tolist() for u in basis)
-    vals, grads, hess = _field_derivatives(params_bt, pt.x, pt.y, lam)
+def _project(basis, F, DF, D2F) -> dict:
+    """Eigenbasis projections of a field's jet, in the convention with 1/2 on
+    the pure-square terms: w.F, w.(DF v) and w.(v^T H_k u) for w = w0 (a_ij)
+    and w = w1 (b_ij), each written out as a two-term sum on floats."""
+    (v0x, v0y), (v1x, v1y), w0, w1 = basis
     # per field component k: F_k, DF_k v0, DF_k v1, v0'H_k v0, v0'H_k v1, v1'H_k v1
     comps = []
-    for val, (dx, dy), ((hxx, hxy), (hyx, hyy)) in zip(vals, grads, hess):
+    for val, (dx, dy), ((hxx, hxy), (hyx, hyy)) in zip(F, DF, D2F):
         r0x, r0y = v0x * hxx + v0y * hyx, v0x * hxy + v0y * hyy  # v0' H_k
         r1x, r1y = v1x * hxx + v1y * hyx, v1x * hxy + v1y * hyy  # v1' H_k
         comps.append((val, dx * v0x + dy * v0y, dx * v1x + dy * v1y,
                       r0x * v0x + r0y * v0y, r0x * v1x + r0y * v1y, r1x * v1x + r1y * v1y))
+    f, g = comps
     out = {}
-    for name, (wx, wy) in (("a", w0), ("b", w1)):
-        pv, g0, g1, h00_, h01_, h11_ = (wx * f + wy * g for f, g in zip(*comps))
-        out[name + "00"] = pv
-        out[name + "10"] = g0
-        out[name + "01"] = g1 - (1.0 if name == "a" else 0.0)
-        out[name + "20"] = h00_
-        out[name + "11"] = h01_
-        out[name + "02"] = h11_
+    for keys, (wx, wy) in zip(_COEFF_KEYS, (w0, w1)):
+        for key, fk, gk in zip(keys, f, g):
+            out[key] = wx * fk + wy * gk
+    return out
+
+
+def _ab_coeffs(params_bt: ModelParams, pt: BTPoint, basis, lam: tuple[float, float]) -> dict:
+    """Taylor coefficients a_ij(lambda), b_ij(lambda) of the projected field at
+    h + lambda1, delta + lambda2, with a01 relative to the Jordan block's 1."""
+    F, DF, D2F, _, _, _ = jet(params_bt, pt.x, pt.y, lam[0], lam[1])
+    out = _project([u.tolist() for u in basis], F, DF, D2F)
+    out["a01"] -= 1.0
     return out
 
 
@@ -314,26 +291,16 @@ def normal_form(params: ModelParams, bt_point: BTPoint) -> BTNormalForm:
     if not bt2:
         raise DegenerateBT(f"BT.2 failed: 2A(0) = b20(0) = {g20_0}", condition="BT.2")
 
-    # exact lambda-partials of the linear-in-lambda coefficients
-    x1, y1 = bt_point.x, bt_point.y
-    ch = params.c
-    d_lam1 = np.array([-x1 / (ch + x1), 0.0])  # d(field)/d(lambda1) at the point
-    d_lam2 = np.array([0.0, y1])
-    dDg_l1 = np.array([[-ch / (ch + x1) ** 2, 0.0], [0.0, 0.0]])
-    dDg_l2 = np.array([[0.0, 0.0], [0.0, 1.0]])
+    # exact lambda-partials of the coefficients: projections of the jet's
+    # h- and delta-partials, one column per lambda component
+    by_h, by_delta = jet(pbt, bt_point.x, bt_point.y)[4:]
+    float_basis = [u.tolist() for u in basis]
+    ph, pd = _project(float_basis, *by_h), _project(float_basis, *by_delta)
+    d = {key: np.array([ph[key], pd[key]]) for key in ph}
 
-    def partials(w):
-        p00 = np.array([w @ d_lam1, w @ d_lam2])
-        p10 = np.array([w @ (dDg_l1 @ v0), w @ (dDg_l2 @ v0)])
-        p01 = np.array([w @ (dDg_l1 @ v1), w @ (dDg_l2 @ v1)])
-        return p00, p10, p01
-
-    da00, da10, da01 = partials(w0)
-    db00, db10, db01 = partials(w1)
-
-    dg00 = db00
-    dg10 = db10 + c0["a11"] * db00 - c0["b11"] * da00
-    dg01 = db01 + da10 + c0["a02"] * db00 - (c0["a11"] + c0["b02"]) * da00
+    dg00 = d["b00"]
+    dg10 = d["b10"] + c0["a11"] * d["b00"] - c0["b11"] * d["a00"]
+    dg01 = d["b01"] + d["a10"] + c0["a02"] * d["b00"] - (c0["a11"] + c0["b02"]) * d["a00"]
     dh10 = dg10 - (g20_0 / g11_0) * dg01
     dmu1 = dg00
     dmu2 = dh10 - 0.5 * g02_0 * dg00
@@ -347,7 +314,7 @@ def normal_form(params: ModelParams, bt_point: BTPoint) -> BTNormalForm:
         raise DegenerateBT(f"BT.3 failed: det(dbeta/dlambda) = {det_bj}", condition="BT.3")
 
     # cross-check reference lambda-linear coefficient forms
-    dlt, e = bt_point.delta_bt, params.eta
+    x1, y1, ch, dlt, e = bt_point.x, bt_point.y, params.c, bt_point.delta_bt, params.eta
     printed = {
         "da00": np.array([(dlt - 1.0) * x1 / ((ch + x1) * e), y1]),
         "da10": np.array([(dlt - 1.0) * ch / (ch + x1) ** 2, dlt]),
@@ -356,10 +323,8 @@ def normal_form(params: ModelParams, bt_point: BTPoint) -> BTNormalForm:
         "db10": np.array([-ch * dlt / (ch + x1) ** 2, -dlt]),
         "db01": np.array([-ch * dlt / (ch + x1) ** 2, -(dlt - 1.0)]),
     }
-    computed = {"da00": da00, "da10": da10, "da01": da01,
-                "db00": db00, "db10": db10, "db01": db01}
     for name, pv in printed.items():
-        cv = computed[name]
+        cv = d[name[1:]]
         if np.max(np.abs(pv - cv)) > 1e-4 * (1.0 + np.max(np.abs(cv))):
             diagnostics.append(f"printed {name} = {pv} vs computed {cv}")
             warnings.warn(

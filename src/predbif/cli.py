@@ -58,12 +58,14 @@ def parse_config(path: str | Path) -> dict:
 def params_from_config(cfg: dict) -> ModelParams:
     """Admissible model parameters from the ``params`` section.
 
-    Raises ValueError on missing keys and ParameterOutOfRange on values
-    that violate ``model.validate``."""
+    Raises ValueError on missing or unknown keys and ParameterOutOfRange on
+    values that violate ``model.validate``."""
     p = cfg.get("params", {})
     missing = [n for n in PARAM_NAMES if n not in p]
     if missing:
         raise ValueError(f"config is missing params: {missing}")
+    if unknown := sorted(set(p) - set(PARAM_NAMES)):
+        raise ValueError(f"config has unknown params: {unknown}")
     return validate(ModelParams(**{n: float(p[n]) for n in PARAM_NAMES}))
 
 
@@ -165,7 +167,7 @@ def _eq_dict(e: equilibria.Equilibrium) -> dict:
     return {"x": e.x, "y": e.y, "kind": e.kind, "source": e.source}
 
 
-def cmd_equilibria(cfg, params, fmt, tol, seed):
+def cmd_equilibria(cfg, params, fmt):
     region = equilibria.classify_region(params.h, params.c)
     eqs = equilibria.all_equilibria(params)
     equilibria.check_printed_quartic(params)
@@ -173,7 +175,7 @@ def cmd_equilibria(cfg, params, fmt, tol, seed):
     return [("json", "equilibria", results)]
 
 
-def cmd_stability(cfg, params, fmt, tol, seed):
+def cmd_stability(cfg, params, fmt):
     eqs = equilibria.all_equilibria(params)
     equilibria.check_printed_quartic(params)
     rows = []
@@ -193,7 +195,7 @@ def cmd_stability(cfg, params, fmt, tol, seed):
     return [("json", "stability", {"reports": rows})]
 
 
-def cmd_hopf(cfg, params, fmt, tol, seed):
+def cmd_hopf(cfg, params, fmt):
     opts = cfg.get("hopf", {})
     interval = (float(opts.get("delta_min", 1e-3)), float(opts.get("delta_max", 1.0)))
     n = int(opts.get("n_samples", 200))
@@ -216,7 +218,7 @@ def cmd_hopf(cfg, params, fmt, tol, seed):
     return [("json", "hopf", {"hopf_points": results})]
 
 
-def cmd_bt_locate(cfg, params, fmt, tol, seed):
+def cmd_bt_locate(cfg, params, fmt):
     pts = bt.bt_locate(params)
     results = [
         {"x": p.x, "y": p.y, "h_bt": p.h_bt, "delta_bt": p.delta_bt, "case": p.case_tag}
@@ -225,7 +227,7 @@ def cmd_bt_locate(cfg, params, fmt, tol, seed):
     return [("json", "bt-locate", {"bt_points": results})]
 
 
-def cmd_bt_normal_form(cfg, params, fmt, tol, seed):
+def cmd_bt_normal_form(cfg, params, fmt):
     results = []
     for p in bt.bt_locate(params):
         nf = bt.normal_form(params, p)
@@ -248,7 +250,7 @@ def cmd_bt_normal_form(cfg, params, fmt, tol, seed):
     return [("json", "bt-normal-form", {"normal_forms": results})]
 
 
-def cmd_bt_curves(cfg, params, fmt, tol, seed):
+def cmd_bt_curves(cfg, params, fmt):
     opts = cfg.get("curves", {})
     box = (
         float(opts.get("lambda1_min", 0.0)),
@@ -278,11 +280,11 @@ def cmd_bt_curves(cfg, params, fmt, tol, seed):
     return jobs
 
 
-def cmd_simulate(cfg, params, fmt, tol, seed):
+def cmd_simulate(cfg, params, fmt):
     opts = cfg.get("simulate", {})
     x0 = State(float(opts.get("x0", 0.5)), float(opts.get("y0", 0.5)))
     t_end = float(opts.get("t_end", 100.0))
-    traj = simmod.integrate(params, x0, t_end, tol, on_failure="keep")
+    traj = simmod.integrate(params, x0, t_end, cfg["tol"], on_failure="keep")
     rows = [[float(t), float(s[0]), float(s[1])]
             for t, s in zip(traj.times, traj.states)]
     jobs = [("csv", "simulate", ["t", "x", "y"], rows)]
@@ -299,7 +301,7 @@ def cmd_simulate(cfg, params, fmt, tol, seed):
     return jobs
 
 
-def cmd_sweep(cfg, params, fmt, tol, seed):
+def cmd_sweep(cfg, params, fmt):
     opts = cfg.get("sweep", {})
     h_lo, h_hi = float(opts.get("h_min", 0.05)), float(opts.get("h_max", 0.95))
     c_lo, c_hi = float(opts.get("c_min", 0.05)), float(opts.get("c_max", 0.95))
@@ -346,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", default=".", help="output directory")
         sp.add_argument("--format", default="json", choices=["json", "csv", "svg"])
         sp.add_argument("--tol", type=float, default=1e-9)
-        sp.add_argument("--seed", type=int, default=0)
     return ap
 
 
@@ -363,12 +364,11 @@ def run(argv: list[str]) -> int:
         return 2
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    cfg.setdefault("seed", args.seed)
-    cfg.setdefault("tol", args.tol)
+    cfg["tol"] = args.tol
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            jobs = COMMANDS[args.command](cfg, params, args.format, args.tol, args.seed)
+            jobs = COMMANDS[args.command](cfg, params, args.format)
         diags = sorted({str(w.message) for w in caught})
     except PredbifError as exc:
         print(f"predbif: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -92,7 +92,7 @@ def _rotation_frame_field(params: ModelParams, eq: Equilibrium):
     jet = taylor_jet(params, State(eq.x, eq.y))
     if jet.alpha01 == 0.0:
         raise DomainError("alpha01 = 0: coefficient frame is singular")
-    det = float(np.linalg.det(jacobian(params, State(eq.x, eq.y))))
+    det = jet.alpha10 * jet.beta01 - jet.alpha01 * jet.beta10
     if det <= 0:
         raise DomainError(f"determinant must be positive at a Hopf point, got {det}")
     omega = math.sqrt(det)

@@ -6,13 +6,14 @@ The scaled system in state (x, y) is
     x' = x(1 - x) - x^2 y / (a x^2 + b x + 1) - h x / (c + x)
     y' = y (delta - eta y / (m + x))
 
-All operations here are pure functions of their inputs.
+All operations here are pure functions of their inputs.  ``jet`` is the one
+place that writes out the second and third derivatives of the field.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -133,20 +134,22 @@ def holling_denominator(params: ModelParams, x: float) -> float:
     return params.a * x * x + params.b * x + 1.0
 
 
-def _check_domain(params: ModelParams, x: float, y: float) -> None:
+def _check_domain(params: ModelParams, x: float, y: float) -> float:
+    """The Holling denominator at x, after checking that (x, y) is admissible."""
     if x < 0:
         raise DomainError(f"x must be nonnegative, got {x}")
     if params.m == 0.0 and x == 0.0:
         raise DomainError("m = 0 with x = 0: predator equation is singular")
-    if holling_denominator(params, x) <= 0:
+    p = holling_denominator(params, x)
+    if p <= 0:
         raise DomainError(f"a*x^2 + b*x + 1 <= 0 at x={x}")
+    return p
 
 
 def rhs(params: ModelParams, state: State) -> tuple[float, float]:
     """Right-hand side (dx/dt, dy/dt) of the scaled system."""
     x, y = state.x, state.y
-    _check_domain(params, x, y)
-    p = holling_denominator(params, x)
+    p = _check_domain(params, x, y)
     dx = x * (1.0 - x) - x * x * y / p - params.h * x / (params.c + x)
     dy = y * (params.delta - params.eta * y / (params.m + x))
     return dx, dy
@@ -160,10 +163,9 @@ def jacobian(params: ModelParams, state: State) -> np.ndarray:
     returned.
     """
     x, y = state.x, state.y
-    _check_domain(params, x, y)
+    p = _check_domain(params, x, y)
     a, b, c, h = params.a, params.b, params.c, params.h
     delta, eta, m = params.delta, params.eta, params.m
-    p = holling_denominator(params, x)
     fx = 1.0 - 2.0 * x - x * y * (b * x + 2.0) / p**2 - h * c / (c + x) ** 2
     fy = -x * x / p
     gx = eta * y * y / (m + x) ** 2
@@ -171,40 +173,68 @@ def jacobian(params: ModelParams, state: State) -> np.ndarray:
     return np.array([[fx, fy], [gx, gy]])
 
 
-def taylor_jet(params: ModelParams, equilibrium: State) -> JetCoefficients:
-    """Closed-form Taylor coefficients of the shifted field at an interior
-    equilibrium, up to the cubic terms used by the bifurcation analyses.
-
-    The quadratic/cubic predator-row coefficients use the equilibrium
-    relation y = delta*(m+x)/eta, so the point must actually be an
-    equilibrium (max |rhs| < 1e-8).
-    """
-    f = rhs(params, equilibrium)
-    if max(abs(f[0]), abs(f[1])) >= EQUILIBRIUM_TOL:
-        raise NotAnEquilibrium(
-            f"rhs residual {max(abs(f[0]), abs(f[1])):.3e} at ({equilibrium.x}, {equilibrium.y})"
-        )
-    x, y = equilibrium.x, equilibrium.y
-    a, b, c, h = params.a, params.b, params.c, params.h
-    delta, eta, m = params.delta, params.eta, params.m
-    p = holling_denominator(params, x)
-    J = jacobian(params, equilibrium)
-    return JetCoefficients(
-        alpha10=J[0, 0],
-        alpha01=J[0, 1],
-        beta10=J[1, 0],
-        beta01=J[1, 1],
-        alpha20=-1.0
-        + y * (a * b * x**3 + 3.0 * a * x**2 - 1.0) / p**3
-        + h * c / (c + x) ** 3,
-        alpha11=-x * (b * x + 2.0) / p**2,
-        alpha30=-h * c / (c + x) ** 4
-        - y * (a * x**2 - 1.0) * (a * b * x**2 + 4.0 * a * x + b) / p**4,
-        alpha21=(a * b * x**3 + 3.0 * a * x**2 - 1.0) / p**3,
-        beta20=-(delta**2) / (eta * (m + x)),
-        beta11=2.0 * delta / (m + x),
-        beta02=-eta / (m + x),
-        beta30=delta**2 / (eta * (m + x) ** 2),
-        beta21=-2.0 * delta / (m + x) ** 2,
-        beta12=eta / (m + x) ** 2,
+def jet(params: ModelParams, x: float, y: float, dh: float = 0.0, ddelta: float = 0.0):
+    """Derivatives of the field at an admissible (x, y), for h + dh and
+    delta + ddelta, as nested tuples of floats indexed [component][d/dx or
+    d/dy]...: ``(F, DF, D2F, D3F, by_h, by_delta)``, where ``by_h`` and
+    ``by_delta`` are the exact partials of (F, DF, D2F), the field being
+    affine in h and delta.  F and DF keep the floating-point form of ``rhs``
+    and ``jacobian``, so they agree with them bit for bit."""
+    a, b, c = params.a, params.b, params.c
+    eta, m = params.eta, params.m
+    h = params.h + dh
+    delta = params.delta + ddelta
+    p = _check_domain(params, x, y)
+    axx = a * x * x
+    cx, mx = c + x, m + x
+    p2, p3 = p**2, p**3
+    cx2, cx3 = cx**2, cx**3
+    mx2, mx3 = mx**2, mx**3
+    bx2 = b * x + 2.0
+    hc = h * c
+    ey = eta * y
+    # the Holling term is y*phi(x) with phi = x^2/p; poly = -p^3 phi''/2
+    poly = a * b * x**3 + 3.0 * a * x**2 - 1.0
+    f_xy = -x * bx2 / p2
+    f_xxy = 2.0 * poly / p3
+    g_xx = -2.0 * ey * y / mx3
+    g_xy = 2.0 * ey / mx2
+    g_yy = -2.0 * eta / mx
+    g_xxy = -2.0 * g_xy / mx
+    g_xyy = -g_yy / mx
+    f_xy_ = (f_xxy, 0.0)  # d/dx and d/dy of f_xy
+    g_xy_ = (g_xxy, g_xyy)
+    return (
+        (x * (1.0 - x) - x * x * y / p - h * x / cx, y * (delta - eta * y / mx)),
+        ((1.0 - 2.0 * x - x * y * bx2 / p2 - hc / cx2, -x * x / p),
+         (ey * y / mx2, delta - 2.0 * ey / mx)),
+        (((-2.0 + 2.0 * y * poly / p3 + 2.0 * hc / cx3, f_xy), (f_xy, 0.0)),
+         ((g_xx, g_xy), (g_xy, g_yy))),
+        ((((-6.0 * y * (axx - 1.0) * (b * axx + 4.0 * a * x + b) / (p2 * p2)
+            - 6.0 * hc / (cx2 * cx2), f_xxy), f_xy_), (f_xy_, (0.0, 0.0))),
+         (((-3.0 * g_xx / mx, g_xxy), g_xy_), (g_xy_, (g_xyy, 0.0)))),
+        ((-x / cx, 0.0), ((-c / cx2, 0.0), (0.0, 0.0)),
+         (((2.0 * c / cx3, 0.0), (0.0, 0.0)), ((0.0, 0.0), (0.0, 0.0)))),
+        ((0.0, y), ((0.0, 0.0), (0.0, 1.0)),
+         (((0.0, 0.0), (0.0, 0.0)), ((0.0, 0.0), (0.0, 0.0)))),
     )
+
+
+def taylor_jet(params: ModelParams, equilibrium: State) -> JetCoefficients:
+    """Taylor coefficients of the shifted field at an interior equilibrium
+    (max |rhs| < 1e-8), read off ``jet``: alpha_ij = d^i/dx^i d^j/dy^j f /
+    (i! j!), and beta_ij likewise for g."""
+    tensors = jet(params, equilibrium.x, equilibrium.y)
+    residual = max(abs(tensors[0][0]), abs(tensors[0][1]))
+    if residual >= EQUILIBRIUM_TOL:
+        raise NotAnEquilibrium(
+            f"rhs residual {residual:.3e} at ({equilibrium.x}, {equilibrium.y})")
+
+    def coefficient(name: str) -> float:
+        i, j = int(name[-2]), int(name[-1])
+        t = tensors[i + j][name.startswith("beta")]
+        for axis in (0,) * i + (1,) * j:
+            t = t[axis]
+        return t / (math.factorial(i) * math.factorial(j))
+
+    return JetCoefficients(**{fd.name: coefficient(fd.name) for fd in fields(JetCoefficients)})

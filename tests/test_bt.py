@@ -6,7 +6,6 @@ import pytest
 
 from predbif.bt import (
     _ab_coeffs,
-    _field_derivatives,
     beta_map,
     bifurcation_curves,
     bt_candidate_x,
@@ -15,7 +14,7 @@ from predbif.bt import (
     normal_form,
 )
 from predbif.errors import DomainError, NoCandidate
-from predbif.model import ModelParams, State, jacobian, rhs
+from predbif.model import ModelParams, State, jacobian, jet, rhs
 
 BASE = ModelParams(a=2.0, b=-2.82, c=0.05, h=0.17, delta=0.03, eta=0.1, m=0.8)
 
@@ -170,7 +169,7 @@ def _ab_coeffs_matrix_form(nf, lam, op=np.asarray):
     term enters with its magnitude, which bounds the rounding error of the
     sums."""
     vals, grads, hess = (op(np.array(t)) for t in
-                         _field_derivatives(nf.params, nf.point.x, nf.point.y, lam))
+                         jet(nf.params, nf.point.x, nf.point.y, *lam)[:3])
     v0, v1 = op(nf.v0), op(nf.v1)
     out = {}
     for name, w in (("a", op(nf.w0)), ("b", op(nf.w1))):

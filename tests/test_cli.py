@@ -89,6 +89,19 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("predbif: config error: ")
         assert not (tmp_path / "equilibria.json").exists()
 
+    def test_unknown_param_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text(BT_SEED_KV + "params.typo = 3\n")
+        assert run(["equilibria", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("predbif: config error: ") and "typo" in err
+        assert not (tmp_path / "equilibria.json").exists()
+
+    def test_seed_flag_is_usage_error(self, gold_cfg, tmp_path):
+        assert run(["equilibria", "--config", gold_cfg, "--out", str(tmp_path),
+                    "--seed", "3"]) == 2
+        assert not (tmp_path / "equilibria.json").exists()
+
     def test_parser_reused_across_runs(self, gold_cfg, tmp_path):
         assert run(["equilibria"]) == 2  # --config is required
         assert run(["equilibria", "--config", gold_cfg, "--out", str(tmp_path)]) == 0

@@ -1,8 +1,11 @@
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from predbif.equilibria import interior_equilibria
 from predbif.errors import DomainError, NotAnEquilibrium, ParameterOutOfRange
 from predbif.model import (
     JetCoefficients,
@@ -10,6 +13,7 @@ from predbif.model import (
     OriginalParams,
     State,
     jacobian,
+    jet,
     rescale_parameters,
     rhs,
     taylor_jet,
@@ -110,34 +114,32 @@ class TestJacobian:
         assert worst < 1e-6
 
 
-def _numeric_jet(p, eq):
-    """Finite-difference Taylor coefficients of the shifted field, with one
-    Richardson step to push the O(e^2) truncation error below tolerance."""
-    d1 = _numeric_jet_step(p, eq, 2e-3)
-    d2 = _numeric_jet_step(p, eq, 1e-3)
+#: central-difference weights of the d^n/dz^n stencils, by offset in steps
+_STENCILS = {
+    0: {0: 1.0},
+    1: {1: 0.5, -1: -0.5},
+    2: {1: 1.0, 0: -2.0, -1: 1.0},
+    3: {2: 0.5, 1: -1.0, -1: 1.0, -2: -0.5},
+}
+
+
+def _fd_partials(p, x, y):
+    """Every d^i/dx^i d^j/dy^j rhs with i + j <= 3 by central differences,
+    Richardson-extrapolated over steps 2e-3 and 1e-3 as in acceptance
+    criterion 8."""
+    def at_step(e):
+        out = {}
+        for i in range(4):
+            for j in range(4 - i):
+                acc = np.zeros(2)
+                for kx, wx in _STENCILS[i].items():
+                    for ky, wy in _STENCILS[j].items():
+                        acc += wx * wy * np.asarray(rhs(p, State(x + kx * e, y + ky * e)))
+                out[i, j] = acc / e ** (i + j)
+        return out
+
+    d1, d2 = at_step(2e-3), at_step(1e-3)
     return {k: (4.0 * d2[k] - d1[k]) / 3.0 for k in d1}
-
-
-def _numeric_jet_step(p, eq, e):
-    def F(i, u, v):
-        return rhs(p, State(eq.x + u, eq.y + v))[i]
-
-    out = {}
-    for i, pre in ((0, "alpha"), (1, "beta")):
-        out[pre + "20"] = (F(i, e, 0) - 2 * F(i, 0, 0) + F(i, -e, 0)) / e**2 / 2.0
-        out[pre + "02"] = (F(i, 0, e) - 2 * F(i, 0, 0) + F(i, 0, -e)) / e**2 / 2.0
-        out[pre + "11"] = (F(i, e, e) - F(i, e, -e) - F(i, -e, e) + F(i, -e, -e)) / (4 * e**2)
-        out[pre + "30"] = (F(i, 2 * e, 0) - 2 * F(i, e, 0) + 2 * F(i, -e, 0)
-                           - F(i, -2 * e, 0)) / (2 * e**3) / 6.0
-        out[pre + "03"] = (F(i, 0, 2 * e) - 2 * F(i, 0, e) + 2 * F(i, 0, -e)
-                           - F(i, 0, -2 * e)) / (2 * e**3) / 6.0
-        d11p = (F(i, e, e) - 2 * F(i, 0, e) + F(i, -e, e)) / e**2
-        d11m = (F(i, e, -e) - 2 * F(i, 0, -e) + F(i, -e, -e)) / e**2
-        out[pre + "21"] = (d11p - d11m) / (2 * e) / 2.0
-        d22p = (F(i, e, e) - 2 * F(i, e, 0) + F(i, e, -e)) / e**2
-        d22m = (F(i, -e, e) - 2 * F(i, -e, 0) + F(i, -e, -e)) / e**2
-        out[pre + "12"] = (d22p - d22m) / (2 * e) / 2.0
-    return out
 
 
 class TestTaylorJet:
@@ -161,12 +163,90 @@ class TestTaylorJet:
                 continue
             eq = eqs[0].state
             jet = taylor_jet(p, eq)
-            num = _numeric_jet(p, eqs[0])
+            fd = _fd_partials(p, eq.x, eq.y)
             for name in names:
-                a = getattr(jet, name)
-                assert a == pytest.approx(num[name], rel=1e-5, abs=1e-5), name
+                i, j = int(name[-2]), int(name[-1])
+                want = fd[i, j][int(name.startswith("beta"))]
+                want /= math.factorial(i) * math.factorial(j)
+                assert getattr(jet, name) == pytest.approx(want, rel=1e-5, abs=1e-5), name
             # linear part matches the Jacobian
             J = jacobian(p, eq)
             assert jet.alpha10 == pytest.approx(J[0, 0])
             assert jet.beta01 == pytest.approx(J[1, 1])
             checked += 1
+
+
+def _entry(tensor, index):
+    for axis in index:
+        tensor = tensor[axis]
+    return tensor
+
+
+def _jet_points():
+    """25 seeded points off equilibria and 25 interior equilibria."""
+    rng = np.random.default_rng(29)
+    points = []
+    while len(points) < 25:
+        points.append((random_params(rng), rng.uniform(0.05, 1.5), rng.uniform(0.05, 1.5)))
+    while len(points) < 50:
+        p = random_params(rng)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            eqs = interior_equilibria(p)
+        if eqs and eqs[0].x > 0.01:
+            points.append((p, float(eqs[0].x), float(eqs[0].y)))
+    return points
+
+
+JET_POINTS = _jet_points()
+
+
+class TestJet:
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_derivatives_match_finite_differences(self, order):
+        for p, x, y in JET_POINTS:
+            tensor = jet(p, x, y)[order]
+            fd = _fd_partials(p, x, y)
+            for k in (0, 1):
+                # every index order, so the symmetry of the tensor is checked too
+                for index in itertools.product((0, 1), repeat=order):
+                    want = fd[index.count(0), index.count(1)][k]
+                    got = _entry(tensor[k], index)
+                    assert type(got) is float
+                    assert got == pytest.approx(want, rel=1e-5, abs=1e-5), (p, x, y, k, index)
+
+    def test_value_is_rhs(self):
+        for p, x, y in JET_POINTS:
+            assert jet(p, x, y)[0] == rhs(p, State(x, y))
+
+    @pytest.mark.parametrize("name, slot", [("h", 4), ("delta", 5)])
+    def test_parameter_partials_match_differences(self, name, slot):
+        e = 1e-3
+        for p, x, y in JET_POINTS:
+            hi = _fd_partials(p.with_(**{name: getattr(p, name) + e}), x, y)
+            lo = _fd_partials(p.with_(**{name: getattr(p, name) - e}), x, y)
+            partials = jet(p, x, y)[slot]
+            for order in range(3):
+                for k in (0, 1):
+                    for index in itertools.product((0, 1), repeat=order):
+                        key = index.count(0), index.count(1)
+                        want = (hi[key][k] - lo[key][k]) / (2.0 * e)
+                        got = _entry(partials[order][k], index)
+                        assert got == pytest.approx(want, rel=1e-5, abs=1e-5), (name, k, index)
+
+    def test_first_derivatives_equal_jacobian(self):
+        for p, x, y in JET_POINTS:
+            assert jet(p, x, y)[1] == tuple(map(tuple, jacobian(p, State(x, y)).tolist()))
+
+    def test_offsets_agree_with_shifted_params(self):
+        rng = np.random.default_rng(31)
+        for p, x, y in JET_POINTS:
+            dh, dd = rng.uniform(-0.04, 0.04), rng.uniform(-0.04, 0.04)
+            shifted = p.with_(h=p.h + dh, delta=p.delta + dd)
+            assert jet(p, x, y, dh, dd) == jet(shifted, x, y)
+
+    def test_outside_domain_rejected(self):
+        with pytest.raises(DomainError):
+            jet(GOLD, -0.1, 0.5)
+        with pytest.raises(DomainError):
+            jet(ModelParams(**{**GOLD.__dict__, "m": 0.0}), 0.0, 0.5)
