@@ -370,9 +370,13 @@ _CURVE_DEFS = {
 
 def bifurcation_curves(nf: BTNormalForm, lambda_box, n: int = 50) -> CurveSet:
     """Sample the local T/H/P curves over the lambda box by bisection in
-    lambda2 at each lambda1 sample.  H and P samples require beta2 < 0;
-    unbracketable samples are dropped."""
+    lambda2 at each lambda1 sample.  H and P samples require beta2 < 0, up
+    to rounding; unbracketable samples are dropped."""
     l1_min, l1_max, l2_min, l2_max = lambda_box
+    # beta2 = 0 at lambda = 0 in theory, and comes out as rounding noise
+    # there: a few ulps of the betas' size over the box
+    b2_tol = 16.0 * math.ulp(float(np.max(np.abs(nf.beta_jacobian)))
+                             * max(abs(v) for v in lambda_box))
     samples = {"T": [], "H": [], "P": []}
     for l1 in np.linspace(l1_min, l1_max, n):
         for name, fdef in _CURVE_DEFS.items():
@@ -398,7 +402,7 @@ def bifurcation_curves(nf: BTNormalForm, lambda_box, n: int = 50) -> CurveSet:
                     lo, flo = mid, fm
             l2 = 0.5 * (lo + hi)
             _, b2 = beta_map(nf, l1, l2)
-            if name in ("H", "P") and b2 >= 0:
+            if name in ("H", "P") and b2 >= b2_tol:
                 continue
             samples[name].append((float(l1), float(l2)))
     return CurveSet(samples["T"], samples["H"], samples["P"], tuple(lambda_box))

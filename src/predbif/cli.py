@@ -69,6 +69,43 @@ def params_from_config(cfg: dict) -> ModelParams:
     return validate(ModelParams(**{n: float(p[n]) for n in PARAM_NAMES}))
 
 
+#: each command's own config section and the typed defaults of its options
+OPTIONS = {
+    "hopf": ("hopf", {"delta_min": 1e-3, "delta_max": 1.0, "n_samples": 200, "branch": 0}),
+    "bt-curves": ("curves", {"lambda1_min": 0.0, "lambda1_max": 1e-4,
+                             "lambda2_min": -1e-4, "lambda2_max": 1e-4, "n": 50}),
+    "simulate": ("simulate", {"x0": 0.5, "y0": 0.5, "t_end": 100.0}),
+    "sweep": ("sweep", {"h_min": 0.05, "h_max": 0.95, "c_min": 0.05, "c_max": 0.95,
+                        "n_h": 10, "n_c": 10}),
+}
+
+
+def command_options(command: str, cfg: dict) -> dict:
+    """The options of ``command``: its config section over the defaults of
+    ``OPTIONS``, each value converted to its default's type.
+
+    Raises ValueError naming a key the section does not know or a value that
+    does not convert exactly (a string, NaN, or 2.5 for an integer)."""
+    if command not in OPTIONS:
+        return {}
+    section, defaults = OPTIONS[command]
+    given = cfg.get(section, {})
+    if not isinstance(given, dict):
+        raise ValueError(f"config section {section} must hold {section}.* keys, got {given!r}")
+    if unknown := sorted(set(given) - set(defaults)):
+        raise ValueError(f"config has unknown {section} options: {unknown}")
+    opts = dict(defaults)
+    for key, value in given.items():
+        kind = type(defaults[key])
+        try:
+            opts[key] = kind(value)
+            if opts[key] != float(value):
+                raise ValueError
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"{section}.{key} must be {kind.__name__}, got {value!r}") from None
+    return opts
+
+
 # ---------------------------------------------------------------------------
 # deterministic emitters
 
@@ -195,19 +232,15 @@ def cmd_stability(cfg, params, fmt):
     return [("json", "stability", {"reports": rows})]
 
 
-def cmd_hopf(cfg, params, fmt):
-    opts = cfg.get("hopf", {})
-    interval = (float(opts.get("delta_min", 1e-3)), float(opts.get("delta_max", 1.0)))
-    n = int(opts.get("n_samples", 200))
-    branch = int(opts.get("branch", 0))
-    points = hopf.hopf_scan(params, interval, n, branch)
+def cmd_hopf(cfg, params, fmt, *, delta_min, delta_max, n_samples, branch):
+    points = hopf.hopf_scan(params, (delta_min, delta_max), n_samples, branch)
     results = [
         {
             "delta_H": hd.delta_H,
             "omega": hd.omega,
             "det": hd.det,
             "l_printed": hd.l,
-            "l_numeric": hd.l_numeric,
+            "l1": hd.l1,
             "transversality": hd.transversality,
             "cycle_verdict": hd.cycle_verdict,
             "empirical_verdict": hd.empirical_verdict,
@@ -250,15 +283,8 @@ def cmd_bt_normal_form(cfg, params, fmt):
     return [("json", "bt-normal-form", {"normal_forms": results})]
 
 
-def cmd_bt_curves(cfg, params, fmt):
-    opts = cfg.get("curves", {})
-    box = (
-        float(opts.get("lambda1_min", 0.0)),
-        float(opts.get("lambda1_max", 1e-4)),
-        float(opts.get("lambda2_min", -1e-4)),
-        float(opts.get("lambda2_max", 1e-4)),
-    )
-    n = int(opts.get("n", 50))
+def cmd_bt_curves(cfg, params, fmt, *, lambda1_min, lambda1_max, lambda2_min, lambda2_max, n):
+    box = (lambda1_min, lambda1_max, lambda2_min, lambda2_max)
     pts = bt.bt_locate(params)
     if not pts:
         raise PredbifError("no BT point to unfold")
@@ -280,11 +306,8 @@ def cmd_bt_curves(cfg, params, fmt):
     return jobs
 
 
-def cmd_simulate(cfg, params, fmt):
-    opts = cfg.get("simulate", {})
-    x0 = State(float(opts.get("x0", 0.5)), float(opts.get("y0", 0.5)))
-    t_end = float(opts.get("t_end", 100.0))
-    traj = simmod.integrate(params, x0, t_end, cfg["tol"], on_failure="keep")
+def cmd_simulate(cfg, params, fmt, *, x0, y0, t_end):
+    traj = simmod.integrate(params, State(x0, y0), t_end, cfg["tol"], on_failure="keep")
     rows = [[float(t), float(s[0]), float(s[1])]
             for t, s in zip(traj.times, traj.states)]
     jobs = [("csv", "simulate", ["t", "x", "y"], rows)]
@@ -301,14 +324,10 @@ def cmd_simulate(cfg, params, fmt):
     return jobs
 
 
-def cmd_sweep(cfg, params, fmt):
-    opts = cfg.get("sweep", {})
-    h_lo, h_hi = float(opts.get("h_min", 0.05)), float(opts.get("h_max", 0.95))
-    c_lo, c_hi = float(opts.get("c_min", 0.05)), float(opts.get("c_max", 0.95))
-    n_h, n_c = int(opts.get("n_h", 10)), int(opts.get("n_c", 10))
+def cmd_sweep(cfg, params, fmt, *, h_min, h_max, c_min, c_max, n_h, n_c):
     rows = []
-    for hv in np.linspace(h_lo, h_hi, n_h):
-        for cv in np.linspace(c_lo, c_hi, n_c):
+    for hv in np.linspace(h_min, h_max, n_h):
+        for cv in np.linspace(c_min, c_max, n_c):
             p = params.with_(h=float(hv), c=float(cv))
             region = equilibria.classify_region(p.h, p.c).tag
             try:
@@ -359,6 +378,7 @@ def run(argv: list[str]) -> int:
     try:
         cfg = parse_config(args.config)
         params = params_from_config(cfg)
+        opts = command_options(args.command, cfg)
     except (OSError, ValueError, ParameterOutOfRange) as exc:
         print(f"predbif: config error: {exc}", file=sys.stderr)
         return 2
@@ -368,7 +388,7 @@ def run(argv: list[str]) -> int:
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            jobs = COMMANDS[args.command](cfg, params, args.format)
+            jobs = COMMANDS[args.command](cfg, params, args.format, **opts)
         diags = sorted({str(w.message) for w in caught})
     except PredbifError as exc:
         print(f"predbif: {type(exc).__name__}: {exc}", file=sys.stderr)

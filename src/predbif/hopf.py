@@ -1,15 +1,23 @@
 """Hopf bifurcation analysis: critical delta on an interior branch,
-transversality, and the cycle-stability coefficient with an independent
-numeric cross-check.
+transversality, and the cycle-stability coefficient.
 
-The stability coefficient is computed twice: once from the transcribed
-closed-form expression and once by transforming the vector field to an
-exact-rotation linear part and evaluating the Guckenheimer-Holmes (3.4.2)
-curvature coefficient by finite differences.  The numeric value is
-authoritative for verdicts; disagreement beyond tolerance is surfaced as a
-PrintedFormulaMismatch warning, never silently reconciled.  Note that the
-two frames differ by a non-orthogonal scaling, so only the sign of the
-coefficient is frame-invariant; magnitudes are reported per frame.
+The coefficient is reported twice.  ``l1`` is the first Lyapunov
+coefficient (Kuznetsov, *Elements of Applied Bifurcation Theory*,
+section 3.5, eq. 3.20), computed from ``model.jet`` at the Hopf point with
+A = DF, B = D2F and C = D3F as multilinear forms:
+
+    l1 = Re[<p, C(q,q,qbar)> - 2<p, B(q, A^-1 B(q,qbar))>
+            + <p, B(qbar, (2 i omega - A)^-1 B(q,q))>] / (2 omega),
+
+where A q = i omega q, A^T p = -i omega p, <u, v> = conj(u) . v and the
+eigenvectors are normalized by <q, q> = 1 and <p, q> = 1.  l1 > 0 means
+the cycle born at the Hopf point repels, l1 < 0 that it attracts.  The
+transcribed closed form ``l`` uses its own frame and the opposite sign
+convention (stable iff l > 0); only the verdicts are comparable, and a
+disagreement beyond tolerance is surfaced as a PrintedFormulaMismatch
+warning, never silently reconciled.  The finite-difference stencil
+(Guckenheimer-Holmes 3.4.2 in a rotation frame) lives in the tests only,
+as the oracle for l1.
 """
 
 from __future__ import annotations
@@ -21,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibria import Equilibrium, interior_equilibria
-from .errors import BranchLost, DomainError, NoHopf, NotAnEquilibrium
-from .model import ModelParams, State, jacobian, rhs, taylor_jet
+from .errors import BranchLost, DomainError, NoHopf, PrintedFormulaMismatch
+from .model import ModelParams, State, jacobian, jet, rhs, taylor_jet
 from . import sim
 
 #: |trace| at a reported Hopf point must fall below this
@@ -32,7 +40,7 @@ TRACE_TOL = 1e-8
 #: steep near-fold branch meets the 1e-8 trace residual requirement
 DELTA_BISECT_TOL = 1e-13
 
-#: relative printed-vs-numeric agreement expected for the coefficient
+#: relative printed-vs-l1 agreement expected for the coefficient
 L_AGREE_TOL = 1e-4
 
 #: branch continuation: max |x| jump between consecutive delta samples
@@ -44,7 +52,7 @@ class HopfData:
     delta_H: float
     omega: float
     l: float  # printed closed form
-    l_numeric: float  # finite-difference Guckenheimer-Holmes value
+    l1: float  # first Lyapunov coefficient, <q, q> = 1; > 0: the cycle repels
     transversality: float
     cycle_verdict: str  # StablePerFormula | RepellingPerFormula (sign of l, printed convention)
     empirical_verdict: str  # Attracting | Repelling | Inconclusive
@@ -82,89 +90,59 @@ def transversality_fd(params: ModelParams, eq: Equilibrium, step: float = 1e-6) 
     return (frozen_trace(params, eq, d + step) - frozen_trace(params, eq, d - step)) / (2.0 * step)
 
 
-def _rotation_frame_field(params: ModelParams, eq: Equilibrium):
-    """The vector field in coordinates whose linear part is the exact
-    rotation [[0, -omega], [omega, 0]].
+def _form(T, *vectors):
+    """The multilinear form of a jet tensor T (indexed [component][d/dx or
+    d/dy]...) applied to the given vectors, one value per component."""
 
-    With J q = i*omega*q, the basis Q = [Re q, -Im q] satisfies
-    Q^-1 J Q = [[0, -omega], [omega, 0]]; offsets from the equilibrium are
-    Q Y."""
-    jet = taylor_jet(params, State(eq.x, eq.y))
-    if jet.alpha01 == 0.0:
-        raise DomainError("alpha01 = 0: coefficient frame is singular")
-    det = jet.alpha10 * jet.beta01 - jet.alpha01 * jet.beta10
-    if det <= 0:
-        raise DomainError(f"determinant must be positive at a Hopf point, got {det}")
-    omega = math.sqrt(det)
-    # eigenvector for i*omega: q = (alpha01, i*omega - alpha10)
-    Q = np.array([[jet.alpha01, 0.0], [-jet.alpha10, -omega]])
-    Qinv = np.linalg.inv(Q)
-    xc, yc = eq.x, eq.y
+    def apply(t, vs):
+        if not vs:
+            return t
+        return apply(t[0], vs[1:]) * vs[0][0] + apply(t[1], vs[1:]) * vs[0][1]
 
-    def field(Y1: float, Y2: float) -> np.ndarray:
-        u, v = Q @ (Y1, Y2)
-        F = rhs(params, State(xc + u, yc + v))
-        return Qinv @ F
-
-    return field, omega, jet
+    return apply(T[0], vectors), apply(T[1], vectors)
 
 
-def _gh_coefficient(field, omega: float, h: float = 1e-4) -> float:
-    """Guckenheimer-Holmes (3.4.2) curvature coefficient of
-    Y' = [[0,-w],[w,0]] Y + (f, g) by central finite differences at 0."""
+def _dot(u, v) -> complex:
+    """<u, v> = conj(u) . v"""
+    return u[0].conjugate() * v[0] + u[1].conjugate() * v[1]
 
-    def f(y1, y2):
-        return field(y1, y2)[0]
 
-    def g(y1, y2):
-        return field(y1, y2)[1]
-
-    def d11(F):
-        return (F(h, 0.0) - 2.0 * F(0.0, 0.0) + F(-h, 0.0)) / h**2
-
-    def d22(F):
-        return (F(0.0, h) - 2.0 * F(0.0, 0.0) + F(0.0, -h)) / h**2
-
-    def d12(F):
-        return (F(h, h) - F(h, -h) - F(-h, h) + F(-h, -h)) / (4.0 * h**2)
-
-    def d111(F):
-        return (F(2 * h, 0.0) - 2.0 * F(h, 0.0) + 2.0 * F(-h, 0.0) - F(-2 * h, 0.0)) / (2.0 * h**3)
-
-    def d222(F):
-        return (F(0.0, 2 * h) - 2.0 * F(0.0, h) + 2.0 * F(0.0, -h) - F(0.0, -2 * h)) / (2.0 * h**3)
-
-    def d122(F):  # d/dY1 of d22
-        a = (F(h, h) - 2.0 * F(h, 0.0) + F(h, -h)) / h**2
-        b = (F(-h, h) - 2.0 * F(-h, 0.0) + F(-h, -h)) / h**2
-        return (a - b) / (2.0 * h)
-
-    def d112(F):  # d/dY2 of d11
-        a = (F(h, h) - 2.0 * F(0.0, h) + F(-h, h)) / h**2
-        b = (F(h, -h) - 2.0 * F(0.0, -h) + F(-h, -h)) / h**2
-        return (a - b) / (2.0 * h)
-
-    f11, f22, f12 = d11(f), d22(f), d12(f)
-    g11, g22, g12 = d11(g), d22(g), d12(g)
-    f111, f122 = d111(f), d122(f)
-    g112, g222 = d112(g), d222(g)
-    return (
-        (f111 + f122 + g112 + g222) / 16.0
-        + (f12 * (f11 + f22) - g12 * (g11 + g22) - f11 * g11 + f22 * g22) / (16.0 * omega)
-    )
+def _solve(m00, m01, m10, m11, r):
+    """M^-1 r for the 2x2 matrix M = [[m00, m01], [m10, m11]] (Cramer's rule)."""
+    det = m00 * m11 - m01 * m10
+    return (m11 * r[0] - m01 * r[1]) / det, (m00 * r[1] - m10 * r[0]) / det
 
 
 def lyapunov_coefficient_l(params: ModelParams, eq: Equilibrium) -> tuple[float, float]:
-    """Cycle-stability coefficient at a Hopf point: (printed closed form,
-    numeric finite-difference value).  Warns on disagreement beyond
-    L_AGREE_TOL relative; callers should treat the numeric value as
-    authoritative."""
-    field, omega, jet = _rotation_frame_field(params, eq)
+    """Cycle-stability coefficient at a Hopf point: (printed closed form l,
+    first Lyapunov coefficient l1).  Warns on disagreement beyond
+    L_AGREE_TOL relative; callers should treat l1 as authoritative."""
+    _, ((a, b), (c, d)), D2F, D3F, _, _ = jet(params, eq.x, eq.y)
+    det = a * d - b * c
+    if det <= 0:
+        raise DomainError(f"determinant must be positive at a Hopf point, got {det}")
+    if b == 0.0:
+        raise DomainError("alpha01 = 0: the printed coefficient is singular")
+    omega = math.sqrt(det)
+
+    # A q = i omega q with <q, q> = 1; A^T p = -i omega p with <p, q> = 1
+    norm = math.sqrt(b * b + a * a + det)
+    q = (b / norm, complex(-a, omega) / norm)
+    qbar = (q[0], q[1].conjugate())
+    p = (c, complex(-a, -omega))
+    pq = _dot(p, q).conjugate()
+    p = (p[0] / pq, p[1] / pq)
+    r1 = _solve(a, b, c, d, _form(D2F, q, qbar))
+    r2 = _solve(complex(-a, 2.0 * omega), -b, -c, complex(-d, 2.0 * omega), _form(D2F, q, q))
+    l1 = (_dot(p, _form(D3F, q, q, qbar)) - 2.0 * _dot(p, _form(D2F, q, r1))
+          + _dot(p, _form(D2F, qbar, r2))).real / (2.0 * omega)
+
+    coef = taylor_jet(params, State(eq.x, eq.y))
     delta = params.delta
-    a01 = jet.alpha01
-    a20, a11, a30, a21 = jet.alpha20, jet.alpha11, jet.alpha30, jet.alpha21
-    b20, b11, b02 = jet.beta20, jet.beta11, jet.beta02
-    b30, b21, b12 = jet.beta30, jet.beta21, jet.beta12
+    a01 = coef.alpha01
+    a20, a11, a21 = coef.alpha20, coef.alpha11, coef.alpha21
+    b20, b11, b02 = coef.beta20, coef.beta11, coef.beta02
+    b30, b21, b12 = coef.beta30, coef.beta21, coef.beta12
 
     l_printed = (
         a21 * omega / (8.0 * a01)
@@ -189,20 +167,17 @@ def lyapunov_coefficient_l(params: ModelParams, eq: Equilibrium) -> tuple[float,
             * (-2.0 * b11 * delta / a01 + 2.0 * b20 + 2.0 * b02 * delta**2 / a01**2)
         )
     )
-    l_numeric = _gh_coefficient(field, omega)
-    if abs(l_printed - l_numeric) > L_AGREE_TOL * (1.0 + abs(l_numeric)):
-        from .errors import PrintedFormulaMismatch
-
+    if abs(l_printed - l1) > L_AGREE_TOL * (1.0 + abs(l1)):
         warnings.warn(
             f"transcribed stability coefficient {l_printed:.10g} disagrees "
-            f"with the rotation-frame normal-form value {l_numeric:.10g} "
-            f"(the frames differ by a non-orthogonal change of basis, so "
-            f"only stability verdicts are comparable); the numeric value is "
-            f"authoritative for the standard-convention verdict",
+            f"with the first Lyapunov coefficient l1 = {l1:.10g} (the two "
+            f"differ in normalization and sign convention, so only stability "
+            f"verdicts are comparable); l1 is authoritative for the "
+            f"standard-convention verdict",
             PrintedFormulaMismatch,
             stacklevel=2,
         )
-    return l_printed, l_numeric
+    return l_printed, l1
 
 
 def _empirical_verdict(params: ModelParams, eq: Equilibrium, omega: float) -> str:
@@ -241,12 +216,12 @@ def _branch_step(params: ModelParams, delta: float, x_prev: float) -> Equilibriu
 
 def _hopf_data(params: ModelParams, delta_H: float, eq: Equilibrium) -> HopfData:
     p = params.with_(delta=delta_H)
-    J = jacobian(p, State(eq.x, eq.y))
-    det = float(np.linalg.det(J))
+    (a, b), (c, d) = jet(p, eq.x, eq.y)[1]
+    det = a * d - b * c
     if det <= 0:
         raise NoHopf(f"determinant {det:.3e} <= 0 at delta={delta_H}: fold/BT, not Hopf")
     omega = math.sqrt(det)
-    l_printed, l_numeric = lyapunov_coefficient_l(p, eq)
+    l_printed, l1 = lyapunov_coefficient_l(p, eq)
     # printed-formula sign under its own convention (stable iff l > 0)
     verdict = "StablePerFormula" if l_printed > 0 else "RepellingPerFormula"
     empirical = _empirical_verdict(p, eq, omega)
@@ -254,7 +229,7 @@ def _hopf_data(params: ModelParams, delta_H: float, eq: Equilibrium) -> HopfData
         delta_H=delta_H,
         omega=omega,
         l=l_printed,
-        l_numeric=l_numeric,
+        l1=l1,
         transversality=transversality(p, eq),
         cycle_verdict=verdict,
         empirical_verdict=empirical,

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from predbif import bt
 from predbif.bt import (
     _ab_coeffs,
     beta_map,
@@ -163,6 +164,29 @@ class TestNormalForm:
     def test_nondegeneracy_flags(self, nf):
         assert nf.nondegeneracy == {"BT.1": True, "BT.2": True, "BT.3": True}
 
+    def test_ab_from_an_independent_basis(self, nf):
+        # Kuznetsov's BT coefficients a = <p1, B(q0,q0)>/2 and
+        # b = <p0, B(q0,q0)> + <p1, B(q0,q1)>, with A q0 = 0, A q1 = q0,
+        # A^T p1 = 0, A^T p0 = p1, <q0,p0> = <q1,p1> = 1, <q1,p0> = 0; the
+        # basis comes from an SVD and least squares, not from bt._basis
+        A = jacobian(nf.params, State(nf.point.x, nf.point.y))
+        q0 = np.linalg.svd(A)[2][-1]
+        q1 = np.linalg.lstsq(A, q0, rcond=None)[0]
+        p1 = np.linalg.svd(A.T)[2][-1]
+        p0 = np.linalg.lstsq(A.T, p1, rcond=None)[0]
+        p0, p1 = p0 / (p1 @ q1), p1 / (p1 @ q1)
+        p0 = p0 - (p0 @ q1) * p1
+        hess = np.array(jet(nf.params, nf.point.x, nf.point.y)[2])
+
+        def B(u, v):
+            return np.einsum("ijk,j,k->i", hess, u, v)
+
+        a = 0.5 * p1 @ B(q0, q0)
+        b = p0 @ B(q0, q0) + p1 @ B(q0, q1)
+        # a and b scale alike with q0, so only their ratio is normalization-free
+        assert a / b == pytest.approx(nf.A0 / nf.B0, rel=1e-12)
+        assert np.sign(a * b) == nf.s
+
 
 def _ab_coeffs_matrix_form(nf, lam, op=np.asarray):
     """Reference projections in numpy matrix form.  With ``op=np.abs`` every
@@ -240,6 +264,20 @@ class TestCurves:
             b1, b2 = beta_map(nf, l1, l2)
             assert abs(b1 + (6.0 / 25.0) * b2 * b2) < 1e-9
             assert b2 < 0 or l1 == 0.0
+
+    def test_origin_samples_do_not_depend_on_the_sign_of_rounding(self, nf, monkeypatch):
+        # beta2 = 0 at lambda = 0 in theory; rounding noise of either sign
+        # there must keep the lambda1 = 0 samples of H and P
+        exact = bt.beta_map
+
+        def shifted(nf, lambda1, lambda2):
+            b1, b2 = exact(nf, lambda1, lambda2)
+            return b1, b2 + 3e-15
+
+        monkeypatch.setattr(bt, "beta_map", shifted)
+        cs = bifurcation_curves(nf, (0.0, 5e-5, -5e-5, 5e-5), n=11)
+        assert cs.H[0][0] == 0.0
+        assert cs.P[0][0] == 0.0
 
     def test_ordering_near_bt_point(self, nf):
         # s = +1 here, so for small lambda1 > 0 the fold sits above the Hopf

@@ -97,6 +97,23 @@ class TestExitCodes:
         assert err.startswith("predbif: config error: ") and "typo" in err
         assert not (tmp_path / "equilibria.json").exists()
 
+    @pytest.mark.parametrize("command, line, key", [
+        ("simulate", "simulate.t_end = abc", "simulate.t_end"),
+        ("bt-curves", 'curves.n = "x"', "curves.n"),
+        ("hopf", "hopf.n_sample = 50", "n_sample"),
+        ("hopf", "hopf.n_samples = 120.5", "hopf.n_samples"),
+        ("simulate", "simulate.t_end = NaN", "simulate.t_end"),
+        ("sweep", "sweep = 5", "sweep"),
+    ], ids=["non_numeric_float", "non_numeric_int", "unknown_key", "non_integral_int", "nan",
+            "section_not_a_table"])
+    def test_bad_command_option_is_config_error(self, command, line, key, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(GOLD_KV + line + "\n")
+        assert run([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("predbif: config error: ") and key in err
+        assert not list(tmp_path.glob(f"{command}.*"))
+
     def test_seed_flag_is_usage_error(self, gold_cfg, tmp_path):
         assert run(["equilibria", "--config", gold_cfg, "--out", str(tmp_path),
                     "--seed", "3"]) == 2

@@ -1,12 +1,13 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
 
-from predbif.equilibria import Equilibrium, interior_equilibria
+from predbif.equilibria import Equilibrium, isocline_y
 from predbif.errors import BranchLost, NoHopf, PrintedFormulaMismatch
 from predbif.hopf import (
-    _rotation_frame_field,
+    _empirical_verdict,
     frozen_trace,
     hopf_delta,
     hopf_scan,
@@ -14,7 +15,7 @@ from predbif.hopf import (
     transversality,
     transversality_fd,
 )
-from predbif.model import ModelParams, State, jacobian
+from predbif.model import ModelParams, State, jacobian, rhs, taylor_jet
 
 BASE = ModelParams(a=2.0, b=-2.82, c=0.05, h=0.1715598183,
                    delta=0.03070149222, eta=0.1, m=0.8)
@@ -106,10 +107,120 @@ class TestTransversality:
         assert 0.5 * (lo + hi) == pytest.approx(root, abs=1e-10)
 
 
+def rotation_frame_field(params, eq):
+    """Oracle frame: the vector field in coordinates Y whose linear part is
+    the exact rotation [[0, -omega], [omega, 0]].
+
+    With J q = i*omega*q for q = (alpha01, i*omega - alpha10), the basis
+    Q = [Re q, -Im q] satisfies Q^-1 J Q = [[0, -omega], [omega, 0]];
+    offsets from the equilibrium are Q Y.  Returns (field, omega, Q)."""
+    jet = taylor_jet(params, State(eq.x, eq.y))
+    omega = math.sqrt(jet.alpha10 * jet.beta01 - jet.alpha01 * jet.beta10)
+    Q = np.array([[jet.alpha01, 0.0], [-jet.alpha10, -omega]])
+    Qinv = np.linalg.inv(Q)
+
+    def field(Y1, Y2):
+        u, v = Q @ (Y1, Y2)
+        return Qinv @ rhs(params, State(eq.x + u, eq.y + v))
+
+    return field, omega, Q
+
+
+def gh_coefficient(field, omega, h):
+    """Oracle coefficient: Guckenheimer-Holmes (3.4.2) curvature coefficient
+    of Y' = [[0,-w],[w,0]] Y + (f, g), by central finite differences at 0."""
+
+    def f(y1, y2):
+        return field(y1, y2)[0]
+
+    def g(y1, y2):
+        return field(y1, y2)[1]
+
+    def d11(F):
+        return (F(h, 0.0) - 2.0 * F(0.0, 0.0) + F(-h, 0.0)) / h**2
+
+    def d22(F):
+        return (F(0.0, h) - 2.0 * F(0.0, 0.0) + F(0.0, -h)) / h**2
+
+    def d12(F):
+        return (F(h, h) - F(h, -h) - F(-h, h) + F(-h, -h)) / (4.0 * h**2)
+
+    def d111(F):
+        return (F(2 * h, 0.0) - 2.0 * F(h, 0.0) + 2.0 * F(-h, 0.0) - F(-2 * h, 0.0)) / (2.0 * h**3)
+
+    def d222(F):
+        return (F(0.0, 2 * h) - 2.0 * F(0.0, h) + 2.0 * F(0.0, -h) - F(0.0, -2 * h)) / (2.0 * h**3)
+
+    def d122(F):  # d/dY1 of d22
+        a = (F(h, h) - 2.0 * F(h, 0.0) + F(h, -h)) / h**2
+        b = (F(-h, h) - 2.0 * F(-h, 0.0) + F(-h, -h)) / h**2
+        return (a - b) / (2.0 * h)
+
+    def d112(F):  # d/dY2 of d11
+        a = (F(h, h) - 2.0 * F(0.0, h) + F(-h, h)) / h**2
+        b = (F(h, -h) - 2.0 * F(0.0, -h) + F(-h, -h)) / h**2
+        return (a - b) / (2.0 * h)
+
+    f11, f22, f12 = d11(f), d22(f), d12(f)
+    g11, g22, g12 = d11(g), d22(g), d12(g)
+    f111, f122 = d111(f), d122(f)
+    g112, g222 = d112(g), d222(g)
+    return (
+        (f111 + f122 + g112 + g222) / 16.0
+        + (f12 * (f11 + f22) - g12 * (g11 + g22) - f11 * g11 + f22 * g22) / (16.0 * omega)
+    )
+
+
+#: (a, b, c, eta, m) families and h values for the l1 property test; their
+#: equilibrium curves carry 13 Hopf points, most of them beyond a fold that
+#: hopf_scan's continuation in delta cannot pass
+FAMILIES = [(2.0, -2.82, 0.05, 0.1, 0.8), (2.0, -2.0, 0.1, 0.2, 0.5),
+            (3.0, -3.0, 0.05, 0.15, 0.6)]
+H_VALUES = (0.1, 0.15, 0.18, 0.2, 0.23, 0.26, 0.3)
+
+
+def _on_equilibrium_curve(base, x):
+    """(params, y, trace) at the equilibrium with abscissa x: y on the prey
+    isocline and delta set so that the predator isocline passes through
+    (x, y).  None where y <= 0."""
+    y = isocline_y(base, x)
+    if y <= 0:
+        return None
+    p = base.with_(delta=base.eta * y / (base.m + x))
+    return p, y, float(np.trace(jacobian(p, State(x, y))))
+
+
+def _hopf_points_by_x():
+    """Zeros of the trace with positive determinant along each equilibrium
+    curve, parametrized by x and bisected in x."""
+    points = []
+    for a, b, c, eta, m in FAMILIES:
+        for h in H_VALUES:
+            base = ModelParams(a=a, b=b, c=c, h=h, delta=1.0, eta=eta, m=m)
+            xs = [float(x) for x in np.linspace(1e-3, 1.0, 400)]
+            curve = [_on_equilibrium_curve(base, x) for x in xs]
+            for i in range(len(xs) - 1):
+                if curve[i] is None or curve[i + 1] is None or curve[i][2] * curve[i + 1][2] >= 0:
+                    continue
+                lo, hi, tlo = xs[i], xs[i + 1], curve[i][2]
+                for _ in range(60):
+                    mid = 0.5 * (lo + hi)
+                    tm = _on_equilibrium_curve(base, mid)[2]
+                    if tlo * tm <= 0:
+                        hi = mid
+                    else:
+                        lo, tlo = mid, tm
+                x = 0.5 * (lo + hi)
+                p, y, _ = _on_equilibrium_curve(base, x)
+                if np.linalg.det(jacobian(p, State(x, y))) > 0:
+                    points.append((p, Equilibrium(x, y, "Interior")))
+    return points
+
+
 class TestStabilityCoefficient:
     def test_rotation_frame_linear_part(self, hopf_point):
         p = SLICE.with_(delta=hopf_point.delta_H)
-        field, omega, _ = _rotation_frame_field(p, hopf_point.equilibrium)
+        field, omega, _ = rotation_frame_field(p, hopf_point.equilibrium)
         e = 1e-7
         J = np.column_stack([
             (field(e, 0.0) - field(-e, 0.0)) / (2 * e),
@@ -123,8 +234,37 @@ class TestStabilityCoefficient:
     def test_both_paths_finite_and_discrepancy_reported(self, hopf_point):
         p = SLICE.with_(delta=hopf_point.delta_H)
         with pytest.warns(PrintedFormulaMismatch):
-            l_printed, l_numeric = lyapunov_coefficient_l(p, hopf_point.equilibrium)
-        assert np.isfinite(l_printed) and np.isfinite(l_numeric)
+            l_printed, l1 = lyapunov_coefficient_l(p, hopf_point.equilibrium)
+        assert np.isfinite(l_printed) and np.isfinite(l1)
+
+    def test_l1_matches_rotation_frame_oracle(self, hopf_point):
+        # the rotation-frame coefficient is l1 in the frame's normalization:
+        # l1 = 2 a_GH / (omega |Q q_Y|^2), q_Y = (1, -i)/sqrt(2) the
+        # frame's unit eigenvector of the rotation
+        p = SLICE.with_(delta=hopf_point.delta_H)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PrintedFormulaMismatch)
+            _, l1 = lyapunov_coefficient_l(p, hopf_point.equilibrium)
+        field, omega, Q = rotation_frame_field(p, hopf_point.equilibrium)
+        q_Y = np.array([1.0, -1.0j]) / math.sqrt(2.0)
+        scale = omega * np.linalg.norm(Q @ q_Y) ** 2
+        assert l1 == pytest.approx(2.0 * gh_coefficient(field, omega, 3e-4) / scale, rel=1e-5)
+
+    def test_l1_sign_at_hopf_points_located_by_x(self):
+        points = _hopf_points_by_x()
+        assert len(points) == 13
+        decided = 0
+        for p, eq in points:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", PrintedFormulaMismatch)
+                _, l1 = lyapunov_coefficient_l(p, eq)
+            field, omega, _ = rotation_frame_field(p, eq)
+            assert (l1 > 0) == (gh_coefficient(field, omega, 1e-4) > 0), (p, eq)
+            verdict = _empirical_verdict(p, eq, omega)
+            if verdict != "Inconclusive":
+                decided += 1
+                assert (l1 > 0) == (verdict == "Repelling"), (p, eq)
+        assert decided >= 4
 
     def test_verdicts_consistent_with_observed_cycle(self, hopf_point):
         # the cycle born on this branch is unstable (subcritical Hopf)
@@ -132,9 +272,8 @@ class TestStabilityCoefficient:
         assert hopf_point.empirical_verdict == "Repelling"
 
     def test_numeric_standard_convention_matches_empirical(self, hopf_point):
-        # positive curvature coefficient means repelling under the standard
-        # convention
-        assert (hopf_point.l_numeric > 0) == (hopf_point.empirical_verdict == "Repelling")
+        # positive l1 means repelling under the standard convention
+        assert (hopf_point.l1 > 0) == (hopf_point.empirical_verdict == "Repelling")
 
 
 class TestHopfScan:
