@@ -69,14 +69,16 @@ def params_from_config(cfg: dict) -> ModelParams:
     return validate(ModelParams(**{n: float(p[n]) for n in PARAM_NAMES}))
 
 
-#: each command's own config section and the typed defaults of its options
+#: each command's own config section, the typed defaults of its options and
+#: the least value some of them accept
 OPTIONS = {
-    "hopf": ("hopf", {"delta_min": 1e-3, "delta_max": 1.0, "n_samples": 200, "branch": 0}),
+    "hopf": ("hopf", {"delta_min": 1e-3, "delta_max": 1.0, "n_samples": 200, "branch": 0},
+             {"n_samples": 2, "branch": 0}),
     "bt-curves": ("curves", {"lambda1_min": 0.0, "lambda1_max": 1e-4,
-                             "lambda2_min": -1e-4, "lambda2_max": 1e-4, "n": 50}),
-    "simulate": ("simulate", {"x0": 0.5, "y0": 0.5, "t_end": 100.0}),
+                             "lambda2_min": -1e-4, "lambda2_max": 1e-4, "n": 50}, {"n": 1}),
+    "simulate": ("simulate", {"x0": 0.5, "y0": 0.5, "t_end": 100.0}, {"x0": 0.0, "y0": 0.0}),
     "sweep": ("sweep", {"h_min": 0.05, "h_max": 0.95, "c_min": 0.05, "c_max": 0.95,
-                        "n_h": 10, "n_c": 10}),
+                        "n_h": 10, "n_c": 10}, {"n_h": 1, "n_c": 1}),
 }
 
 
@@ -84,11 +86,12 @@ def command_options(command: str, cfg: dict) -> dict:
     """The options of ``command``: its config section over the defaults of
     ``OPTIONS``, each value converted to its default's type.
 
-    Raises ValueError naming a key the section does not know or a value that
-    does not convert exactly (a string, NaN, or 2.5 for an integer)."""
+    Raises ValueError naming a key the section does not know, a value that
+    does not convert exactly (a string, NaN, or 2.5 for an integer) or one
+    below the option's least value."""
     if command not in OPTIONS:
         return {}
-    section, defaults = OPTIONS[command]
+    section, defaults, least = OPTIONS[command]
     given = cfg.get(section, {})
     if not isinstance(given, dict):
         raise ValueError(f"config section {section} must hold {section}.* keys, got {given!r}")
@@ -103,6 +106,8 @@ def command_options(command: str, cfg: dict) -> dict:
                 raise ValueError
         except (TypeError, ValueError, OverflowError):
             raise ValueError(f"{section}.{key} must be {kind.__name__}, got {value!r}") from None
+        if key in least and opts[key] < least[key]:
+            raise ValueError(f"{section}.{key} must be >= {least[key]}, got {value!r}")
     return opts
 
 
@@ -242,6 +247,7 @@ def cmd_hopf(cfg, params, fmt, *, delta_min, delta_max, n_samples, branch):
             "l_printed": hd.l,
             "l1": hd.l1,
             "transversality": hd.transversality,
+            "transversality_branch": hd.transversality_branch,
             "cycle_verdict": hd.cycle_verdict,
             "empirical_verdict": hd.empirical_verdict,
             "equilibrium": {"x": hd.equilibrium.x, "y": hd.equilibrium.y},

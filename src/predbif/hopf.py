@@ -25,10 +25,9 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
-import numpy as np
-
-from .equilibria import Equilibrium, interior_equilibria
+from .equilibria import Equilibrium, interior_equilibria, isocline_y, predator_free_x
 from .errors import BranchLost, DomainError, NoHopf, PrintedFormulaMismatch
 from .model import ModelParams, State, jacobian, jet, rhs, taylor_jet
 from . import sim
@@ -36,15 +35,8 @@ from . import sim
 #: |trace| at a reported Hopf point must fall below this
 TRACE_TOL = 1e-8
 
-#: bisection width target for the critical delta; tight enough that even a
-#: steep near-fold branch meets the 1e-8 trace residual requirement
-DELTA_BISECT_TOL = 1e-13
-
 #: relative printed-vs-l1 agreement expected for the coefficient
 L_AGREE_TOL = 1e-4
-
-#: branch continuation: max |x| jump between consecutive delta samples
-BRANCH_JUMP_TOL = 0.1
 
 
 @dataclass(frozen=True)
@@ -53,7 +45,8 @@ class HopfData:
     omega: float
     l: float  # printed closed form
     l1: float  # first Lyapunov coefficient, <q, q> = 1; > 0: the cycle repels
-    transversality: float
+    transversality: float  # frozen point: identically -1
+    transversality_branch: float  # d(trace)/d(delta) along the branch
     cycle_verdict: str  # StablePerFormula | RepellingPerFormula (sign of l, printed convention)
     empirical_verdict: str  # Attracting | Repelling | Inconclusive
     equilibrium: Equilibrium
@@ -202,113 +195,118 @@ def _empirical_verdict(params: ModelParams, eq: Equilibrium, omega: float) -> st
     return "Repelling" if signs[0] else "Attracting"
 
 
-def _branch_step(params: ModelParams, delta: float, x_prev: float) -> Equilibrium | None:
-    """Interior equilibrium at ``delta`` nearest to x_prev, or None when the
-    branch cannot be continued."""
-    eqs = interior_equilibria(params.with_(delta=delta))
-    if not eqs:
-        return None
-    best = min(eqs, key=lambda e: abs(e.x - x_prev))
-    if abs(best.x - x_prev) > BRANCH_JUMP_TOL:
-        return None
-    return best
+class _CurvePoint(NamedTuple):
+    """The interior equilibrium with abscissa x: y on the prey isocline,
+    delta such that the predator isocline passes through (x, y), and the
+    trace, det and ``model.jet`` of the field there."""
+
+    x: float
+    y: float
+    delta: float
+    trace: float
+    det: float
+    jet: tuple
 
 
-def _hopf_data(params: ModelParams, delta_H: float, eq: Equilibrium) -> HopfData:
-    p = params.with_(delta=delta_H)
-    (a, b), (c, d) = jet(p, eq.x, eq.y)[1]
-    det = a * d - b * c
-    if det <= 0:
-        raise NoHopf(f"determinant {det:.3e} <= 0 at delta={delta_H}: fold/BT, not Hopf")
-    omega = math.sqrt(det)
+def _on_curve(params: ModelParams, x: float) -> _CurvePoint:
+    y = isocline_y(params, x)
+    delta = params.eta * y / (params.m + x)
+    tensors = jet(params, x, y, ddelta=delta - params.delta)
+    (a, b), (c, d) = tensors[1]
+    return _CurvePoint(x, y, delta, a + d, a * d - b * c, tensors)
+
+
+def _zero_on_curve(params: ModelParams, lo: _CurvePoint, hi: _CurvePoint, test) -> _CurvePoint:
+    """Bisect a sign change of ``test`` between two curve points in x until
+    the bracket collapses; returns the end with the smaller |test|."""
+    f_lo, f_hi = test(lo), test(hi)
+    while (mid := 0.5 * (lo.x + hi.x)) not in (lo.x, hi.x):
+        pt = _on_curve(params, mid)
+        f_mid = test(pt)
+        if f_lo * f_mid <= 0:
+            hi, f_hi = pt, f_mid
+        else:
+            lo, f_lo = pt, f_mid
+    return lo if abs(f_lo) <= abs(f_hi) else hi
+
+
+def _hopf_data(params: ModelParams, pt: _CurvePoint) -> HopfData:
+    p = params.with_(delta=pt.delta)
+    eq = Equilibrium(pt.x, pt.y, "Interior")
+    omega = math.sqrt(pt.det)
+    # along the curve y' = -f_x/f_y and delta' = det/(f_y y), and the trace
+    # f_x - delta changes at f_xx + f_xy y' - delta'; per unit of delta that
+    # is the frozen -1 plus (f_xx + f_xy y') / delta'
+    (fx, fy), _ = pt.jet[1]
+    fxx, fxy = pt.jet[2][0][0]
+    speed = (fxx - fxy * fx / fy) * fy * pt.y / pt.det - 1.0
     l_printed, l1 = lyapunov_coefficient_l(p, eq)
     # printed-formula sign under its own convention (stable iff l > 0)
     verdict = "StablePerFormula" if l_printed > 0 else "RepellingPerFormula"
-    empirical = _empirical_verdict(p, eq, omega)
     return HopfData(
-        delta_H=delta_H,
+        delta_H=pt.delta,
         omega=omega,
         l=l_printed,
         l1=l1,
         transversality=transversality(p, eq),
+        transversality_branch=speed,
         cycle_verdict=verdict,
-        empirical_verdict=empirical,
+        empirical_verdict=_empirical_verdict(p, eq, omega),
         equilibrium=eq,
-        det=det,
+        det=pt.det,
     )
 
 
 def hopf_scan(params: ModelParams, delta_interval: tuple[float, float],
               n_samples: int = 200, eq_branch: int = 0) -> list[HopfData]:
-    """Bracket and bisect every trace sign change of one interior branch.
+    """Every Hopf point of one interior branch over the delta interval.
 
-    The branch is the ``eq_branch``-th interior equilibrium (sorted by x) at
-    the left end of the interval and is continued by nearest-x matching.
-    Raises BranchLost with the offending subinterval when continuation
-    fails.
+    The interior equilibria lie on the curve y = isocline_y(x), delta =
+    eta*y/(m + x), where d(delta)/dx = det/(f_y*y) and f_y < 0 < y: folds
+    (det = 0) are regular points in x.  The branch, the ``eq_branch``-th
+    interior equilibrium (by x) at the left end, is sampled in x up to its
+    abscissa at the right end, and every trace sign change with det > 0 is
+    bisected in x.  Raises BranchLost when the branch folds inside the
+    interval (its interval holds the fold's delta) or leaves the interior.
     """
     lo, hi = delta_interval
     if not (0 < lo < hi):
         raise DomainError(f"delta_interval must satisfy 0 < lo < hi, got {delta_interval}")
-    deltas = np.linspace(lo, hi, n_samples)
-    eqs0 = interior_equilibria(params.with_(delta=deltas[0]))
+    if n_samples < 2 or eq_branch < 0:
+        raise DomainError(f"need n_samples >= 2 and eq_branch >= 0, got {n_samples}, {eq_branch}")
+    eqs0 = interior_equilibria(params.with_(delta=lo))
     if eq_branch >= len(eqs0):
-        raise NoHopf(
-            f"no interior branch index {eq_branch} at delta={deltas[0]} "
-            f"({len(eqs0)} branches present)"
-        )
-    branch = [eqs0[eq_branch]]
-    traces = [float(np.trace(jacobian(params.with_(delta=deltas[0]),
-                                      State(branch[0].x, branch[0].y))))]
-    for i in range(1, n_samples):
-        eq = _branch_step(params, deltas[i], branch[-1].x)
-        if eq is None:
+        raise NoHopf(f"no interior branch index {eq_branch} at delta={lo} "
+                     f"({len(eqs0)} branches present)")
+    start = _on_curve(params, eqs0[eq_branch].x)
+    toward = -1.0 if start.det > 0 else 1.0  # the sign of dx where delta grows
+    ends = [e.x for e in interior_equilibria(params.with_(delta=hi))
+            if (e.x - start.x) * toward > 0]
+    if ends:
+        x_end, steps = min(ends, key=lambda x: abs(x - start.x)), n_samples - 1
+    else:
+        # no abscissa at delta_max: sample toward where y or x reaches 0,
+        # short of that end
+        x_end = predator_free_x(params, "plus" if toward > 0 else "minus") or 0.0
+        steps = n_samples
+    curve = [start] + [_on_curve(params, start.x + (x_end - start.x) * k / steps)
+                       for k in range(1, n_samples)]
+    for before, pt in zip(curve, curve[1:]):
+        if pt.det * start.det <= 0:
+            fold = _zero_on_curve(params, before, pt, lambda q: q.det)
             raise BranchLost(
-                f"interior branch lost in delta-subinterval "
-                f"({deltas[i - 1]:.10g}, {deltas[i]:.10g})",
-                interval=(float(deltas[i - 1]), float(deltas[i])),
+                f"interior branch folds at delta={fold.delta:.10g} (x={fold.x:.10g})",
+                interval=(max(lo, before.delta), min(hi, fold.delta)),
             )
-        branch.append(eq)
-        traces.append(float(np.trace(jacobian(params.with_(delta=deltas[i]),
-                                              State(eq.x, eq.y)))))
+    if not ends:
+        raise BranchLost(f"interior branch leaves the interior before delta={hi}",
+                         interval=(max(pt.delta for pt in curve), hi))
     out = []
-    for i in range(n_samples - 1):
-        if traces[i] == 0.0:
-            out.append(_hopf_data(params, float(deltas[i]), branch[i]))
-            continue
-        if traces[i] * traces[i + 1] >= 0:
-            continue
-        dlo, dhi = float(deltas[i]), float(deltas[i + 1])
-        tlo = traces[i]
-        xl = branch[i].x
-        eq_mid = branch[i]
-        while dhi - dlo > DELTA_BISECT_TOL:
-            mid = 0.5 * (dlo + dhi)
-            eq_mid = _branch_step(params, mid, xl)
-            if eq_mid is None:
-                raise BranchLost(
-                    f"interior branch lost during bisection near delta={mid:.10g}",
-                    interval=(dlo, dhi),
-                )
-            tm = float(np.trace(jacobian(params.with_(delta=mid),
-                                         State(eq_mid.x, eq_mid.y))))
-            if tlo * tm <= 0:
-                dhi = mid
-            else:
-                dlo, tlo = mid, tm
-            xl = eq_mid.x
-        delta_H = 0.5 * (dlo + dhi)
-        eq_H = _branch_step(params, delta_H, xl)
-        if eq_H is None:
-            raise BranchLost(
-                f"interior branch lost at the bisection limit near delta={delta_H:.10g}",
-                interval=(dlo, dhi),
-            )
-        try:
-            out.append(_hopf_data(params, delta_H, eq_H))
-        except NoHopf:
-            # trace crosses zero with det <= 0: not a Hopf point
-            continue
+    for left, right in zip(curve, curve[1:]):
+        if left.trace == 0.0 or left.trace * right.trace < 0:
+            pt = _zero_on_curve(params, left, right, lambda q: q.trace)
+            if pt.det > 0:
+                out.append(_hopf_data(params, pt))
     return out
 
 

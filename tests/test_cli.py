@@ -104,8 +104,15 @@ class TestExitCodes:
         ("hopf", "hopf.n_samples = 120.5", "hopf.n_samples"),
         ("simulate", "simulate.t_end = NaN", "simulate.t_end"),
         ("sweep", "sweep = 5", "sweep"),
+        ("hopf", "hopf.n_samples = 0", "hopf.n_samples"),
+        ("hopf", "hopf.n_samples = 1", "hopf.n_samples"),
+        ("hopf", "hopf.branch = -1", "hopf.branch"),
+        ("bt-curves", "curves.n = -1", "curves.n"),
+        ("sweep", "sweep.n_h = -1", "sweep.n_h"),
+        ("simulate", "simulate.x0 = -0.1", "simulate.x0"),
     ], ids=["non_numeric_float", "non_numeric_int", "unknown_key", "non_integral_int", "nan",
-            "section_not_a_table"])
+            "section_not_a_table", "no_hopf_samples", "one_hopf_sample", "negative_branch",
+            "negative_curve_samples", "negative_sweep_rows", "negative_x0"])
     def test_bad_command_option_is_config_error(self, command, line, key, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(GOLD_KV + line + "\n")

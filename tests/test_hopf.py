@@ -1,11 +1,13 @@
+import contextlib
 import math
 import warnings
 
 import numpy as np
 import pytest
 
-from predbif.equilibria import Equilibrium, isocline_y
-from predbif.errors import BranchLost, NoHopf, PrintedFormulaMismatch
+from predbif import hopf
+from predbif.equilibria import Equilibrium, interior_equilibria, isocline_y
+from predbif.errors import BranchLost, DomainError, NoHopf, PrintedFormulaMismatch
 from predbif.hopf import (
     _empirical_verdict,
     frozen_trace,
@@ -88,6 +90,16 @@ class TestTransversality:
         with pytest.warns(UserWarning, match="non-equilibrium"):
             v = transversality(SLICE, Equilibrium(0.4, 0.4, "Interior"))
         assert v == -1.0
+
+    def test_branch_speed_matches_central_difference(self, hopf_point):
+        # d(trace)/d(delta) along the equilibrium curve, by central
+        # differences in x of the trace and of delta
+        x, e = hopf_point.equilibrium.x, 1e-6
+        (p_lo, _, t_lo), (p_hi, _, t_hi) = (_on_equilibrium_curve(SLICE, x + s * e)
+                                            for s in (-1, 1))
+        fd = (t_hi - t_lo) / (p_hi.delta - p_lo.delta)
+        assert hopf_point.transversality_branch == pytest.approx(fd, rel=1e-6)
+        assert hopf_point.transversality_branch == pytest.approx(851.93030, rel=1e-7)
 
     def test_frozen_trace_is_affine_with_known_root(self, hopf_point):
         # synthetic check: the frozen-point trace is affine in delta with
@@ -296,3 +308,95 @@ class TestHopfScan:
                 hopf_scan(SLICE, (0.0177, 0.0180), n_samples=60, eq_branch=1)
         lo, hi = exc.value.interval
         assert 0.0177 < lo < hi < 0.0180
+
+    def test_finds_hopf_points_located_by_x(self):
+        # a window spanning x_H -/+ 1e-4 of each point's equilibrium curve,
+        # with det > 0 at both ends: no fold inside
+        for p, eq in _hopf_points_by_x():
+            ends = []
+            for x in (eq.x - 1e-4, eq.x + 1e-4):
+                q, y, _ = _on_equilibrium_curve(p, x)
+                assert np.linalg.det(jacobian(q, State(x, y))) > 0, (p, eq)
+                ends.append((q.delta, x))
+            (lo, x_lo), (hi, _) = sorted(ends)
+            eqs = interior_equilibria(p.with_(delta=lo))
+            branch = min(range(len(eqs)), key=lambda i: abs(eqs[i].x - x_lo))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                pts = hopf_scan(p, (lo, hi), n_samples=20, eq_branch=branch)
+            assert len(pts) == 1, (p, eq)
+            assert pts[0].delta_H == pytest.approx(p.delta, abs=1e-12)
+            assert pts[0].equilibrium.x == pytest.approx(eq.x, abs=1e-12)
+
+    def test_delta_H_does_not_depend_on_the_window(self):
+        windows = [((0.0177, 0.017863), 120), ((0.01765, 0.017861), 100),
+                   ((0.0178, 0.017859), 150)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            found = [hopf_scan(SLICE, w, n_samples=n, eq_branch=1) for w, n in windows]
+        deltas = [pts[0].delta_H for pts in found]
+        assert [len(pts) for pts in found] == [1, 1, 1]
+        assert max(deltas) - min(deltas) <= 1e-15
+
+    def test_reported_point_is_an_equilibrium_with_zero_trace(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            (hd,) = hopf_scan(SLICE, INTERVAL, n_samples=120, eq_branch=1)
+        p = SLICE.with_(delta=hd.delta_H)
+        state = State(hd.equilibrium.x, hd.equilibrium.y)
+        assert abs(np.trace(jacobian(p, state))) < 1e-12
+        assert max(map(abs, rhs(p, state))) < 1e-14
+
+    @pytest.mark.parametrize("window", [INTERVAL, (0.0177, 0.0180)], ids=["hopf", "fold"])
+    def test_at_most_two_equilibria_solves(self, window, monkeypatch):
+        calls = []
+
+        def counted(params):
+            calls.append(params.delta)
+            return interior_equilibria(params)
+
+        monkeypatch.setattr(hopf, "interior_equilibria", counted)
+        with warnings.catch_warnings(), contextlib.suppress(BranchLost):
+            warnings.simplefilter("ignore")
+            hopf_scan(SLICE, window, n_samples=120, eq_branch=1)
+        assert 1 <= len(calls) <= 2
+
+    def test_fold_interval_brackets_the_fold(self):
+        with pytest.raises(BranchLost) as exc:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                hopf_scan(SLICE, (0.0177, 0.0180), n_samples=60, eq_branch=1)
+        # the fold lies between the two branches at delta_min, where det
+        # changes sign along the curve; bisect it there in x
+        lo_x, hi_x = (e.x for e in interior_equilibria(SLICE.with_(delta=0.0177)))
+
+        def det(x):
+            q, y, _ = _on_equilibrium_curve(SLICE, x)
+            return np.linalg.det(jacobian(q, State(x, y)))
+
+        d_lo = det(lo_x)
+        for _ in range(60):
+            mid = 0.5 * (lo_x + hi_x)
+            if d_lo * det(mid) <= 0:
+                hi_x = mid
+            else:
+                lo_x = mid
+        delta_fold = _on_equilibrium_curve(SLICE, 0.5 * (lo_x + hi_x))[0].delta
+        lo, hi = exc.value.interval
+        assert 0.0177 < lo < delta_fold < 0.0180
+        assert hi == pytest.approx(delta_fold, abs=1e-14)
+
+    def test_branch_ending_on_the_axis_is_lost(self):
+        # on h = c the interior branch reaches x = 0 at delta = eta(1-c)/(c m)
+        p = ModelParams(a=2.0, b=-2.82, c=0.05, h=0.05, delta=1.0, eta=0.1, m=0.8)
+        with pytest.raises(BranchLost) as exc:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                hopf_scan(p, (0.5, 3.0), n_samples=50)
+        lo, hi = exc.value.interval
+        assert lo < 0.1 * 0.95 / (0.05 * 0.8) < hi <= 3.0
+
+    @pytest.mark.parametrize("n_samples, eq_branch", [(1, 1), (0, 1), (120, -1)])
+    def test_bad_sampling_is_a_domain_error(self, n_samples, eq_branch):
+        with pytest.raises(DomainError):
+            hopf_scan(SLICE, INTERVAL, n_samples=n_samples, eq_branch=eq_branch)

@@ -1,8 +1,17 @@
+import importlib.util
+import re
+import shlex
+import shutil
+import subprocess
+import sys
+import sysconfig
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import predbif
 from predbif.equilibria import Equilibrium, interior_equilibria
 from predbif.errors import DomainError, StepFailure
 from predbif.model import ModelParams, State, jacobian
@@ -80,13 +89,41 @@ class TestIntegrate:
         assert errs[1] < errs[0] / 2.0
 
 
+#: holds _rk_cy.pyx, the Cython twin of _rk_py, and the C generated from it
+KERNEL_DIR = Path(predbif.__file__).parent
+
+
+def _compiled_kernel(tmp_path):
+    """predbif._rk_cy when it is built, else the shipped _rk_cy.c compiled
+    into tmp_path and loaded from there; skips without a C compiler or
+    Python.h."""
+    try:
+        from predbif import _rk_cy
+        return _rk_cy
+    except ImportError:
+        pass
+    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
+    include = sysconfig.get_paths()["include"]
+    if shutil.which(cc[0]) is None:
+        pytest.skip("no C compiler")
+    if not Path(include, "Python.h").exists():
+        pytest.skip("no Python.h")
+    lib = tmp_path / ("_rk_cy" + sysconfig.get_config_var("EXT_SUFFIX"))
+    subprocess.run([*cc, "-O2", "-shared", "-fPIC", f"-I{include}",
+                    str(KERNEL_DIR / "_rk_cy.c"), "-o", str(lib)], check=True)
+    spec = importlib.util.spec_from_file_location("_rk_cy", lib)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    # the extension registers itself as predbif._rk_cy; the process keeps
+    # the backend it started with
+    sys.modules.pop("predbif._rk_cy", None)
+    return module
+
+
 class TestBackends:
-    def test_python_and_compiled_agree(self):
+    def test_python_and_compiled_agree(self, tmp_path):
         from predbif import _rk_py
-        try:
-            from predbif import _rk_cy
-        except ImportError:
-            pytest.skip("compiled kernel not built")
+        _rk_cy = _compiled_kernel(tmp_path)
         args = (ALT.a, ALT.b, ALT.c, ALT.h, ALT.delta, ALT.eta, ALT.m,
                 0.5, 0.5, 0.0, 200.0, 1e-9, 1e-9, 10_000_000)
         out_py = _rk_py.integrate_kernel(*args)
@@ -95,6 +132,23 @@ class TestBackends:
         assert out_py[5] == out_cy[5]
         assert np.max(np.abs(np.asarray(out_py[1]) - np.asarray(out_cy[1]))) < 1e-12
         assert np.max(np.abs(np.asarray(out_py[2]) - np.asarray(out_cy[2]))) < 1e-12
+
+    def test_generated_c_quotes_its_pyx(self):
+        # every '/* "predbif/_rk_cy.pyx":N' block of the generated C marks
+        # the line it compiles with '# <<<'; a .pyx edited without
+        # regenerating the .c no longer matches
+        pyx = (KERNEL_DIR / "_rk_cy.pyx").read_text().splitlines()
+        c = (KERNEL_DIR / "_rk_cy.c").read_text().splitlines()
+        marker = re.compile(r'/\* "predbif/_rk_cy\.pyx":(\d+)$')
+        arrow = "# <<<<<<<<<<<<<<"
+        checked = 0
+        for i, line in enumerate(c):
+            if not (m := marker.search(line)):
+                continue
+            quoted = next(q for q in c[i + 1:] if q.endswith(arrow))
+            assert quoted[3:-len(arrow)].rstrip() == pyx[int(m.group(1)) - 1].rstrip(), line
+            checked += 1
+        assert checked > 0
 
 
 class TestBoundCheck:
