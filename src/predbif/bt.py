@@ -18,8 +18,6 @@ import math
 import warnings
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
 from .errors import (
     DegenerateBT,
     DomainError,
@@ -27,7 +25,7 @@ from .errors import (
     PrintedFormulaMismatch,
     SingularSolve,
 )
-from .model import ModelParams, State, holling_denominator, jacobian, jet, rhs, validate
+from .model import ModelParams, holling_denominator, jet, linspace, validate
 
 BT_RESIDUAL_TOL = 1e-8
 
@@ -51,17 +49,17 @@ class BTPoint:
 class BTNormalForm:
     point: BTPoint
     params: ModelParams
-    v0: np.ndarray
-    v1: np.ndarray
-    w0: np.ndarray
-    w1: np.ndarray
+    v0: tuple[float, float]
+    v1: tuple[float, float]
+    w0: tuple[float, float]
+    w1: tuple[float, float]
     g20_0: float
     g11_0: float
     g02_0: float
     A0: float
     B0: float
     s: int
-    beta_jacobian: np.ndarray  # d(beta1, beta2)/d(lambda1, lambda2) at 0
+    beta_jacobian: tuple  # d(beta1, beta2)/d(lambda1, lambda2) at 0, as float rows
     nondegeneracy: dict = field(default_factory=dict)  # BT.1/BT.2/BT.3 -> bool
     diagnostics: list = field(default_factory=list)
 
@@ -170,10 +168,8 @@ def bt_locate(params: ModelParams) -> list[BTPoint]:
         if h <= 0 or delta <= 0:
             continue
         y = bt_y_of_x(params, x, h, delta)
-        cand = replace(params, h=h, delta=delta)
-        f = rhs(cand, State(x, y))
-        J = jacobian(cand, State(x, y))
-        tr, det = float(np.trace(J)), float(np.linalg.det(J))
+        f, ((fx, fy), (gx, gy)) = jet(replace(params, h=h, delta=delta), x, y)[:2]
+        tr, det = fx + gy, fx * gy - fy * gx
         if max(abs(f[0]), abs(f[1])) >= BT_RESIDUAL_TOL or abs(tr) >= BT_RESIDUAL_TOL \
                 or abs(det) >= BT_RESIDUAL_TOL:
             continue
@@ -223,7 +219,7 @@ def _ab_coeffs(params_bt: ModelParams, pt: BTPoint, basis, lam: tuple[float, flo
     """Taylor coefficients a_ij(lambda), b_ij(lambda) of the projected field at
     h + lambda1, delta + lambda2, with a01 relative to the Jordan block's 1."""
     F, DF, D2F, _, _, _ = jet(params_bt, pt.x, pt.y, lam[0], lam[1])
-    out = _project([u.tolist() for u in basis], F, DF, D2F)
+    out = _project(basis, F, DF, D2F)
     out["a01"] -= 1.0
     return out
 
@@ -252,17 +248,17 @@ def _chain_mu(coeffs: dict) -> tuple[float, float, float, float]:
 
 def _basis(delta: float, eta: float):
     """Generalized eigenvectors of the double-zero Jacobian and its
-    transpose, normalized so that <v1,w1> = <v0,w0> = 1 and the cross
-    products vanish."""
-    v0 = np.array([eta, delta])
-    v1 = np.array([eta, delta - 1.0])
-    w0 = np.array([-(delta - 1.0) / eta, 1.0])
-    w1 = np.array([delta / eta, -1.0])
+    transpose as float pairs, normalized so that <v1,w1> = <v0,w0> = 1 and
+    the cross products vanish."""
+    v0, v1 = (eta, delta), (eta, delta - 1.0)
+    w0, w1 = (-(delta - 1.0) / eta, 1.0), (delta / eta, -1.0)
     # re-normalize against roundoff
-    w1 = w1 / (v1 @ w1)
-    w0 = w0 - (v1 @ w0) * w1
-    w0 = w0 / (v0 @ w0)
-    return v0, v1, w0, w1
+    k = v1[0] * w1[0] + v1[1] * w1[1]
+    w1 = (w1[0] / k, w1[1] / k)
+    k = v1[0] * w0[0] + v1[1] * w0[1]
+    w0 = (w0[0] - k * w1[0], w0[1] - k * w1[1])
+    k = v0[0] * w0[0] + v0[1] * w0[1]
+    return v0, v1, (w0[0] / k, w0[1] / k), w1
 
 
 def normal_form(params: ModelParams, bt_point: BTPoint) -> BTNormalForm:
@@ -292,23 +288,20 @@ def normal_form(params: ModelParams, bt_point: BTPoint) -> BTNormalForm:
         raise DegenerateBT(f"BT.2 failed: 2A(0) = b20(0) = {g20_0}", condition="BT.2")
 
     # exact lambda-partials of the coefficients: projections of the jet's
-    # h- and delta-partials, one column per lambda component
+    # h- and delta-partials, one per lambda component
     by_h, by_delta = jet(pbt, bt_point.x, bt_point.y)[4:]
-    float_basis = [u.tolist() for u in basis]
-    ph, pd = _project(float_basis, *by_h), _project(float_basis, *by_delta)
-    d = {key: np.array([ph[key], pd[key]]) for key in ph}
-
-    dg00 = d["b00"]
-    dg10 = d["b10"] + c0["a11"] * d["b00"] - c0["b11"] * d["a00"]
-    dg01 = d["b01"] + d["a10"] + c0["a02"] * d["b00"] - (c0["a11"] + c0["b02"]) * d["a00"]
-    dh10 = dg10 - (g20_0 / g11_0) * dg01
-    dmu1 = dg00
-    dmu2 = dh10 - 0.5 * g02_0 * dg00
-
+    ph, pd = _project(basis, *by_h), _project(basis, *by_delta)
     k1 = B0**4 / A0**3
     k2 = B0**2 / A0**2
-    beta_jac = np.vstack([k1 * dmu1, k2 * dmu2])
-    det_bj = float(np.linalg.det(beta_jac))
+    columns = []
+    for d in (ph, pd):
+        dg10 = d["b10"] + c0["a11"] * d["b00"] - c0["b11"] * d["a00"]
+        dg01 = d["b01"] + d["a10"] + c0["a02"] * d["b00"] - (c0["a11"] + c0["b02"]) * d["a00"]
+        dh10 = dg10 - (g20_0 / g11_0) * dg01
+        # d(mu1) = d(g00) = d(b00); d(mu2) = d(h10) - h02/2 d(h00)
+        columns.append((k1 * d["b00"], k2 * (dh10 - 0.5 * g02_0 * d["b00"])))
+    (j00, j01), (j10, j11) = beta_jac = tuple(zip(*columns))
+    det_bj = j00 * j11 - j01 * j10
     bt3 = abs(det_bj) > NONDEGENERACY_TOL
     if not bt3:
         raise DegenerateBT(f"BT.3 failed: det(dbeta/dlambda) = {det_bj}", condition="BT.3")
@@ -316,19 +309,19 @@ def normal_form(params: ModelParams, bt_point: BTPoint) -> BTNormalForm:
     # cross-check reference lambda-linear coefficient forms
     x1, y1, ch, dlt, e = bt_point.x, bt_point.y, params.c, bt_point.delta_bt, params.eta
     printed = {
-        "da00": np.array([(dlt - 1.0) * x1 / ((ch + x1) * e), y1]),
-        "da10": np.array([(dlt - 1.0) * ch / (ch + x1) ** 2, dlt]),
-        "da01": np.array([(dlt - 1.0) * ch / (ch + x1) ** 2, dlt - 1.0]),
-        "db00": np.array([-dlt * x1 / (e * (ch + x1)), -y1]),
-        "db10": np.array([-ch * dlt / (ch + x1) ** 2, -dlt]),
-        "db01": np.array([-ch * dlt / (ch + x1) ** 2, -(dlt - 1.0)]),
+        "a00": ((dlt - 1.0) * x1 / ((ch + x1) * e), y1),
+        "a10": ((dlt - 1.0) * ch / (ch + x1) ** 2, dlt),
+        "a01": ((dlt - 1.0) * ch / (ch + x1) ** 2, dlt - 1.0),
+        "b00": (-dlt * x1 / (e * (ch + x1)), -y1),
+        "b10": (-ch * dlt / (ch + x1) ** 2, -dlt),
+        "b01": (-ch * dlt / (ch + x1) ** 2, -(dlt - 1.0)),
     }
-    for name, pv in printed.items():
-        cv = d[name[1:]]
-        if np.max(np.abs(pv - cv)) > 1e-4 * (1.0 + np.max(np.abs(cv))):
-            diagnostics.append(f"printed {name} = {pv} vs computed {cv}")
+    for key, pv in printed.items():
+        cv = (ph[key], pd[key])
+        if max(abs(pv[0] - cv[0]), abs(pv[1] - cv[1])) > 1e-4 * (1.0 + max(map(abs, cv))):
+            diagnostics.append(f"printed d{key} = {pv} vs computed {cv}")
             warnings.warn(
-                f"reference lambda-partial {name} disagrees with the analytic value",
+                f"reference lambda-partial d{key} disagrees with the analytic value",
                 PrintedFormulaMismatch,
                 stacklevel=2,
             )
@@ -375,10 +368,10 @@ def bifurcation_curves(nf: BTNormalForm, lambda_box, n: int = 50) -> CurveSet:
     l1_min, l1_max, l2_min, l2_max = lambda_box
     # beta2 = 0 at lambda = 0 in theory, and comes out as rounding noise
     # there: a few ulps of the betas' size over the box
-    b2_tol = 16.0 * math.ulp(float(np.max(np.abs(nf.beta_jacobian)))
+    b2_tol = 16.0 * math.ulp(max(abs(v) for row in nf.beta_jacobian for v in row)
                              * max(abs(v) for v in lambda_box))
     samples = {"T": [], "H": [], "P": []}
-    for l1 in np.linspace(l1_min, l1_max, n):
+    for l1 in linspace(l1_min, l1_max, n):
         for name, fdef in _CURVE_DEFS.items():
             def val(l2):
                 b1, b2 = beta_map(nf, l1, l2)
@@ -387,7 +380,7 @@ def bifurcation_curves(nf: BTNormalForm, lambda_box, n: int = 50) -> CurveSet:
             flo, fhi = val(lo), val(hi)
             if flo * fhi > 0:
                 # scan for a bracket on a coarse grid
-                grid = np.linspace(l2_min, l2_max, 64)
+                grid = linspace(l2_min, l2_max, 64)
                 vs = [val(g) for g in grid]
                 k = next((i for i in range(63) if vs[i] * vs[i + 1] <= 0), None)
                 if k is None:
@@ -404,5 +397,5 @@ def bifurcation_curves(nf: BTNormalForm, lambda_box, n: int = 50) -> CurveSet:
             _, b2 = beta_map(nf, l1, l2)
             if name in ("H", "P") and b2 >= b2_tol:
                 continue
-            samples[name].append((float(l1), float(l2)))
+            samples[name].append((l1, l2))
     return CurveSet(samples["T"], samples["H"], samples["P"], tuple(lambda_box))

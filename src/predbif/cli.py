@@ -14,13 +14,11 @@ import sys
 import warnings
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, bt, equilibria, hopf, stability
 from . import sim as simmod
 from ._backend import BACKEND
 from .errors import ParameterOutOfRange, PredbifError
-from .model import ModelParams, State, validate
+from .model import ModelParams, State, linspace, validate
 
 PARAM_NAMES = ("a", "b", "c", "h", "delta", "eta", "m")
 
@@ -70,17 +68,20 @@ def params_from_config(cfg: dict) -> ModelParams:
 
 
 #: each command's own config section, the typed defaults of its options and
-#: the least value some of them accept
+#: their ranges, as "key op bound" with a number or another key as the bound
 OPTIONS = {
     "hopf": ("hopf", {"delta_min": 1e-3, "delta_max": 1.0, "n_samples": 200, "branch": 0},
-             {"n_samples": 2, "branch": 0}),
+             ("n_samples >= 2", "branch >= 0", "delta_min > 0", "delta_min < delta_max")),
     "bt-curves": ("curves", {"lambda1_min": 0.0, "lambda1_max": 1e-4,
-                             "lambda2_min": -1e-4, "lambda2_max": 1e-4, "n": 50}, {"n": 1}),
-    "simulate": ("simulate", {"x0": 0.5, "y0": 0.5, "t_end": 100.0}, {"x0": 0.0, "y0": 0.0}),
+                             "lambda2_min": -1e-4, "lambda2_max": 1e-4, "n": 50},
+                  ("n >= 1", "lambda1_min < lambda1_max", "lambda2_min < lambda2_max")),
+    "simulate": ("simulate", {"x0": 0.5, "y0": 0.5, "t_end": 100.0},
+                 ("x0 >= 0", "y0 >= 0", "t_end > 0")),
     "sweep": ("sweep", {"h_min": 0.05, "h_max": 0.95, "c_min": 0.05, "c_max": 0.95,
-                        "n_h": 10, "n_c": 10}, {"n_h": 1, "n_c": 1}),
+                        "n_h": 10, "n_c": 10},
+              ("n_h >= 1", "n_c >= 1", "h_min > 0", "h_min <= h_max", "c_min > 0",
+               "c_min <= c_max")),
 }
-
 
 def command_options(command: str, cfg: dict) -> dict:
     """The options of ``command``: its config section over the defaults of
@@ -88,10 +89,10 @@ def command_options(command: str, cfg: dict) -> dict:
 
     Raises ValueError naming a key the section does not know, a value that
     does not convert exactly (a string, NaN, or 2.5 for an integer) or one
-    below the option's least value."""
+    outside the option's range."""
     if command not in OPTIONS:
         return {}
-    section, defaults, least = OPTIONS[command]
+    section, defaults, ranges = OPTIONS[command]
     given = cfg.get(section, {})
     if not isinstance(given, dict):
         raise ValueError(f"config section {section} must hold {section}.* keys, got {given!r}")
@@ -106,8 +107,14 @@ def command_options(command: str, cfg: dict) -> dict:
                 raise ValueError
         except (TypeError, ValueError, OverflowError):
             raise ValueError(f"{section}.{key} must be {kind.__name__}, got {value!r}") from None
-        if key in least and opts[key] < least[key]:
-            raise ValueError(f"{section}.{key} must be >= {least[key]}, got {value!r}")
+    for rule in ranges:
+        key, op, bound = rule.split()
+        value, limit = opts[key], opts[bound] if bound in opts else float(bound)
+        holds = {">": value > limit, ">=": value >= limit, "<": value < limit,
+                 "<=": value <= limit}[op]
+        if not holds:
+            shown = f"{section}.{bound} = {limit!r}" if bound in opts else bound
+            raise ValueError(f"{section}.{key} must be {op} {shown}, got {value!r}")
     return opts
 
 
@@ -118,7 +125,7 @@ def command_options(command: str, cfg: dict) -> dict:
 def _fmt(x: float) -> str:
     if x != x:
         return "NaN"
-    return format(float(x), ".17g")
+    return format(x, ".17g")
 
 
 def to_json(obj, indent: int = 0) -> str:
@@ -138,12 +145,12 @@ def to_json(obj, indent: int = 0) -> str:
             return "[]"
         items = [f"{pad2}{to_json(v, indent + 1)}" for v in obj]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(obj, (bool, np.bool_)):
+    if isinstance(obj, bool):
         return "true" if obj else "false"
-    if isinstance(obj, (float, np.floating)):
-        return _fmt(float(obj))
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
+    if isinstance(obj, float):
+        return _fmt(obj)
+    if isinstance(obj, int):
+        return str(obj)
     if obj is None:
         return "null"
     return json.dumps(str(obj))
@@ -152,8 +159,7 @@ def to_json(obj, indent: int = 0) -> str:
 def _render_csv(header: list[str], rows: list[list]) -> str:
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, (float, np.floating)) else str(v)
-                              for v in row))
+        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
     return "\n".join(lines) + "\n"
 
 
@@ -270,6 +276,7 @@ def cmd_bt_normal_form(cfg, params, fmt):
     results = []
     for p in bt.bt_locate(params):
         nf = bt.normal_form(params, p)
+        (j00, j01), (j10, j11) = nf.beta_jacobian
         results.append(
             {
                 "point": {"x": p.x, "y": p.y, "h_bt": p.h_bt, "delta_bt": p.delta_bt,
@@ -280,8 +287,8 @@ def cmd_bt_normal_form(cfg, params, fmt):
                 "two_A0": 2.0 * nf.A0,
                 "B0": nf.B0,
                 "s": nf.s,
-                "beta_jacobian": [list(map(float, row)) for row in nf.beta_jacobian],
-                "det_beta_jacobian": float(np.linalg.det(nf.beta_jacobian)),
+                "beta_jacobian": nf.beta_jacobian,
+                "det_beta_jacobian": j00 * j11 - j01 * j10,
                 "nondegeneracy": nf.nondegeneracy,
                 "notes": nf.diagnostics,
             }
@@ -332,16 +339,17 @@ def cmd_simulate(cfg, params, fmt, *, x0, y0, t_end):
 
 def cmd_sweep(cfg, params, fmt, *, h_min, h_max, c_min, c_max, n_h, n_c):
     rows = []
-    for hv in np.linspace(h_min, h_max, n_h):
-        for cv in np.linspace(c_min, c_max, n_c):
-            p = params.with_(h=float(hv), c=float(cv))
+    c_grid = linspace(c_min, c_max, n_c)
+    for hv in linspace(h_min, h_max, n_h):
+        for cv in c_grid:
+            p = params.with_(h=hv, c=cv)
             region = equilibria.classify_region(p.h, p.c).tag
             try:
                 eqs = equilibria.interior_equilibria(p)
                 labels = [stability.classify_generic(p, e).label for e in eqs]
-                rows.append([float(hv), float(cv), region, len(eqs), ";".join(labels)])
+                rows.append([hv, cv, region, len(eqs), ";".join(labels)])
             except PredbifError as exc:
-                rows.append([float(hv), float(cv), region, -1, f"error:{type(exc).__name__}"])
+                rows.append([hv, cv, region, -1, f"error:{type(exc).__name__}"])
     return [("csv", "sweep", ["h", "c", "region", "n_interior", "labels"], rows)]
 
 

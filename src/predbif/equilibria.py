@@ -18,7 +18,7 @@ import numpy as np
 
 from . import polyroots
 from .errors import DomainError, PrintedFormulaMismatch
-from .model import EQUILIBRIUM_TOL, ModelParams, State, holling_denominator, jacobian, rhs
+from .model import EQUILIBRIUM_TOL, ModelParams, State, holling_denominator, jet, rhs, solve2
 
 #: |h - c| below this (relative) threshold counts as the K2 diagonal.
 K2_EQUALITY_TOL = 1e-10
@@ -170,10 +170,10 @@ def _polish_interior(params: ModelParams, x: float) -> Equilibrium | None:
             return None
         if max(abs(f[0]), abs(f[1])) < 1e-13:
             break
-        J = jacobian(params, State(xi, yi))
+        (a, b), (c, d) = jet(params, xi, yi)[1]
         try:
-            dx, dy = np.linalg.solve(J, -np.asarray(f))
-        except np.linalg.LinAlgError:
+            dx, dy = solve2(a, b, c, d, (-f[0], -f[1]))
+        except ZeroDivisionError:
             break
         if abs(dx) > 1e-3 or abs(dy) > 1e-3:
             break

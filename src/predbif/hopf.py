@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 from .equilibria import Equilibrium, interior_equilibria, isocline_y, predator_free_x
 from .errors import BranchLost, DomainError, NoHopf, PrintedFormulaMismatch
-from .model import ModelParams, State, jacobian, jet, rhs, taylor_jet
+from .model import ModelParams, State, jet, rhs, solve2, taylor_jet
 from . import sim
 
 #: |trace| at a reported Hopf point must fall below this
@@ -57,8 +57,7 @@ def frozen_trace(params: ModelParams, eq: Equilibrium, delta: float) -> float:
     """Trace of the linearization as a function of delta with the point
     frozen: alpha10(eq) - delta (beta01 reduces to -delta on the predator
     isocline)."""
-    J = jacobian(params, State(eq.x, eq.y))
-    return float(J[0, 0]) - delta
+    return jet(params, eq.x, eq.y)[1][0][0] - delta
 
 
 def transversality(params: ModelParams, eq: Equilibrium) -> float:
@@ -100,12 +99,6 @@ def _dot(u, v) -> complex:
     return u[0].conjugate() * v[0] + u[1].conjugate() * v[1]
 
 
-def _solve(m00, m01, m10, m11, r):
-    """M^-1 r for the 2x2 matrix M = [[m00, m01], [m10, m11]] (Cramer's rule)."""
-    det = m00 * m11 - m01 * m10
-    return (m11 * r[0] - m01 * r[1]) / det, (m00 * r[1] - m10 * r[0]) / det
-
-
 def lyapunov_coefficient_l(params: ModelParams, eq: Equilibrium) -> tuple[float, float]:
     """Cycle-stability coefficient at a Hopf point: (printed closed form l,
     first Lyapunov coefficient l1).  Warns on disagreement beyond
@@ -125,8 +118,8 @@ def lyapunov_coefficient_l(params: ModelParams, eq: Equilibrium) -> tuple[float,
     p = (c, complex(-a, -omega))
     pq = _dot(p, q).conjugate()
     p = (p[0] / pq, p[1] / pq)
-    r1 = _solve(a, b, c, d, _form(D2F, q, qbar))
-    r2 = _solve(complex(-a, 2.0 * omega), -b, -c, complex(-d, 2.0 * omega), _form(D2F, q, q))
+    r1 = solve2(a, b, c, d, _form(D2F, q, qbar))
+    r2 = solve2(complex(-a, 2.0 * omega), -b, -c, complex(-d, 2.0 * omega), _form(D2F, q, q))
     l1 = (_dot(p, _form(D3F, q, q, qbar)) - 2.0 * _dot(p, _form(D2F, q, r1))
           + _dot(p, _form(D2F, qbar, r2))).real / (2.0 * omega)
 

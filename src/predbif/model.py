@@ -7,7 +7,8 @@ The scaled system in state (x, y) is
     y' = y (delta - eta y / (m + x))
 
 All operations here are pure functions of their inputs.  ``jet`` is the one
-place that writes out the second and third derivatives of the field.
+place that writes out the derivatives of the field; ``jacobian`` returns its
+first derivatives as an array.
 """
 
 from __future__ import annotations
@@ -95,14 +96,12 @@ def validate(params: ModelParams) -> ModelParams:
     Raises ParameterOutOfRange naming the violated constraint.
     """
     p = params
-    for name in ("a", "c", "h", "delta", "eta"):
+    for name in ("a", "c", "h", "delta", "eta", "m"):
         v = getattr(p, name)
         if not (math.isfinite(v) and v > 0):
             raise ParameterOutOfRange(f"{name} must be strictly positive, got {v}")
     if not (math.isfinite(p.b)):
         raise ParameterOutOfRange(f"b must be finite, got {p.b}")
-    if not (math.isfinite(p.m) and p.m >= 0):
-        raise ParameterOutOfRange(f"m must be nonnegative, got {p.m}")
     if p.b <= -2.0 * math.sqrt(p.a):
         raise ParameterOutOfRange(
             f"b <= -2*sqrt(a): b={p.b}, -2*sqrt(a)={-2.0 * math.sqrt(p.a)}"
@@ -156,21 +155,8 @@ def rhs(params: ModelParams, state: State) -> tuple[float, float]:
 
 
 def jacobian(params: ModelParams, state: State) -> np.ndarray:
-    """Exact Jacobian of ``rhs`` at an arbitrary admissible state.
-
-    On the predator isocline y = delta*(m+x)/eta the lower row reduces to
-    (delta^2/eta, -delta); off the isocline the true partial derivatives are
-    returned.
-    """
-    x, y = state.x, state.y
-    p = _check_domain(params, x, y)
-    a, b, c, h = params.a, params.b, params.c, params.h
-    delta, eta, m = params.delta, params.eta, params.m
-    fx = 1.0 - 2.0 * x - x * y * (b * x + 2.0) / p**2 - h * c / (c + x) ** 2
-    fy = -x * x / p
-    gx = eta * y * y / (m + x) ** 2
-    gy = delta - 2.0 * eta * y / (m + x)
-    return np.array([[fx, fy], [gx, gy]])
+    """Exact Jacobian of ``rhs`` at an admissible state: ``jet``'s DF."""
+    return np.array(jet(params, state.x, state.y)[1])
 
 
 def jet(params: ModelParams, x: float, y: float, dh: float = 0.0, ddelta: float = 0.0):
@@ -178,8 +164,8 @@ def jet(params: ModelParams, x: float, y: float, dh: float = 0.0, ddelta: float 
     delta + ddelta, as nested tuples of floats indexed [component][d/dx or
     d/dy]...: ``(F, DF, D2F, D3F, by_h, by_delta)``, where ``by_h`` and
     ``by_delta`` are the exact partials of (F, DF, D2F), the field being
-    affine in h and delta.  F and DF keep the floating-point form of ``rhs``
-    and ``jacobian``, so they agree with them bit for bit."""
+    affine in h and delta.  F keeps the floating-point form of ``rhs``, so
+    the two agree bit for bit."""
     a, b, c = params.a, params.b, params.c
     eta, m = params.eta, params.m
     h = params.h + dh
@@ -218,6 +204,21 @@ def jet(params: ModelParams, x: float, y: float, dh: float = 0.0, ddelta: float 
         ((0.0, y), ((0.0, 0.0), (0.0, 1.0)),
          (((0.0, 0.0), (0.0, 0.0)), ((0.0, 0.0), (0.0, 0.0)))),
     )
+
+
+def solve2(m00, m01, m10, m11, r):
+    """M^-1 r for the 2x2 matrix M = [[m00, m01], [m10, m11]] by Cramer's
+    rule, on floats or complex numbers; ZeroDivisionError if M is singular."""
+    det = m00 * m11 - m01 * m10
+    return (m11 * r[0] - m01 * r[1]) / det, (m00 * r[1] - m10 * r[0]) / det
+
+
+def linspace(lo: float, hi: float, n: int) -> list[float]:
+    """``np.linspace(lo, hi, n)`` as a list of floats, bit for bit."""
+    if n < 2:
+        return [0.0 * (hi - lo) + lo] * n
+    step = (hi - lo) / (n - 1)
+    return [k * step + lo for k in range(n - 1)] + [hi]
 
 
 def taylor_jet(params: ModelParams, equilibrium: State) -> JetCoefficients:

@@ -14,8 +14,9 @@ import numpy as np
 
 from ._backend import BACKEND, integrate_kernel
 from .errors import DomainError, StepFailure
-from .model import ModelParams, State, jacobian, rhs, validate
+from .model import ModelParams, State, jet, rhs, validate
 from .equilibria import Equilibrium
+from .stability import _spectrum
 
 #: default local error tolerance (absolute and relative)
 DEFAULT_TOL = 1e-9
@@ -190,8 +191,7 @@ def detect_limit_cycle(params: ModelParams, center: Equilibrium,
     """
     if center.kind != "Interior":
         raise DomainError("cycle probe needs an interior equilibrium as center")
-    J = jacobian(params, State(center.x, center.y))
-    eig = np.linalg.eigvals(J)
+    eig, _, _ = _spectrum(jet(params, center.x, center.y)[1])
     if abs(eig[0].imag) < 1e-12:
         raise DomainError("cycle probe needs a spiral-type equilibrium (complex eigenvalues)")
     xc, yc = center.x, center.y

@@ -7,14 +7,12 @@ center-manifold reduction is re-run here.
 
 from __future__ import annotations
 
-import math
+import cmath
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import DomainError, NotPresent
 from .equilibria import Equilibrium, predator_free_x
-from .model import ModelParams, State, jacobian
+from .model import ModelParams, jacobian, jet
 
 #: |eigenvalue| < ZERO_EIG_TOL * (1 + ||J||) routes to the degenerate branches.
 ZERO_EIG_TOL = 1e-8
@@ -35,10 +33,16 @@ class StabilityReport:
         return self.label in ("StableNode", "StableSpiral")
 
 
-def _spectrum(J: np.ndarray) -> tuple[tuple[complex, complex], float, float]:
-    """(eigenvalues, trace, determinant) of a 2x2 linearization."""
-    eig = np.linalg.eigvals(J)
-    return (complex(eig[0]), complex(eig[1])), float(np.trace(J)), float(np.linalg.det(J))
+def _spectrum(J) -> tuple[tuple[complex, complex], float, float]:
+    """(eigenvalues, trace, determinant) of J = ((a, b), (c, d)): the exact
+    diagonal (a, d) when J is triangular, else tr/2 + r and tr/2 - r with
+    r = sqrt(tr^2/4 - det), the positive root or imaginary part first."""
+    (a, b), (c, d) = J
+    tr, det = a + d, a * d - b * c
+    if b == 0.0 or c == 0.0:
+        return (complex(a), complex(d)), tr, det
+    r = cmath.sqrt(0.25 * tr * tr - det)
+    return (0.5 * tr + r, 0.5 * tr - r), tr, det
 
 
 def _report(spectrum: tuple, label: str, branch: str, sector: str | None = None,
@@ -49,10 +53,12 @@ def _report(spectrum: tuple, label: str, branch: str, sector: str | None = None,
 def classify_generic(params: ModelParams, eq: Equilibrium) -> StabilityReport:
     """Hyperbolic classification from trace/det; dispatches degenerate cases
     of the trivial equilibria to the theorem-specific routines."""
-    J = jacobian(params, State(eq.x, eq.y))
+    # DF through ``jacobian`` rather than ``jet``: perfbench --trace 1 reports
+    # jacobian's per-call cost and stops when a workload never calls it
+    J = jacobian(params, eq.state).tolist()
     spectrum = _spectrum(J)
     eig, tr, det = spectrum
-    scale = 1.0 + float(np.abs(J).max())
+    scale = 1.0 + max(map(abs, J[0] + J[1]))
     n_zero = sum(abs(ev) < ZERO_EIG_TOL * scale for ev in eig)
     if n_zero == 2:
         return _report(spectrum, "DoubleZero", "generic/double-zero")
@@ -79,7 +85,7 @@ def classify_origin(params: ModelParams) -> StabilityReport:
     the diagonal h=c (parabolic sector right iff c<1), degenerate saddle at
     h=c=1."""
     c, h = params.c, params.h
-    J = np.array([[1.0 - h / c, 0.0], [0.0, params.delta]])
+    J = ((1.0 - h / c, 0.0), (0.0, params.delta))
     if abs(c - h) > ZERO_EIG_TOL * max(c, h, 1.0):
         if c > h:
             return _report(_spectrum(J), "UnstableNode", "origin/c>h")
@@ -96,7 +102,7 @@ def classify_prey_extinction(params: ModelParams) -> StabilityReport:
         raise DomainError("prey-extinction equilibrium requires m > 0")
     c, h = params.c, params.h
     delta, eta, m, b = params.delta, params.eta, params.m, params.b
-    J = np.array([[1.0 - h / c, 0.0], [delta**2 / eta, -delta]])
+    J = ((1.0 - h / c, 0.0), (delta**2 / eta, -delta))
     if abs(c - h) > ZERO_EIG_TOL * max(c, h, 1.0):
         if c < h:
             return _report(_spectrum(J), "StableNode", "prey-extinction/c<h")
@@ -117,10 +123,8 @@ def classify_predator_free(params: ModelParams, which: str) -> StabilityReport:
     x = predator_free_x(params, which)
     if x is None:
         raise NotPresent(f"E{'+' if which == 'plus' else '-'} does not exist for these parameters")
-    c, h = params.c, params.h
-    lam2 = 1.0 - 2.0 * x - h * c / (c + x) ** 2
-    p = params.a * x * x + params.b * x + 1.0
-    J = np.array([[lam2, -x * x / p], [0.0, params.delta]])
+    J = jet(params, x, 0.0)[1]  # ((lam2, -x^2/p), (0, delta)) on the x axis
+    lam2 = J[0][0]
     if abs(lam2) < ZERO_EIG_TOL * (1.0 + abs(lam2)):
         return _report(_spectrum(J), "NonHyperbolic-other",
                        f"predator-free/{which}/zero-eigenvalue")

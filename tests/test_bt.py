@@ -14,8 +14,10 @@ from predbif.bt import (
     bt_y_of_x,
     normal_form,
 )
+from predbif.equilibria import Equilibrium
 from predbif.errors import DomainError, NoCandidate
 from predbif.model import ModelParams, State, jacobian, jet, rhs
+from predbif.stability import classify_generic
 
 BASE = ModelParams(a=2.0, b=-2.82, c=0.05, h=0.17, delta=0.03, eta=0.1, m=0.8)
 
@@ -150,10 +152,10 @@ class TestNormalForm:
         assert det == pytest.approx(3.559954288e6, rel=0.02)
 
     def test_eigenvector_duality(self, nf):
-        assert nf.v0 @ nf.w0 == pytest.approx(1.0, abs=1e-12)
-        assert nf.v1 @ nf.w1 == pytest.approx(1.0, abs=1e-12)
-        assert nf.v0 @ nf.w1 == pytest.approx(0.0, abs=1e-12)
-        assert nf.v1 @ nf.w0 == pytest.approx(0.0, abs=1e-12)
+        assert np.dot(nf.v0, nf.w0) == pytest.approx(1.0, abs=1e-12)
+        assert np.dot(nf.v1, nf.w1) == pytest.approx(1.0, abs=1e-12)
+        assert np.dot(nf.v0, nf.w1) == pytest.approx(0.0, abs=1e-12)
+        assert np.dot(nf.v1, nf.w0) == pytest.approx(0.0, abs=1e-12)
 
     def test_jordan_structure(self, nf):
         p = nf.params
@@ -226,6 +228,17 @@ class TestCoefficientChain:
     def test_beta_map_is_numpy_free_on_floats(self, nf):
         b1, b2 = beta_map(nf, 3e-5, -2e-5)
         assert type(b1) is float and type(b2) is float
+        # and so is everything the chain and the classification report
+        for name in ("g20_0", "g11_0", "g02_0", "A0", "B0"):
+            assert type(getattr(nf, name)) is float, name
+        for name in ("v0", "v1", "w0", "w1"):
+            assert [type(v) for v in getattr(nf, name)] == [float, float], name
+        assert [type(v) for row in nf.beta_jacobian for v in row] == [float] * 4
+        cs = bifurcation_curves(nf, (0.0, 5e-5, -5e-5, 5e-5), n=5)
+        assert {type(v) for pts in (cs.T, cs.H, cs.P) for pt in pts for v in pt} == {float}
+        rep = classify_generic(nf.params, Equilibrium(nf.point.x, nf.point.y, "Interior"))
+        assert type(rep.trace) is float and type(rep.det) is float
+        assert [type(ev) for ev in rep.eigenvalues] == [complex, complex]
 
 
 class TestBetaMap:

@@ -80,8 +80,9 @@ class TestExitCodes:
         assert run(["equilibria", "--config", gold_cfg, "--out", str(tmp_path)]) == 0
 
     @pytest.mark.parametrize("good, bad", [("params.a = 2", "params.a = 0"),
-                                           ("params.b = -2.82", "params.b = -3.0")],
-                             ids=["a_zero", "b_below_minus_two_sqrt_a"])
+                                           ("params.b = -2.82", "params.b = -3.0"),
+                                           ("params.m = 0.8", "params.m = 0")],
+                             ids=["a_zero", "b_below_minus_two_sqrt_a", "m_zero"])
     def test_inadmissible_params_are_config_errors(self, good, bad, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(BT_SEED_KV.replace(good, bad))
@@ -110,9 +111,22 @@ class TestExitCodes:
         ("bt-curves", "curves.n = -1", "curves.n"),
         ("sweep", "sweep.n_h = -1", "sweep.n_h"),
         ("simulate", "simulate.x0 = -0.1", "simulate.x0"),
+        ("simulate", "simulate.t_end = -5", "simulate.t_end"),
+        ("hopf", "hopf.delta_min = 0", "hopf.delta_min"),
+        ("hopf", "hopf.delta_min = 0.02\nhopf.delta_max = 0.017863", "hopf.delta_max"),
+        ("sweep", "sweep.h_min = -0.5", "sweep.h_min"),
+        ("sweep", "sweep.h_min = 0.9\nsweep.h_max = 0.5", "sweep.h_max"),
+        ("sweep", "sweep.c_min = -0.5", "sweep.c_min"),
+        ("sweep", "sweep.c_min = 0.9\nsweep.c_max = 0.5", "sweep.c_max"),
+        ("bt-curves", "curves.lambda1_min = 1e-4\ncurves.lambda1_max = 0", "curves.lambda1_max"),
+        ("bt-curves", "curves.lambda2_min = 1e-4\ncurves.lambda2_max = -1e-4",
+         "curves.lambda2_max"),
     ], ids=["non_numeric_float", "non_numeric_int", "unknown_key", "non_integral_int", "nan",
             "section_not_a_table", "no_hopf_samples", "one_hopf_sample", "negative_branch",
-            "negative_curve_samples", "negative_sweep_rows", "negative_x0"])
+            "negative_curve_samples", "negative_sweep_rows", "negative_x0", "negative_t_end",
+            "zero_delta_min", "inverted_hopf_window", "negative_h_min", "inverted_h_range",
+            "negative_c_min", "inverted_c_range", "inverted_lambda1_range",
+            "inverted_lambda2_range"])
     def test_bad_command_option_is_config_error(self, command, line, key, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(GOLD_KV + line + "\n")

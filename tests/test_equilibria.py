@@ -1,10 +1,13 @@
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from predbif.cli import params_from_config, parse_config
 from predbif.equilibria import (
+    _polish_interior,
     all_equilibria,
     check_printed_quartic,
     classify_region,
@@ -163,6 +166,22 @@ class TestInterior:
             eqs = interior_equilibria(GOLD)
         for e in eqs:
             assert e.y == pytest.approx(GOLD.delta * (GOLD.m + e.x) / GOLD.eta, rel=1e-9)
+
+    @pytest.mark.parametrize("config", sorted(
+        (Path(__file__).resolve().parents[1] / "configs").glob("*.cfg")), ids=lambda p: p.stem)
+    def test_newton_polish_returns_the_root(self, config):
+        # the quartic roots need no Newton step; started 1e-6 off, the
+        # Cramer-rule step brings the polish back to the same equilibrium
+        p = params_from_config(parse_config(config))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            eqs = interior_equilibria(p)
+        assert eqs
+        for e in eqs:
+            for offset in (1e-6, -1e-6):
+                got = _polish_interior(p, e.x + offset)
+                assert abs(got.x - e.x) <= 1e-14 * (1.0 + e.x), (e, offset)
+                assert abs(got.y - e.y) <= 1e-14 * (1.0 + e.y), (e, offset)
 
     def test_all_equilibria_is_union(self):
         with warnings.catch_warnings():

@@ -14,6 +14,7 @@ from predbif.model import (
     State,
     jacobian,
     jet,
+    linspace,
     rescale_parameters,
     rhs,
     taylor_jet,
@@ -50,8 +51,10 @@ class TestValidate:
         with pytest.raises(ParameterOutOfRange):
             validate(ModelParams(**{**GOLD.__dict__, "m": -0.1}))
 
-    def test_m_zero_allowed(self):
-        validate(ModelParams(**{**GOLD.__dict__, "m": 0.0}))
+    def test_m_zero_rejected(self):
+        # m = n/k with n > 0, as rescale_parameters requires
+        with pytest.raises(ParameterOutOfRange, match="m must be strictly positive"):
+            validate(ModelParams(**{**GOLD.__dict__, "m": 0.0}))
 
     def test_denominator_positivity_constraint(self):
         with pytest.raises(ParameterOutOfRange):
@@ -250,3 +253,17 @@ class TestJet:
             jet(GOLD, -0.1, 0.5)
         with pytest.raises(DomainError):
             jet(ModelParams(**{**GOLD.__dict__, "m": 0.0}), 0.0, 0.5)
+
+
+class TestLinspace:
+    def test_equals_numpy_bit_for_bit(self):
+        rng = np.random.default_rng(41)
+        cases = [(0.0, 1e-4, 1), (0.0, 1e-4, 2), (-1e-4, 1e-4, 64), (0.05, 0.95, 10),
+                 (0.3, 0.3, 5), (0.9, 0.1, 7), (-0.0, 1.0, 1), (2.0, -3.0, 2)]
+        lows, highs = rng.uniform(-10, 10, (2, 2000)).tolist()
+        cases += zip(lows, highs, rng.integers(1, 200, 2000).tolist())
+        for lo, hi, n in cases:
+            got = linspace(lo, hi, n)
+            assert all(type(v) is float for v in got)
+            assert [v.hex() for v in got] == [v.hex() for v in np.linspace(lo, hi, n).tolist()], \
+                (lo, hi, n)

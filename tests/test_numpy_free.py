@@ -1,0 +1,56 @@
+"""numpy stays off the scalar analysis path.
+
+The 2x2 algebra of stability, Hopf and Bogdanov-Takens analysis runs on the
+float tuples of ``model.jet``; numpy is kept where arrays are the data
+(``sim``'s trajectories, the sign-scan oracle, ``model.jacobian``).  These
+checks read the source with ``ast``, so they hold without importing it.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "predbif"
+
+
+def _imports(tree):
+    """Every module name an import statement of ``tree`` names, with the
+    imported names of a ``from`` import appended to its module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module
+            yield from (f"{node.module}.{alias.name}" for alias in node.names)
+
+
+@pytest.mark.parametrize("module", ["stability", "hopf", "bt", "cli"])
+def test_scalar_modules_do_not_import_numpy(module):
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    assert [name for name in _imports(tree) if name.split(".")[0] == "numpy"] == []
+
+
+def test_no_linalg_under_src():
+    sources = sorted(SRC.glob("*.py"))
+    assert sources
+    for path in sources:
+        tree = ast.parse(path.read_text())
+        assert [name for name in _imports(tree) if "linalg" in name.split(".")] == [], path
+        attrs = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and node.attr == "linalg"]
+        assert attrs == [], (path, attrs)
+    for path in sorted(SRC.iterdir()):
+        if path.suffix in (".pyx", ".c"):
+            assert "linalg" not in path.read_text(), path
+
+
+def test_equilibria_uses_numpy_only_in_the_oracle():
+    tree = ast.parse((SRC / "equilibria.py").read_text())
+
+    def uses(node):
+        return [n.lineno for n in ast.walk(node) if isinstance(n, ast.Name) and n.id == "np"]
+
+    oracle = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "interior_roots_oracle")
+    assert uses(oracle) and uses(tree) == uses(oracle)

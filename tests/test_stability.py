@@ -8,6 +8,7 @@ from predbif.equilibria import Equilibrium, all_equilibria, interior_equilibria
 from predbif.errors import DomainError, NotPresent
 from predbif.model import ModelParams, State, jacobian
 from predbif.stability import (
+    _spectrum,
     classify_generic,
     classify_origin,
     classify_predator_free,
@@ -140,3 +141,80 @@ class TestGeneric:
                     for e in all_equilibria(GOLD)}
         assert reps[("Origin", "always")].label == "Saddle"  # h > c
         assert reps[("PreyExtinction", "m>0")].label == "StableNode"
+
+
+def _same_multiset(got, want, tol):
+    (g0, g1), (w0, w1) = got, want
+    return (abs(g0 - w0) <= tol and abs(g1 - w1) <= tol) or \
+        (abs(g0 - w1) <= tol and abs(g1 - w0) <= tol)
+
+
+def _defective_tol(J):
+    """How far two floating-point forms may put the eigenvalues of a J with a
+    (near) double root: rounding a*d and b*c moves tr^2/4 - det by up to
+    2*eps*(|a d| + |b c|), each form's eigenvalues by its square root, and
+    two forms apart by twice that."""
+    (a, b), (c, d) = J
+    return 2.0 * math.sqrt(2.0 * np.finfo(float).eps * (abs(a * d) + abs(b * c)))
+
+
+class TestSpectrum:
+    """The closed-form spectrum against numpy's eigvals and det."""
+
+    @staticmethod
+    def _matrices(rng, n):
+        out = []
+        for _ in range(n):
+            a, b, c, d = (float(v) for v in rng.uniform(-3.0, 3.0, 4))
+            out.append(((a, b), (c, d)))  # real or complex pair
+            out.append(((a, b), (-math.copysign(abs(c) + 0.1, b), a)))  # b*c < 0: complex
+            out.append(((a, b), (0.0, d)))  # upper triangular
+            out.append(((a, 0.0), (c, d)))  # lower triangular
+        return out
+
+    def test_matches_numpy(self):
+        for J in self._matrices(np.random.default_rng(23), 300):
+            (a, b), (c, d) = J
+            eig, tr, det = _spectrum(J)
+            scale = 1.0 + max(abs(a), abs(b), abs(c), abs(d))
+            want = np.linalg.eigvals(np.array(J)).tolist()
+            assert all(type(ev) is complex for ev in eig)
+            assert _same_multiset(eig, want, 1e-12 * scale), J
+            assert tr == a + d
+            assert abs(det - np.linalg.det(np.array(J))) <= 1e-12 * scale**2, J
+            if b == 0.0 or c == 0.0:
+                assert eig == (complex(a), complex(d))
+            if (a - d) ** 2 + 4.0 * b * c < 0:
+                assert eig[0] == eig[1].conjugate() and eig[0].imag > 0
+
+    def test_repeated_root(self):
+        rng = np.random.default_rng(29)
+        for _ in range(100):
+            # p^2 + q*r = 0: a double root at lam, exact in floats
+            lam = float(rng.integers(-12, 13)) / 4.0
+            k, m = (float(v) for v in rng.integers(1, 6, 2))
+            J = ((lam + k * m, k * k), (-m * m, lam - k * m))
+            eig, tr, det = _spectrum(J)
+            assert eig == (complex(lam), complex(lam)), J
+            want = np.linalg.eigvals(np.array(J)).tolist()
+            assert _same_multiset(eig, want, _defective_tol(J)), J
+        for lam in (-1.5, 0.0, 2.0):
+            assert _spectrum(((lam, 7.0), (0.0, lam)))[0] == (complex(lam), complex(lam))
+            assert _spectrum(((lam, 0.0), (7.0, lam)))[0] == (complex(lam), complex(lam))
+
+    def test_bt_point_is_double_zero(self):
+        from predbif.bt import bt_locate
+        from predbif.model import jet
+        pt = bt_locate(GOLD)[0]
+        J = jet(pt.params(GOLD), pt.x, pt.y)[1]
+        (a, b), (c, d) = J
+        eig, tr, det = _spectrum(J)
+        scale = 1.0 + max(abs(a), abs(b), abs(c), abs(d))
+        assert abs(tr) < 1e-15 and abs(det) < 1e-16
+        assert abs(det - np.linalg.det(np.array(J))) <= 1e-12 * scale**2
+        # J is a Jordan block up to rounding, so neither form resolves its
+        # eigenvalues (~1e-9 here) to 1e-12: they agree to the square-root
+        # bound, and both are zero to ZERO_EIG_TOL
+        want = np.linalg.eigvals(np.array(J)).tolist()
+        assert _same_multiset(eig, want, _defective_tol(J))
+        assert max(abs(ev) for ev in eig) < 1e-8 * scale
