@@ -10,6 +10,9 @@ The coefficient chain projects ``model.jet`` at the frozen BT point, with
 (h, delta) shifted by lambda, onto the generalized eigenbasis; the
 lambda-partials of the coefficients project the jet's exact h- and
 delta-partials, and are cross-checked against their published closed forms.
+``beta_map`` runs the same projection on terms precomputed at the BT point,
+re-evaluating only the five jet entries that depend on lambda and their
+products with the basis, in the same floating-point order.
 """
 
 from __future__ import annotations
@@ -25,7 +28,15 @@ from .errors import (
     PrintedFormulaMismatch,
     SingularSolve,
 )
-from .model import ModelParams, holling_denominator, jet, linspace, validate
+from .model import (
+    ModelParams,
+    _frozen_jet,
+    _h_delta_entries,
+    holling_denominator,
+    jet,
+    linspace,
+    validate,
+)
 
 BT_RESIDUAL_TOL = 1e-8
 
@@ -62,6 +73,7 @@ class BTNormalForm:
     beta_jacobian: tuple  # d(beta1, beta2)/d(lambda1, lambda2) at 0, as float rows
     nondegeneracy: dict = field(default_factory=dict)  # BT.1/BT.2/BT.3 -> bool
     diagnostics: list = field(default_factory=list)
+    _frozen: tuple = field(default=(), repr=False, compare=False)  # see _freeze
 
 
 @dataclass
@@ -224,15 +236,15 @@ def _ab_coeffs(params_bt: ModelParams, pt: BTPoint, basis, lam: tuple[float, flo
     return out
 
 
-def _chain_mu(coeffs: dict) -> tuple[float, float, float, float]:
-    """(mu1, mu2, A, B) from the coefficient chain at finite lambda."""
-    g00 = coeffs["b00"]
-    g10 = coeffs["b10"] + coeffs["a11"] * coeffs["b00"] - coeffs["b11"] * coeffs["a00"]
-    g01 = coeffs["b01"] + coeffs["a10"] + coeffs["a02"] * coeffs["b00"] \
-        - (coeffs["a11"] + coeffs["b02"]) * coeffs["a00"]
-    g20 = coeffs["b20"]
-    g11 = coeffs["a20"] + coeffs["b11"]
-    g02 = coeffs["b02"] + 2.0 * coeffs["a11"]
+def _chain_mu(a00, a10, a20, a11, a02, b00, b10, b01, b20, b11, b02):
+    """(mu1, mu2, A, B) from the coefficient chain at finite lambda; a01
+    does not enter."""
+    g00 = b00
+    g10 = b10 + a11 * b00 - b11 * a00
+    g01 = b01 + a10 + a02 * b00 - (a11 + b02) * a00
+    g20 = b20
+    g11 = a20 + b11
+    g02 = b02 + 2.0 * a11
     if g11 == 0:
         raise DegenerateBT("g11(lambda) = 0 in the parameter shift", condition="BT.1")
     shift = -g01 / g11
@@ -336,7 +348,29 @@ def normal_form(params: ModelParams, bt_point: BTPoint) -> BTNormalForm:
         beta_jacobian=beta_jac,
         nondegeneracy={"BT.1": bt1, "BT.2": bt2, "BT.3": bt3},
         diagnostics=diagnostics,
+        _frozen=_freeze(pbt, bt_point, basis, A0),
     )
+
+
+def _freeze(pbt: ModelParams, pt: BTPoint, basis, A0: float) -> tuple:
+    """Everything ``beta_map`` needs that does not depend on lambda:
+    ``model._frozen_jet``'s terms at the BT point, the basis, and the
+    products of the lambda-free jet entries with the basis, each written
+    as the subexpression ``_project`` computes, so ``beta_map`` repeats
+    ``_project`` bit for bit."""
+    frozen, (f_y, g_x, f_xy, g_xx, g_xy, g_yy), _ = _frozen_jet(pbt, pt.x, pt.y)
+    (v0x, v0y), (v1x, v1y), (w0x, w0y), (w1x, w1y) = basis
+    # f's Hessian is ((f_xx, f_xy), (f_xy, 0)) and only f_xx moves with lambda
+    f_r0y, f_r1y = v0x * f_xy + v0y * 0.0, v1x * f_xy + v1y * 0.0
+    # g's Hessian does not move at all
+    r0x, r0y = v0x * g_xx + v0y * g_xy, v0x * g_xy + v0y * g_yy
+    r1x, r1y = v1x * g_xx + v1y * g_xy, v1x * g_xy + v1y * g_yy
+    g20, g11, g02 = r0x * v0x + r0y * v0y, r0x * v1x + r0y * v1y, r1x * v1x + r1y * v1y
+    return (frozen, pbt.h, pbt.delta, v0x, v0y, v1x, v1y, w0x, w0y, w1x, w1y,
+            f_y * v0y, f_y * v1y, v0y * f_xy, v1y * f_xy,
+            f_r0y * v0y, f_r0y * v1y, f_r1y * v1y, g_x * v0x, g_x * v1x,
+            w0y * g20, w0y * g11, w0y * g02, w1y * g20, w1y * g11, w1y * g02,
+            1e-14 * (1.0 + abs(A0)))
 
 
 def beta_map(nf: BTNormalForm, lambda1: float, lambda2: float) -> tuple[float, float]:
@@ -344,12 +378,25 @@ def beta_map(nf: BTNormalForm, lambda1: float, lambda2: float) -> tuple[float, f
 
     The coefficient chain is evaluated at the given offset with the
     first-order (lambda-linear) raw coefficients; the chain's own products
-    are kept.
+    are kept.  The coefficients equal ``_ab_coeffs``' bit for bit, from the
+    terms ``_freeze`` keeps: only the five lambda-dependent jet entries and
+    their products with the basis are evaluated here.
     """
-    basis = (nf.v0, nf.v1, nf.w0, nf.w1)
-    coeffs = _ab_coeffs(nf.params, nf.point, basis, (lambda1, lambda2))
-    mu1, mu2, A, B = _chain_mu(coeffs)
-    if abs(A) < 1e-14 * (1.0 + abs(nf.A0)):
+    (frozen, h, delta, v0x, v0y, v1x, v1y, w0x, w0y, w1x, w1y,
+     fy_v0y, fy_v1y, fxy_v0y, fxy_v1y, f_r0y_v0y, f_r0y_v1y, f_r1y_v1y, gx_v0x, gx_v1x,
+     w0y_g20, w0y_g11, w0y_g02, w1y_g20, w1y_g11, w1y_g02, a_tol) = nf._frozen
+    f, g, f_x, g_y, f_xx = _h_delta_entries(frozen, h + lambda1, delta + lambda2)
+    # _project's component sums: DF v0, DF v1 and v'H v of f, DF v0 and DF v1 of g
+    f10, f01 = f_x * v0x + fy_v0y, f_x * v1x + fy_v1y
+    g10, g01 = gx_v0x + g_y * v0y, gx_v1x + g_y * v1y
+    r0x, r1x = v0x * f_xx + fxy_v0y, v1x * f_xx + fxy_v1y
+    f20, f11, f02 = r0x * v0x + f_r0y_v0y, r0x * v1x + f_r0y_v1y, r1x * v1x + f_r1y_v1y
+    mu1, mu2, A, B = _chain_mu(
+        w0x * f + w0y * g, w0x * f10 + w0y * g10,
+        w0x * f20 + w0y_g20, w0x * f11 + w0y_g11, w0x * f02 + w0y_g02,
+        w1x * f + w1y * g, w1x * f10 + w1y * g10, w1x * f01 + w1y * g01,
+        w1x * f20 + w1y_g20, w1x * f11 + w1y_g11, w1x * f02 + w1y_g02)
+    if abs(A) < a_tol:
         raise DegenerateBT(f"A(lambda) ~ 0 at lambda=({lambda1}, {lambda2})", condition="BT.2")
     return B**4 / A**3 * mu1, B**2 / A**2 * mu2
 
@@ -386,12 +433,18 @@ def bifurcation_curves(nf: BTNormalForm, lambda_box, n: int = 50) -> CurveSet:
                 if k is None:
                     continue
                 lo, hi, flo = grid[k], grid[k + 1], vs[k]
+            # 80 halvings, cut short once one leaves (lo, hi, flo) as it was:
+            # every later one would repeat it
             for _ in range(80):
                 mid = 0.5 * (lo + hi)
                 fm = val(mid)
                 if flo * fm <= 0:
+                    if mid == hi:
+                        break
                     hi = mid
                 else:
+                    if mid == lo and fm == flo:
+                        break
                     lo, flo = mid, fm
             l2 = 0.5 * (lo + hi)
             _, b2 = beta_map(nf, l1, l2)

@@ -7,8 +7,10 @@ The scaled system in state (x, y) is
     y' = y (delta - eta y / (m + x))
 
 All operations here are pure functions of their inputs.  ``jet`` is the one
-place that writes out the derivatives of the field; ``jacobian`` returns its
-first derivatives as an array.
+place that writes out the derivatives of the field, assembled from its
+(h, delta)-free terms (``_frozen_jet``) and the entries that depend on h or
+delta (``_h_delta_entries``); ``jacobian`` returns its first derivatives as
+an array.
 """
 
 from __future__ import annotations
@@ -166,44 +168,65 @@ def jet(params: ModelParams, x: float, y: float, dh: float = 0.0, ddelta: float 
     ``by_delta`` are the exact partials of (F, DF, D2F), the field being
     affine in h and delta.  F keeps the floating-point form of ``rhs``, so
     the two agree bit for bit."""
-    a, b, c = params.a, params.b, params.c
-    eta, m = params.eta, params.m
+    frozen, (f_y, g_x, f_xy, g_xx, g_xy, g_yy), rest = _frozen_jet(params, x, y)
+    f_xxx0, cx4, f_xxy, g_xxx, g_xxy, g_xyy, by_h, by_delta = rest
     h = params.h + dh
-    delta = params.delta + ddelta
+    f, g, f_x, g_y, f_xx = _h_delta_entries(frozen, h, params.delta + ddelta)
+    f_xy_ = (f_xxy, 0.0)  # d/dx and d/dy of f_xy
+    g_xy_ = (g_xxy, g_xyy)
+    return (
+        (f, g),
+        ((f_x, f_y), (g_x, g_y)),
+        (((f_xx, f_xy), (f_xy, 0.0)), ((g_xx, g_xy), (g_xy, g_yy))),
+        ((((f_xxx0 - 6.0 * (h * params.c) / cx4, f_xxy), f_xy_), (f_xy_, (0.0, 0.0))),
+         (((g_xxx, g_xxy), g_xy_), (g_xy_, (g_xyy, 0.0)))),
+        by_h,
+        by_delta,
+    )
+
+
+def _frozen_jet(params: ModelParams, x: float, y: float):
+    """``jet`` at an admissible (x, y) with h and delta left open, as
+    ``(frozen, fixed, rest)``: ``frozen`` is what ``_h_delta_entries``
+    takes, ``fixed`` the entries of (F, DF, D2F) that depend on neither h
+    nor delta, (f_y, g_x, f_xy, g_xx, g_xy, g_yy), and ``rest`` the
+    remaining terms of ``jet``: f_xxx without its h-term, (c + x)^4, the
+    other third derivatives and the two partials."""
+    a, b, c = params.a, params.b, params.c
+    eta = params.eta
     p = _check_domain(params, x, y)
     axx = a * x * x
-    cx, mx = c + x, m + x
+    cx, mx = c + x, params.m + x
     p2, p3 = p**2, p**3
     cx2, cx3 = cx**2, cx**3
     mx2, mx3 = mx**2, mx**3
     bx2 = b * x + 2.0
-    hc = h * c
     ey = eta * y
     # the Holling term is y*phi(x) with phi = x^2/p; poly = -p^3 phi''/2
     poly = a * b * x**3 + 3.0 * a * x**2 - 1.0
-    f_xy = -x * bx2 / p2
-    f_xxy = 2.0 * poly / p3
     g_xx = -2.0 * ey * y / mx3
     g_xy = 2.0 * ey / mx2
     g_yy = -2.0 * eta / mx
-    g_xxy = -2.0 * g_xy / mx
-    g_xyy = -g_yy / mx
-    f_xy_ = (f_xxy, 0.0)  # d/dx and d/dy of f_xy
-    g_xy_ = (g_xxy, g_xyy)
-    return (
-        (x * (1.0 - x) - x * x * y / p - h * x / cx, y * (delta - eta * y / mx)),
-        ((1.0 - 2.0 * x - x * y * bx2 / p2 - hc / cx2, -x * x / p),
-         (ey * y / mx2, delta - 2.0 * ey / mx)),
-        (((-2.0 + 2.0 * y * poly / p3 + 2.0 * hc / cx3, f_xy), (f_xy, 0.0)),
-         ((g_xx, g_xy), (g_xy, g_yy))),
-        ((((-6.0 * y * (axx - 1.0) * (b * axx + 4.0 * a * x + b) / (p2 * p2)
-            - 6.0 * hc / (cx2 * cx2), f_xxy), f_xy_), (f_xy_, (0.0, 0.0))),
-         (((-3.0 * g_xx / mx, g_xxy), g_xy_), (g_xy_, (g_xyy, 0.0)))),
-        ((-x / cx, 0.0), ((-c / cx2, 0.0), (0.0, 0.0)),
-         (((2.0 * c / cx3, 0.0), (0.0, 0.0)), ((0.0, 0.0), (0.0, 0.0)))),
-        ((0.0, y), ((0.0, 0.0), (0.0, 1.0)),
-         (((0.0, 0.0), (0.0, 0.0)), ((0.0, 0.0), (0.0, 0.0)))),
-    )
+    frozen = (x, y, c, cx, cx2, cx3, x * (1.0 - x) - x * x * y / p, ey / mx,
+              1.0 - 2.0 * x - x * y * bx2 / p2, 2.0 * ey / mx, -2.0 + 2.0 * y * poly / p3)
+    fixed = (-x * x / p, ey * y / mx2, -x * bx2 / p2, g_xx, g_xy, g_yy)
+    rest = (-6.0 * y * (axx - 1.0) * (b * axx + 4.0 * a * x + b) / (p2 * p2), cx2 * cx2,
+            2.0 * poly / p3, -3.0 * g_xx / mx, -2.0 * g_xy / mx, -g_yy / mx,
+            ((-x / cx, 0.0), ((-c / cx2, 0.0), (0.0, 0.0)),
+             (((2.0 * c / cx3, 0.0), (0.0, 0.0)), ((0.0, 0.0), (0.0, 0.0)))),
+            ((0.0, y), ((0.0, 0.0), (0.0, 1.0)),
+             (((0.0, 0.0), (0.0, 0.0)), ((0.0, 0.0), (0.0, 0.0)))))
+    return frozen, fixed, rest
+
+
+def _h_delta_entries(frozen, h: float, delta: float):
+    """The entries of (F, DF, D2F) that depend on h or delta, written here
+    only: F0, F1, f_x, g_y and f_xx at (h, delta), from the ``frozen``
+    terms of ``_frozen_jet``."""
+    x, y, c, cx, cx2, cx3, f0, ey_mx, f_x0, g_y0, f_xx0 = frozen
+    hc = h * c
+    return (f0 - h * x / cx, y * (delta - ey_mx), f_x0 - hc / cx2, delta - g_y0,
+            f_xx0 + 2.0 * hc / cx3)
 
 
 def solve2(m00, m01, m10, m11, r):

@@ -1,12 +1,15 @@
 import math
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from predbif import bt
+from predbif import bt, model
 from predbif.bt import (
     _ab_coeffs,
+    _chain_mu,
     beta_map,
     bifurcation_curves,
     bt_candidate_x,
@@ -282,13 +285,27 @@ class TestCurves:
         # beta2 = 0 at lambda = 0 in theory; rounding noise of either sign
         # there must keep the lambda1 = 0 samples of H and P
         exact = bt.beta_map
+        calls = {"shifted": 0, "entries": 0}
 
         def shifted(nf, lambda1, lambda2):
+            calls["shifted"] += 1
             b1, b2 = exact(nf, lambda1, lambda2)
             return b1, b2 + 3e-15
 
+        # every beta evaluation, through jet or not, computes the lambda-
+        # dependent jet entries once: all of them must pass the shifted map
+        entries = model._h_delta_entries
+
+        def counted(*args):
+            calls["entries"] += 1
+            return entries(*args)
+
         monkeypatch.setattr(bt, "beta_map", shifted)
+        monkeypatch.setattr(bt, "_h_delta_entries", counted)
+        monkeypatch.setattr(model, "_h_delta_entries", counted)
         cs = bifurcation_curves(nf, (0.0, 5e-5, -5e-5, 5e-5), n=11)
+        assert calls["shifted"] > 0
+        assert calls["entries"] == calls["shifted"]
         assert cs.H[0][0] == 0.0
         assert cs.P[0][0] == 0.0
 
@@ -303,6 +320,157 @@ class TestCurves:
         for l1 in list(t.keys())[1:]:
             if l1 in h and l1 in p:
                 assert t[l1] > h[l1] > p[l1]
+
+
+# ---------------------------------------------------------------------------
+# beta_map's frozen-point evaluation against the jet-based chain
+
+
+BT_EXAMPLE_BOX = (0.0, 1e-4, -1e-4, 1e-4)  # the curves box of configs/bt_example.cfg
+TEST_BOX = (0.0, 5e-5, -5e-5, 5e-5)  # the box of TestCurves
+
+
+def _reference_beta(nf, lambda1, lambda2):
+    """beta through the full jet: ``_ab_coeffs``, ``_chain_mu`` and the
+    beta formula of ``beta_map``."""
+    coeffs = _ab_coeffs(nf.params, nf.point, (nf.v0, nf.v1, nf.w0, nf.w1), (lambda1, lambda2))
+    del coeffs["a01"]
+    mu1, mu2, A, B = _chain_mu(**coeffs)
+    return B**4 / A**3 * mu1, B**2 / A**2 * mu2
+
+
+_REFERENCE_CURVES = {
+    "T": lambda b1, b2: 4.0 * b1 - b2 * b2,
+    "H": lambda b1, b2: b1,
+    "P": lambda b1, b2: b1 + (6.0 / 25.0) * b2 * b2,
+}
+
+
+def _reference_curves(nf, box, n):
+    """The sampling of ``bifurcation_curves`` with a fixed 80-step bisection
+    on ``_reference_beta``.  Returns the T/H/P samples and, per sample, how
+    its bracket was found: "ends" (the box ends), "grid" (the 64-point
+    scan) or "none" (no bracket: dropped); "beta2" marks an H or P sample
+    dropped for beta2 >= 0."""
+    l1_min, l1_max, l2_min, l2_max = box
+    b2_tol = 16.0 * math.ulp(max(abs(v) for row in nf.beta_jacobian for v in row)
+                             * max(abs(v) for v in box))
+    samples = {"T": [], "H": [], "P": []}
+    paths = []
+    for l1 in np.linspace(l1_min, l1_max, n).tolist():
+        for name, fdef in _REFERENCE_CURVES.items():
+            def val(l2):
+                return fdef(*_reference_beta(nf, l1, l2))
+            lo, hi = l2_min, l2_max
+            flo, fhi = val(lo), val(hi)
+            path = "ends"
+            if flo * fhi > 0:
+                grid = np.linspace(l2_min, l2_max, 64).tolist()
+                vs = [val(g) for g in grid]
+                k = next((i for i in range(63) if vs[i] * vs[i + 1] <= 0), None)
+                if k is None:
+                    paths.append("none")
+                    continue
+                lo, hi, flo = grid[k], grid[k + 1], vs[k]
+                path = "grid"
+            for _ in range(80):
+                mid = 0.5 * (lo + hi)
+                fm = val(mid)
+                if flo * fm <= 0:
+                    hi = mid
+                else:
+                    lo, flo = mid, fm
+            l2 = 0.5 * (lo + hi)
+            _, b2 = _reference_beta(nf, l1, l2)
+            if name in ("H", "P") and b2 >= b2_tol:
+                paths.append("beta2")
+                continue
+            samples[name].append((l1, l2))
+            paths.append(path)
+    return samples, paths
+
+
+def _same_samples(cs, samples) -> bool:
+    # repr tells -0.0 from 0.0 and prints each float's shortest round trip
+    return all(repr(getattr(cs, name)) == repr(samples[name]) for name in "THP")
+
+
+@pytest.fixture(scope="module")
+def curve_cases(nf):
+    """(nf, box, n) of bt_example, of TestCurves, and of the 12 bt-curves
+    configs of perfbench's bifurcation-reports workload, seed 1."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from workloads import make_block
+
+    cases = [(nf, BT_EXAMPLE_BOX, 25), (nf, TEST_BOX, 11)]
+    for k in range(12):
+        (op,) = [op for op in make_block("bifurcation-reports", 1, k)
+                 if op["command"] == "bt-curves"]
+        params, curves = ModelParams(**op["config"]["params"]), op["config"]["curves"]
+        box = tuple(curves[key] for key in
+                    ("lambda1_min", "lambda1_max", "lambda2_min", "lambda2_max"))
+        cases.append((normal_form(params, bt_locate(params)[0]), box, curves["n"]))
+    return cases
+
+
+class TestFrozenBetaMap:
+    def test_beta_map_equals_the_jet_chain_bit_for_bit(self, curve_cases):
+        rng = np.random.default_rng(11)
+        checked = 0
+        for nf_k, (l1_min, l1_max, l2_min, l2_max), _ in curve_cases:
+            lams = [(0.0, 0.0), (l1_min, l2_min), (l1_min, l2_max), (l1_max, l2_min),
+                    (l1_max, l2_max)]
+            lams += [(float(rng.uniform(l1_min, l1_max)), float(rng.uniform(l2_min, l2_max)))
+                     for _ in range(80)]
+            for lam in lams:
+                got, want = beta_map(nf_k, *lam), _reference_beta(nf_k, *lam)
+                assert [v.hex() for v in got] == [v.hex() for v in want], lam
+                checked += 1
+        assert checked >= 1000
+
+    def test_samples_equal_the_fixed_80_step_bisection(self, curve_cases):
+        for nf_k, box, n in curve_cases:
+            samples, paths = _reference_curves(nf_k, box, n)
+            assert _same_samples(bifurcation_curves(nf_k, box, n), samples), box
+            assert set(paths) <= {"ends", "beta2"}, box
+
+    def test_grid_scan_brackets_match_the_fixed_bisection(self, nf):
+        # lambda1 = 0.02..0.03 reaches past the curves to where A(lambda)
+        # crosses zero and beta changes sign once more (a pole), so the box
+        # ends share a sign and the 64-point scan finds the bracket
+        box = (0.02, 0.03, -0.03, 0.03)
+        samples, paths = _reference_curves(nf, box, 5)
+        assert paths == ["grid"] * 15
+        assert _same_samples(bifurcation_curves(nf, box, 5), samples)
+        # a lambda2 window above all three curves brackets nothing: the
+        # samples are dropped
+        box = (0.0, 1e-4, 1e-4, 2e-4)
+        samples, paths = _reference_curves(nf, box, 5)
+        assert paths == ["none"] * 15
+        cs = bifurcation_curves(nf, box, 5)
+        assert (cs.T, cs.H, cs.P) == ([], [], [])
+
+    def test_curve_sampling_counts(self, nf, monkeypatch):
+        # deterministic counts for bt_example at n = 25: no full jet, and
+        # the bisection stops once an interval halving changes nothing
+        # (the fixed 80 steps took 6225 beta evaluations)
+        calls = {"jet": 0, "beta_map": 0}
+        exact_jet, exact_beta = model.jet, bt.beta_map
+
+        def counted_jet(*args, **kwargs):
+            calls["jet"] += 1
+            return exact_jet(*args, **kwargs)
+
+        def counted_beta(*args):
+            calls["beta_map"] += 1
+            return exact_beta(*args)
+
+        monkeypatch.setattr(model, "jet", counted_jet)
+        monkeypatch.setattr(bt, "jet", counted_jet)
+        monkeypatch.setattr(bt, "beta_map", counted_beta)
+        bifurcation_curves(nf, BT_EXAMPLE_BOX, 25)
+        assert calls["jet"] == 0
+        assert 0 < calls["beta_map"] <= 4504
 
 
 class TestTrueUnfolding:
