@@ -1,17 +1,9 @@
-"""Build shim: compiles the adaptive-RK kernel extension when Cython and a
-C compiler are available; the package falls back to the pure-Python kernel
-at import time if the extension is missing."""
+"""Build shim: compiles the adaptive-RK kernel extension from the shipped
+C source ``src/predbif/_rk_cy.c`` (generated from ``_rk_cy.pyx``; Cython is
+not needed to build).  The extension is optional: without a C compiler the
+build goes on, and the package falls back to the pure-Python kernel at
+import time."""
 
-from setuptools import setup
+from setuptools import Extension, setup
 
-ext_modules = []
-try:
-    from Cython.Build import cythonize
-
-    ext_modules = cythonize(
-        ["src/predbif/_rk_cy.pyx"], compiler_directives={"language_level": "3"}
-    )
-except ImportError:
-    pass
-
-setup(ext_modules=ext_modules)
+setup(ext_modules=[Extension("predbif._rk_cy", ["src/predbif/_rk_cy.c"], optional=True)])

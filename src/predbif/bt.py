@@ -21,22 +21,9 @@ import math
 import warnings
 from dataclasses import dataclass, field, replace
 
-from .errors import (
-    DegenerateBT,
-    DomainError,
-    NoCandidate,
-    PrintedFormulaMismatch,
-    SingularSolve,
-)
-from .model import (
-    ModelParams,
-    _frozen_jet,
-    _h_delta_entries,
-    holling_denominator,
-    jet,
-    linspace,
-    validate,
-)
+from .equilibria import hopf_curve_point
+from .errors import DegenerateBT, NoCandidate, PrintedFormulaMismatch
+from .model import ModelParams, _frozen_jet, _h_delta_entries, jet, linspace, validate
 
 BT_RESIDUAL_TOL = 1e-8
 
@@ -110,33 +97,6 @@ def bt_candidate_x(a: float, b: float, eta: float) -> list[tuple[float, str]]:
     return [(x3, "EtaAgt1-x3"), (x4, "EtaAgt1-x4")]
 
 
-def bt_y_of_x(params: ModelParams, x: float, h: float, delta: float) -> float:
-    """Ordinate forced by the trace equation at abscissa x."""
-    if x <= 0:
-        raise DomainError(f"need x > 0, got {x}")
-    b, c = params.b, params.c
-    if abs(b * x + 2.0) < 1e-14:
-        raise DomainError(f"b*x + 2 = 0 at x={x}")
-    p = holling_denominator(params, x)
-    return p * p / (x * (b * x + 2.0)) * (1.0 - 2.0 * x - h * c / (c + x) ** 2 - delta)
-
-
-def _linear_coeffs(params: ModelParams, x: float) -> tuple[float, float, float, float]:
-    """Coefficients of the two affine relations delta = a1 + a2*h and
-    h = b1 + b2*delta obtained by substituting the trace-forced ordinate
-    into the equilibrium equations."""
-    a, b, c = params.a, params.b, params.c
-    eta, m = params.eta, params.m
-    p = a * x * x + b * x + 1.0
-    den_a = x * (b * x + 2.0) * (m + x) + eta * p * p
-    a1 = eta * p * p * (1.0 - 2.0 * x) / den_a
-    a2 = -eta * p * p * c / ((c + x) ** 2 * den_a)
-    den_b = (b * x + 2.0) * (c + x) - c * p
-    b1 = (c + x) ** 2 * ((1.0 - x) * (b * x + 2.0) - p * (1.0 - 2.0 * x)) / den_b
-    b2 = (c + x) ** 2 * p / den_b
-    return a1, a2, b1, b2
-
-
 def _printed_h1_delta1(params: ModelParams) -> tuple[float, float]:
     """Published closed forms for the critical pair in the a*eta = 1 case
     (cross-check only; the linear-system solve is authoritative)."""
@@ -164,22 +124,19 @@ def bt_locate(params: ModelParams) -> list[BTPoint]:
     """All Bogdanov-Takens points for the given (a, b, c, eta, m); the h and
     delta fields of ``params`` are treated as free parameters.
 
-    Every returned point passes the trace/determinant/equilibrium residual
-    checks at (h_bt, delta_bt).
+    On the Hopf curve (``equilibria.hopf_curve_point``) the trace vanishes
+    and det = delta^2 (x^2/(eta p(x)) - 1), so the points sit at the
+    positive roots of ``bt_candidate_x``.  Every returned point passes the
+    trace/determinant/equilibrium residual checks at (h_bt, delta_bt).
+    Raises SingularSolve when the Hopf-curve rows are dependent there.
     """
     points: list[BTPoint] = []
     for x, tag in bt_candidate_x(params.a, params.b, params.eta):
         if x <= 0:
             continue
-        a1, a2, b1, b2 = _linear_coeffs(params, x)
-        den = 1.0 - b2 * a2
-        if abs(den) < 1e-12 * (1.0 + abs(b2 * a2)):
-            raise SingularSolve(f"1 - b2*a2 ~ 0 at candidate x={x}")
-        h = (b1 + b2 * a1) / den
-        delta = a1 + a2 * h
+        h, delta, y = hopf_curve_point(params, x)
         if h <= 0 or delta <= 0:
             continue
-        y = bt_y_of_x(params, x, h, delta)
         f, ((fx, fy), (gx, gy)) = jet(replace(params, h=h, delta=delta), x, y)[:2]
         tr, det = fx + gy, fx * gy - fy * gx
         if max(abs(f[0]), abs(f[1])) >= BT_RESIDUAL_TOL or abs(tr) >= BT_RESIDUAL_TOL \

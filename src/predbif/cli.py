@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 import warnings
 from pathlib import Path
@@ -32,8 +33,11 @@ def parse_config(path: str | Path) -> dict:
     dotted sections (``params.a = 2``)."""
     text = Path(path).read_text()
     if str(path).endswith(".json") or text.lstrip().startswith("{"):
-        return json.loads(text)
-    cfg: dict = {}
+        cfg = json.loads(text)
+        if not isinstance(cfg, dict):
+            raise ValueError(f"{path}: the config must be a table of sections, got {cfg!r}")
+        return cfg
+    cfg = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -49,6 +53,8 @@ def parse_config(path: str | Path) -> dict:
         parts = key.split(".")
         for part in parts[:-1]:
             node = node.setdefault(part, {})
+            if not isinstance(node, dict):
+                raise ValueError(f"{path}:{lineno}: {key} sets a key inside the value {part}")
         node[parts[-1]] = parsed
     return cfg
 
@@ -59,12 +65,25 @@ def params_from_config(cfg: dict) -> ModelParams:
     Raises ValueError on missing or unknown keys and ParameterOutOfRange on
     values that violate ``model.validate``."""
     p = cfg.get("params", {})
+    if not isinstance(p, dict):
+        raise ValueError(f"config section params must hold params.* keys, got {p!r}")
     missing = [n for n in PARAM_NAMES if n not in p]
     if missing:
         raise ValueError(f"config is missing params: {missing}")
     if unknown := sorted(set(p) - set(PARAM_NAMES)):
         raise ValueError(f"config has unknown params: {unknown}")
-    return validate(ModelParams(**{n: float(p[n]) for n in PARAM_NAMES}))
+    return validate(ModelParams(**{n: _number(f"params.{n}", p[n]) for n in PARAM_NAMES}))
+
+
+def _number(key: str, value) -> float:
+    """``value`` as a float when it is a finite real number (a bool is not);
+    ValueError naming ``key`` otherwise."""
+    try:
+        if not isinstance(value, bool) and math.isfinite(value):
+            return float(value)
+    except (TypeError, OverflowError):
+        pass
+    raise ValueError(f"{key} must be a finite number, got {value!r}")
 
 
 #: each command's own config section, the typed defaults of its options and
@@ -88,8 +107,8 @@ def command_options(command: str, cfg: dict) -> dict:
     ``OPTIONS``, each value converted to its default's type.
 
     Raises ValueError naming a key the section does not know, a value that
-    does not convert exactly (a string, NaN, or 2.5 for an integer) or one
-    outside the option's range."""
+    is not a finite number (a string, a bool, NaN or infinity) or not an
+    integer where one is needed, or a value outside the option's range."""
     if command not in OPTIONS:
         return {}
     section, defaults, ranges = OPTIONS[command]
@@ -100,13 +119,12 @@ def command_options(command: str, cfg: dict) -> dict:
         raise ValueError(f"config has unknown {section} options: {unknown}")
     opts = dict(defaults)
     for key, value in given.items():
-        kind = type(defaults[key])
-        try:
-            opts[key] = kind(value)
-            if opts[key] != float(value):
-                raise ValueError
-        except (TypeError, ValueError, OverflowError):
-            raise ValueError(f"{section}.{key} must be {kind.__name__}, got {value!r}") from None
+        number = _number(f"{section}.{key}", value)
+        if isinstance(defaults[key], int):
+            if not number.is_integer():
+                raise ValueError(f"{section}.{key} must be int, got {value!r}")
+            number = int(number)
+        opts[key] = number
     for rule in ranges:
         key, op, bound = rule.split()
         value, limit = opts[key], opts[bound] if bound in opts else float(bound)
@@ -255,7 +273,6 @@ def cmd_hopf(cfg, params, fmt, *, delta_min, delta_max, n_samples, branch):
             "transversality": hd.transversality,
             "transversality_branch": hd.transversality_branch,
             "cycle_verdict": hd.cycle_verdict,
-            "empirical_verdict": hd.empirical_verdict,
             "equilibrium": {"x": hd.equilibrium.x, "y": hd.equilibrium.y},
         }
         for hd in points
@@ -319,8 +336,8 @@ def cmd_bt_curves(cfg, params, fmt, *, lambda1_min, lambda1_max, lambda2_min, la
     return jobs
 
 
-def cmd_simulate(cfg, params, fmt, *, x0, y0, t_end):
-    traj = simmod.integrate(params, State(x0, y0), t_end, cfg["tol"], on_failure="keep")
+def cmd_simulate(cfg, params, fmt, *, x0, y0, t_end, tol):
+    traj = simmod.integrate(params, State(x0, y0), t_end, tol, on_failure="keep")
     rows = [[float(t), float(s[0]), float(s[1])]
             for t, s in zip(traj.times, traj.states)]
     jobs = [("csv", "simulate", ["t", "x", "y"], rows)]
@@ -329,6 +346,7 @@ def cmd_simulate(cfg, params, fmt, *, x0, y0, t_end):
         jobs.append(("svg", "simulate", [("black", pts)], ("x", "y")))
     elif fmt == "json":
         results = {
+            "tol": tol,
             "terminated": traj.terminated,
             "n_steps": len(traj) - 1,
             "final": {"x": traj.final.x, "y": traj.final.y},
@@ -380,8 +398,18 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", required=True, help="config file (key=value or JSON)")
         sp.add_argument("--out", default=".", help="output directory")
         sp.add_argument("--format", default="json", choices=["json", "csv", "svg"])
-        sp.add_argument("--tol", type=float, default=1e-9)
+        if name == "simulate":
+            sp.add_argument("--tol", type=_tolerance, default=simmod.DEFAULT_TOL,
+                            help="integration tolerance, absolute and relative")
     return ap
+
+
+def _tolerance(text: str) -> float:
+    """``--tol``: a float inside ``sim.TOL_RANGE``."""
+    tol, (lo, hi) = float(text), simmod.TOL_RANGE
+    if not lo <= tol <= hi:
+        raise argparse.ArgumentTypeError(f"must lie in [{lo:g}, {hi:g}], got {text}")
+    return tol
 
 
 def run(argv: list[str]) -> int:
@@ -398,11 +426,12 @@ def run(argv: list[str]) -> int:
         return 2
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    cfg["tol"] = args.tol
+    flags = {key: value for key, value in vars(args).items()
+             if key not in ("command", "config", "out", "format")}
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            jobs = COMMANDS[args.command](cfg, params, args.format, **opts)
+            jobs = COMMANDS[args.command](cfg, params, args.format, **opts, **flags)
         diags = sorted({str(w.message) for w in caught})
     except PredbifError as exc:
         print(f"predbif: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -6,6 +6,11 @@ come from the denominator-cleared expansion of the isocline intersection.
 The printed coefficient table is kept as a transcription only: reports
 compare it with the expansion once (``check_printed_quartic``) and surface a
 disagreement as a PrintedFormulaMismatch warning; the solve never reads it.
+
+The equilibrium curves are parametrized here by the abscissa x: the
+interior branch at fixed h that ``hopf.hopf_scan`` follows, and the Hopf
+curve in the (h, delta) plane on which ``bt.bt_locate`` finds the
+Bogdanov-Takens points.
 """
 
 from __future__ import annotations
@@ -13,11 +18,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import polyroots
-from .errors import DomainError, PrintedFormulaMismatch
+from .errors import DomainError, PrintedFormulaMismatch, SingularSolve
 from .model import EQUILIBRIUM_TOL, ModelParams, State, holling_denominator, jet, rhs, solve2
 
 #: |h - c| below this (relative) threshold counts as the K2 diagonal.
@@ -156,6 +162,68 @@ def isocline_y(params: ModelParams, x: float) -> float:
     c, h = params.c, params.h
     f = -x * x + (1.0 - c) * x + (c - h)
     return holling_denominator(params, x) * f / (x * (c + x))
+
+
+# ---------------------------------------------------------------------------
+# equilibrium curves in the abscissa x: an interior equilibrium lies on the
+# predator isocline y = delta*(m + x)/eta and on the prey isocline f = 0
+
+
+class _CurvePoint(NamedTuple):
+    """The interior equilibrium with abscissa x: y on the prey isocline,
+    delta such that the predator isocline passes through (x, y), and the
+    trace, det and ``model.jet`` of the field there."""
+
+    x: float
+    y: float
+    delta: float
+    trace: float
+    det: float
+    jet: tuple
+
+
+def _on_curve(params: ModelParams, x: float) -> _CurvePoint:
+    """The equilibrium-curve point at abscissa x for the h of ``params``."""
+    y = isocline_y(params, x)
+    delta = params.eta * y / (params.m + x)
+    tensors = jet(params, x, y, ddelta=delta - params.delta)
+    (a, b), (c, d) = tensors[1]
+    return _CurvePoint(x, y, delta, a + d, a * d - b * c, tensors)
+
+
+def _zero_on_curve(params: ModelParams, lo: _CurvePoint, hi: _CurvePoint, test) -> _CurvePoint:
+    """Bisect a sign change of ``test`` between two curve points in x until
+    the bracket collapses; returns the end with the smaller |test|."""
+    f_lo, f_hi = test(lo), test(hi)
+    while (mid := 0.5 * (lo.x + hi.x)) not in (lo.x, hi.x):
+        pt = _on_curve(params, mid)
+        f_mid = test(pt)
+        if f_lo * f_mid <= 0:
+            hi, f_hi = pt, f_mid
+        else:
+            lo, f_lo = pt, f_mid
+    return lo if abs(f_lo) <= abs(f_hi) else hi
+
+
+def hopf_curve_point(params: ModelParams, x: float) -> tuple[float, float, float]:
+    """(h, delta, y) of the Hopf curve at abscissa x > 0: the equilibrium on
+    the predator isocline y = delta*(m + x)/eta where the trace f_x + g_y =
+    f_x - delta vanishes.  Along the isocline f = 0 and the trace are affine
+    in (h, delta); their rows are read from one ``jet`` at h = delta = y = 0,
+    with d/d(delta) = the partial + dy/d(delta) * d/dy, and solved at once.
+    The point does not depend on the h and delta of ``params``.  Raises
+    SingularSolve when the rows are dependent."""
+    dy = (params.m + x) / params.eta
+    F, DF, D2F, _, by_h, by_delta = jet(params, x, 0.0, -params.h, -params.delta)
+    trace = DF[0][0] + DF[1][1]
+    trace_h = by_h[1][0][0] + by_h[1][1][1]
+    trace_delta = by_delta[1][0][0] + by_delta[1][1][1] + dy * (D2F[0][0][1] + D2F[1][1][1])
+    try:
+        h, delta = solve2(by_h[0][0], by_delta[0][0] + dy * DF[0][1], trace_h, trace_delta,
+                          (-F[0], -trace))
+    except ZeroDivisionError:
+        raise SingularSolve(f"the Hopf-curve rows are dependent at x={x}") from None
+    return h, delta, delta * dy
 
 
 def _polish_interior(params: ModelParams, x: float) -> Equilibrium | None:

@@ -25,12 +25,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
 
-from .equilibria import Equilibrium, interior_equilibria, isocline_y, predator_free_x
+from .equilibria import (Equilibrium, _CurvePoint, _on_curve, _zero_on_curve,
+                         interior_equilibria, predator_free_x)
 from .errors import BranchLost, DomainError, NoHopf, PrintedFormulaMismatch
 from .model import ModelParams, State, jet, rhs, solve2, taylor_jet
-from . import sim
 
 #: |trace| at a reported Hopf point must fall below this
 TRACE_TOL = 1e-8
@@ -48,7 +47,6 @@ class HopfData:
     transversality: float  # frozen point: identically -1
     transversality_branch: float  # d(trace)/d(delta) along the branch
     cycle_verdict: str  # StablePerFormula | RepellingPerFormula (sign of l, printed convention)
-    empirical_verdict: str  # Attracting | Repelling | Inconclusive
     equilibrium: Equilibrium
     det: float
 
@@ -166,63 +164,6 @@ def lyapunov_coefficient_l(params: ModelParams, eq: Equilibrium) -> tuple[float,
     return l_printed, l1
 
 
-def _empirical_verdict(params: ModelParams, eq: Equilibrium, omega: float) -> str:
-    """Return-map radius ratio over one revolution, checked at two seed
-    radii; Attracting/Repelling only when the two seeds agree."""
-    period = 2.0 * math.pi / omega
-    signs = []
-    for r0 in (1e-3, 5e-4):
-        traj = sim.integrate(
-            params, State(eq.x + r0, eq.y), 1.6 * period, tol=1e-12, on_failure="keep"
-        )
-        crossings = sim._section_crossings(traj, eq.x, eq.y)
-        if not crossings:
-            return "Inconclusive"
-        r1 = crossings[0][1]
-        drift = r1 / r0 - 1.0
-        if abs(drift) < 1e-9:
-            return "Inconclusive"
-        signs.append(drift > 0)
-    if signs[0] != signs[1]:
-        return "Inconclusive"
-    return "Repelling" if signs[0] else "Attracting"
-
-
-class _CurvePoint(NamedTuple):
-    """The interior equilibrium with abscissa x: y on the prey isocline,
-    delta such that the predator isocline passes through (x, y), and the
-    trace, det and ``model.jet`` of the field there."""
-
-    x: float
-    y: float
-    delta: float
-    trace: float
-    det: float
-    jet: tuple
-
-
-def _on_curve(params: ModelParams, x: float) -> _CurvePoint:
-    y = isocline_y(params, x)
-    delta = params.eta * y / (params.m + x)
-    tensors = jet(params, x, y, ddelta=delta - params.delta)
-    (a, b), (c, d) = tensors[1]
-    return _CurvePoint(x, y, delta, a + d, a * d - b * c, tensors)
-
-
-def _zero_on_curve(params: ModelParams, lo: _CurvePoint, hi: _CurvePoint, test) -> _CurvePoint:
-    """Bisect a sign change of ``test`` between two curve points in x until
-    the bracket collapses; returns the end with the smaller |test|."""
-    f_lo, f_hi = test(lo), test(hi)
-    while (mid := 0.5 * (lo.x + hi.x)) not in (lo.x, hi.x):
-        pt = _on_curve(params, mid)
-        f_mid = test(pt)
-        if f_lo * f_mid <= 0:
-            hi, f_hi = pt, f_mid
-        else:
-            lo, f_lo = pt, f_mid
-    return lo if abs(f_lo) <= abs(f_hi) else hi
-
-
 def _hopf_data(params: ModelParams, pt: _CurvePoint) -> HopfData:
     p = params.with_(delta=pt.delta)
     eq = Equilibrium(pt.x, pt.y, "Interior")
@@ -244,7 +185,6 @@ def _hopf_data(params: ModelParams, pt: _CurvePoint) -> HopfData:
         transversality=transversality(p, eq),
         transversality_branch=speed,
         cycle_verdict=verdict,
-        empirical_verdict=_empirical_verdict(p, eq, omega),
         equilibrium=eq,
         det=pt.det,
     )

@@ -21,6 +21,9 @@ from .stability import _spectrum
 #: default local error tolerance (absolute and relative)
 DEFAULT_TOL = 1e-9
 
+#: the tolerances ``integrate`` accepts, inclusive
+TOL_RANGE = (1e-12, 1e-3)
+
 #: final ||rhs|| below this marks the trajectory as converged to a fixed point
 CONVERGED_TOL = 1e-10
 
@@ -91,8 +94,9 @@ def integrate(params: ModelParams, x0: State, t_end: float,
     t_end < t0 integrates backward in time.
     """
     validate(params)
-    if not (1e-12 <= tol <= 1e-3):
-        raise DomainError(f"tol must lie in [1e-12, 1e-3], got {tol}")
+    lo, hi = TOL_RANGE
+    if not lo <= tol <= hi:
+        raise DomainError(f"tol must lie in [{lo:g}, {hi:g}], got {tol}")
     if not (math.isfinite(x0.x) and math.isfinite(x0.y)):
         raise DomainError(f"initial state must be finite, got {x0}")
     traj = _raw_integrate(params, x0, t0, t_end, tol, max_steps)

@@ -14,12 +14,11 @@ from predbif.bt import (
     bifurcation_curves,
     bt_candidate_x,
     bt_locate,
-    bt_y_of_x,
     normal_form,
 )
-from predbif.equilibria import Equilibrium
-from predbif.errors import DomainError, NoCandidate
-from predbif.model import ModelParams, State, jacobian, jet, rhs
+from predbif.equilibria import Equilibrium, hopf_curve_point
+from predbif.errors import NoCandidate
+from predbif.model import ModelParams, State, jacobian, jet, rhs, solve2
 from predbif.stability import classify_generic
 
 BASE = ModelParams(a=2.0, b=-2.82, c=0.05, h=0.17, delta=0.03, eta=0.1, m=0.8)
@@ -88,21 +87,52 @@ class TestCandidates:
                 assert abs(x * x * k + b * eta * x + eta) < 1e-8 * (1.0 + x * x * abs(k))
 
 
-class TestYOfX:
-    def test_worked_example(self):
-        y = bt_y_of_x(BASE, GOLD_X, GOLD_H, GOLD_DELTA)
-        assert y == pytest.approx(GOLD_Y, abs=1e-6)
+def _trace_det_residual(params, x, h, delta, y):
+    """(|F|, trace, det) of the field at (x, y) for the given h and delta."""
+    F, ((a, b), (c, d)) = jet(params.with_(h=h, delta=delta), x, y)[:2]
+    return max(abs(F[0]), abs(F[1])), a + d, a * d - b * c
 
-    def test_consistency_with_predator_isocline(self, bt_point):
-        y = bt_y_of_x(BASE, bt_point.x, bt_point.h_bt, bt_point.delta_bt)
-        assert y == pytest.approx(
-            bt_point.delta_bt * (BASE.m + bt_point.x) / BASE.eta, rel=1e-9
-        )
 
-    def test_pole_rejected(self):
-        p = BASE.with_(b=-2.0)
-        with pytest.raises(DomainError):
-            bt_y_of_x(p, 1.0, 0.1, 0.1)  # b*x + 2 = 0
+#: an a*eta = 1 case with a BT point at x = -1/b = 0.25
+UNIT = ModelParams(a=10.0, b=-4.0, c=0.1, h=0.1, delta=0.1, eta=0.1, m=0.5)
+
+
+class TestHopfCurvePoint:
+    def test_equilibrium_with_zero_trace(self):
+        checked = 0
+        for params in (BASE, UNIT):
+            for k in range(1, 40):
+                x = 0.025 * k
+                h, delta, y = hopf_curve_point(params, x)
+                if h <= 0 or delta <= 0:
+                    continue
+                assert y == pytest.approx(delta * (params.m + x) / params.eta, rel=1e-15)
+                residual, trace, _ = _trace_det_residual(params, x, h, delta, y)
+                assert residual < 1e-15 and abs(trace) < 1e-15, (params, x)
+                checked += 1
+        assert checked >= 20
+
+    def test_det_vanishes_at_a_candidate_root(self):
+        # on the Hopf curve det = delta^2 (x^2/(eta p) - 1): zero at the
+        # roots of bt_candidate_x, of one sign on either side of them
+        for params in (BASE, UNIT):
+            (x,) = [x for x, _ in bt_candidate_x(params.a, params.b, params.eta) if x > 0]
+            h, delta, y = hopf_curve_point(params, x)
+            assert abs(_trace_det_residual(params, x, h, delta, y)[2]) < 1e-17, params
+            signs = set()
+            for s in (-1.0, 1.0):
+                h, delta, y = hopf_curve_point(params, x * (1.0 + 0.05 * s))
+                signs.add(_trace_det_residual(params, x * (1.0 + 0.05 * s), h, delta, y)[2] > 0)
+            assert signs == {True, False}, params
+
+    def test_locate_does_not_depend_on_h_and_delta(self):
+        for params in (BASE, UNIT):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                found = [bt_locate(params.with_(h=h, delta=delta))
+                         for h, delta in ((0.17, 0.03), (0.5, 2.0), (1e-3, 1e-4))]
+            assert found[0]
+            assert [repr(pts) for pts in found] == [repr(found[0])] * 3, params
 
 
 class TestLocate:
@@ -322,6 +352,61 @@ class TestCurves:
                 assert t[l1] > h[l1] > p[l1]
 
 
+def _fold_curve_point(params, x):
+    """(h, delta, y) of the fold curve at abscissa x: on the predator
+    isocline y = delta*(m + x)/eta, det/delta = -(f_x + f_y*delta/eta), and
+    f = 0 and that row are affine in (h, delta).  Rows from the jet at
+    h = delta = y = 0, with dy/d(delta) = (m + x)/eta."""
+    dy = (params.m + x) / params.eta
+    F, DF, D2F, _, by_h, by_delta = jet(params, x, 0.0, -params.h, -params.delta)
+    f_y = DF[0][1]  # depends on x only
+    h, delta = solve2(by_h[0][0], by_delta[0][0] + dy * f_y,
+                      by_h[1][0][0], by_delta[1][0][0] + dy * D2F[0][0][1] + f_y / params.eta,
+                      (-F[0], -DF[0][0]))
+    return h, delta, delta * dy
+
+
+def _direct_point_at_h(point, h, x_near):
+    """The point of a direct curve, (x, h, delta, y), whose h is the given
+    one, by bisection in x in the smallest window around x_near (doubled
+    from 1e-3) where h - h(x) changes sign."""
+    width = 1e-3
+    while True:
+        lo, hi = x_near - width, x_near + width
+        f_lo, f_hi = point(BASE, lo)[0] - h, point(BASE, hi)[0] - h
+        if f_lo * f_hi < 0:
+            break
+        width *= 2.0
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        f_mid = point(BASE, mid)[0] - h
+        if f_lo * f_mid <= 0:
+            hi = mid
+        else:
+            lo, f_lo = mid, f_mid
+    return (lo, *point(BASE, lo))
+
+
+class TestDirectCurves:
+    """The normal form's T and H curves against the fold and Hopf curves
+    computed directly on the equilibrium curve (Kuznetsov, Elements of
+    Applied Bifurcation Theory, section 8.4): they agree to second order in
+    lambda1."""
+
+    @pytest.mark.parametrize("lambda1", [1e-3, 1e-4, 1e-5])
+    def test_normal_form_curves_are_second_order_close(self, nf, bt_point, lambda1):
+        # one lambda1 sample: linspace(lo, hi, 1) is [lo]
+        cs = bifurcation_curves(nf, (lambda1, lambda1, -2.0 * lambda1, 2.0 * lambda1), 1)
+        for name, point in (("T", _fold_curve_point), ("H", hopf_curve_point)):
+            ((l1, l2),) = getattr(cs, name)
+            assert l1 == lambda1
+            x, h, delta, y = _direct_point_at_h(point, bt_point.h_bt + l1, bt_point.x)
+            assert abs(h - (bt_point.h_bt + l1)) <= 4.0 * math.ulp(h)
+            residual, trace, det = _trace_det_residual(BASE, x, h, delta, y)
+            assert residual < 1e-15, name
+            assert abs(trace if name == "H" else det) < 1e-15, name
+            assert abs(l2 - (delta - bt_point.delta_bt)) / l1**2 <= 10.0, name
+
+
 # ---------------------------------------------------------------------------
 # beta_map's frozen-point evaluation against the jet-based chain
 
@@ -453,7 +538,8 @@ class TestFrozenBetaMap:
     def test_curve_sampling_counts(self, nf, monkeypatch):
         # deterministic counts for bt_example at n = 25: no full jet, and
         # the bisection stops once an interval halving changes nothing
-        # (the fixed 80 steps took 6225 beta evaluations)
+        # (the fixed 80 steps took 6225 beta evaluations; the bound is the
+        # exact count at bt_locate's point, and moves with its last bits)
         calls = {"jet": 0, "beta_map": 0}
         exact_jet, exact_beta = model.jet, bt.beta_map
 
@@ -470,7 +556,7 @@ class TestFrozenBetaMap:
         monkeypatch.setattr(bt, "beta_map", counted_beta)
         bifurcation_curves(nf, BT_EXAMPLE_BOX, 25)
         assert calls["jet"] == 0
-        assert 0 < calls["beta_map"] <= 4504
+        assert 0 < calls["beta_map"] <= 4513
 
 
 class TestTrueUnfolding:

@@ -135,6 +135,41 @@ class TestExitCodes:
         assert err.startswith("predbif: config error: ") and key in err
         assert not list(tmp_path.glob(f"{command}.*"))
 
+    @pytest.mark.parametrize("command, name, text, key", [
+        ("equilibria", "c.cfg", GOLD_KV.replace("params.a = 2", "params.a = [2]"), "params.a"),
+        ("equilibria", "c.cfg", GOLD_KV.replace("params.a = 2", "params.a = null"), "params.a"),
+        ("equilibria", "c.cfg", "params = 3\n" + GOLD_KV, "params"),
+        ("equilibria", "c.json", '{"params": 7}', "params"),
+        ("equilibria", "c.json", "[1, 2]", "table of sections"),
+        ("simulate", "c.cfg", GOLD_KV + "simulate.t_end = 1e400\n", "simulate.t_end"),
+        ("bt-curves", "c.cfg", GOLD_KV + "curves.lambda1_max = 1e400\n", "curves.lambda1_max"),
+        ("hopf", "c.cfg", GOLD_KV + "hopf.delta_max = 1e400\n", "hopf.delta_max"),
+        ("equilibria", "c.cfg", GOLD_KV.replace("params.a = 2", "params.a = true"), "params.a"),
+        ("simulate", "c.cfg", GOLD_KV + "simulate.x0 = true\n", "simulate.x0"),
+    ], ids=["param_list", "param_null", "params_value_then_key", "json_params_not_a_table",
+            "json_top_level_list", "infinite_t_end", "infinite_lambda1_max",
+            "infinite_delta_max", "param_bool", "option_bool"])
+    def test_value_not_a_finite_number_is_config_error(self, command, name, text, key,
+                                                       tmp_path, capsys):
+        cfg = tmp_path / name
+        cfg.write_text(text)
+        assert run([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("predbif: config error: ") and key in err
+        assert not list(tmp_path.glob(f"{command}.*"))
+
+    @pytest.mark.parametrize("argv", [["equilibria", "--tol", "1e-9"],
+                                      ["equilibria", "--tol", "nan"],
+                                      ["simulate", "--tol", "1e-20"],
+                                      ["simulate", "--tol", "nan"],
+                                      ["simulate", "--tol", "1e-2"]],
+                             ids=["tol_on_equilibria", "nan_tol_on_equilibria",
+                                  "tol_below_range", "nan_tol", "tol_above_range"])
+    def test_tol_is_a_simulate_flag_in_range(self, argv, gold_cfg, tmp_path):
+        out = tmp_path / "out"
+        assert run(argv + ["--config", gold_cfg, "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_seed_flag_is_usage_error(self, gold_cfg, tmp_path):
         assert run(["equilibria", "--config", gold_cfg, "--out", str(tmp_path),
                     "--seed", "3"]) == 2
@@ -198,6 +233,25 @@ class TestReports:
         assert nf["s"] == 1
         assert nf["g11_0"] == pytest.approx(-0.5922764628, rel=1e-4)
         assert nf["nondegeneracy"] == {"BT.1": True, "BT.2": True, "BT.3": True}
+
+    def test_hopf_report_keys(self, tmp_path):
+        cfg = tmp_path / "h.cfg"
+        cfg.write_text(GOLD_KV.replace("0.1715598183", "0.1915598183")
+                       + "hopf.delta_min = 0.0177\nhopf.delta_max = 0.017863\n"
+                       + "hopf.n_samples = 120\nhopf.branch = 1\n")
+        assert run(["hopf", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        rep = json.loads((tmp_path / "hopf.json").read_text())
+        (pt,) = rep["results"]["hopf_points"]
+        assert set(pt) == {"delta_H", "omega", "det", "l_printed", "l1", "transversality",
+                           "transversality_branch", "cycle_verdict", "equilibrium"}
+        assert "tol" not in rep["config"]
+
+    def test_simulate_reports_its_tol(self, gold_cfg, tmp_path):
+        assert run(["simulate", "--config", gold_cfg, "--out", str(tmp_path),
+                    "--tol", "1e-6"]) == 0
+        rep = json.loads((tmp_path / "simulate.json").read_text())
+        assert rep["results"]["tol"] == 1e-6
+        assert "tol" not in rep["config"]
 
     def test_simulate_csv_schema(self, gold_cfg, tmp_path):
         cfg = tmp_path / "s.cfg"

@@ -5,11 +5,10 @@ import warnings
 import numpy as np
 import pytest
 
-from predbif import hopf
+from predbif import hopf, sim
 from predbif.equilibria import Equilibrium, interior_equilibria, isocline_y
 from predbif.errors import BranchLost, DomainError, NoHopf, PrintedFormulaMismatch
 from predbif.hopf import (
-    _empirical_verdict,
     frozen_trace,
     hopf_delta,
     hopf_scan,
@@ -183,6 +182,28 @@ def gh_coefficient(field, omega, h):
     )
 
 
+def empirical_verdict(params, eq, omega):
+    """Oracle verdict on the cycle: the return-map radius ratio over one
+    revolution (tol = 1e-12), checked at two seed radii; Attracting or
+    Repelling only when the two seeds agree, else Inconclusive."""
+    period = 2.0 * math.pi / omega
+    signs = []
+    for r0 in (1e-3, 5e-4):
+        traj = sim.integrate(
+            params, State(eq.x + r0, eq.y), 1.6 * period, tol=1e-12, on_failure="keep"
+        )
+        crossings = sim._section_crossings(traj, eq.x, eq.y)
+        if not crossings:
+            return "Inconclusive"
+        drift = crossings[0][1] / r0 - 1.0
+        if abs(drift) < 1e-9:
+            return "Inconclusive"
+        signs.append(drift > 0)
+    if signs[0] != signs[1]:
+        return "Inconclusive"
+    return "Repelling" if signs[0] else "Attracting"
+
+
 #: (a, b, c, eta, m) families and h values for the l1 property test; their
 #: equilibrium curves carry 13 Hopf points, most of them beyond a fold that
 #: hopf_scan's continuation in delta cannot pass
@@ -229,6 +250,10 @@ def _hopf_points_by_x():
     return points
 
 
+def _observed_verdict(hd):
+    return empirical_verdict(SLICE.with_(delta=hd.delta_H), hd.equilibrium, hd.omega)
+
+
 class TestStabilityCoefficient:
     def test_rotation_frame_linear_part(self, hopf_point):
         p = SLICE.with_(delta=hopf_point.delta_H)
@@ -272,7 +297,7 @@ class TestStabilityCoefficient:
                 _, l1 = lyapunov_coefficient_l(p, eq)
             field, omega, _ = rotation_frame_field(p, eq)
             assert (l1 > 0) == (gh_coefficient(field, omega, 1e-4) > 0), (p, eq)
-            verdict = _empirical_verdict(p, eq, omega)
+            verdict = empirical_verdict(p, eq, omega)
             if verdict != "Inconclusive":
                 decided += 1
                 assert (l1 > 0) == (verdict == "Repelling"), (p, eq)
@@ -281,11 +306,11 @@ class TestStabilityCoefficient:
     def test_verdicts_consistent_with_observed_cycle(self, hopf_point):
         # the cycle born on this branch is unstable (subcritical Hopf)
         assert hopf_point.cycle_verdict == "RepellingPerFormula"
-        assert hopf_point.empirical_verdict == "Repelling"
+        assert _observed_verdict(hopf_point) == "Repelling"
 
     def test_numeric_standard_convention_matches_empirical(self, hopf_point):
         # positive l1 means repelling under the standard convention
-        assert (hopf_point.l1 > 0) == (hopf_point.empirical_verdict == "Repelling")
+        assert (hopf_point.l1 > 0) == (_observed_verdict(hopf_point) == "Repelling")
 
 
 class TestHopfScan:

@@ -1,4 +1,5 @@
-"""numpy stays off the scalar analysis path.
+"""numpy stays off the scalar analysis path, and integration off the Hopf
+scan.
 
 The 2x2 algebra of stability, Hopf and Bogdanov-Takens analysis runs on the
 float tuples of ``model.jet``; numpy is kept where arrays are the data
@@ -54,3 +55,17 @@ def test_equilibria_uses_numpy_only_in_the_oracle():
     oracle = next(node for node in tree.body
                   if isinstance(node, ast.FunctionDef) and node.name == "interior_roots_oracle")
     assert uses(oracle) and uses(tree) == uses(oracle)
+
+
+
+def test_hopf_imports_nothing_from_sim():
+    # the return-map check on a Hopf cycle is an oracle in the tests: the
+    # scan integrates nothing
+    tree = ast.parse((SRC / "hopf.py").read_text())
+    paths = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            paths += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            paths += [f"{node.module or ''}.{alias.name}" for alias in node.names]
+    assert paths and [path for path in paths if "sim" in path.split(".")] == []
