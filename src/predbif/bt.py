@@ -10,9 +10,12 @@ The coefficient chain projects ``model.jet`` at the frozen BT point, with
 (h, delta) shifted by lambda, onto the generalized eigenbasis; the
 lambda-partials of the coefficients project the jet's exact h- and
 delta-partials, and are cross-checked against their published closed forms.
-``beta_map`` runs the same projection on terms precomputed at the BT point,
-re-evaluating only the five jet entries that depend on lambda and their
-products with the basis, in the same floating-point order.
+``beta_map`` runs the same projection on terms precomputed at the BT point
+in two stages: a row per lambda1 evaluates the jet entries that depend on h
+and every coefficient they alone determine, and the row's lambda2 stage
+the entries that depend on delta and the rest of the chain, in the same
+floating-point order.  ``bifurcation_curves`` keeps one row per lambda1
+sample, memoized by lambda2.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ from dataclasses import dataclass, field, replace
 
 from .equilibria import hopf_curve_point
 from .errors import DegenerateBT, NoCandidate, PrintedFormulaMismatch
-from .model import ModelParams, _frozen_jet, _h_delta_entries, jet, linspace, validate
+from .model import (ModelParams, _delta_entries, _frozen_jet, _h_entries, jet, linspace,
+                    validate)
 
 BT_RESIDUAL_TOL = 1e-8
 
@@ -69,6 +73,7 @@ class CurveSet:
     H: list[tuple[float, float]]
     P: list[tuple[float, float]]
     box: tuple[float, float, float, float]  # l1_min, l1_max, l2_min, l2_max
+    beta: dict[str, list[tuple[float, float]]]  # (beta1, beta2) of each sample, by curve
 
 
 def bt_candidate_x(a: float, b: float, eta: float) -> list[tuple[float, str]]:
@@ -193,28 +198,6 @@ def _ab_coeffs(params_bt: ModelParams, pt: BTPoint, basis, lam: tuple[float, flo
     return out
 
 
-def _chain_mu(a00, a10, a20, a11, a02, b00, b10, b01, b20, b11, b02):
-    """(mu1, mu2, A, B) from the coefficient chain at finite lambda; a01
-    does not enter."""
-    g00 = b00
-    g10 = b10 + a11 * b00 - b11 * a00
-    g01 = b01 + a10 + a02 * b00 - (a11 + b02) * a00
-    g20 = b20
-    g11 = a20 + b11
-    g02 = b02 + 2.0 * a11
-    if g11 == 0:
-        raise DegenerateBT("g11(lambda) = 0 in the parameter shift", condition="BT.1")
-    shift = -g01 / g11
-    h00 = g00 + g10 * shift + 0.5 * g20 * shift**2
-    h10 = g10 + g20 * shift
-    h20, h11, h02 = g20, g11, g02
-    mu1 = h00
-    mu2 = h10 - 0.5 * h00 * h02
-    A = 0.5 * (h20 - h10 * h02)
-    B = h11
-    return mu1, mu2, A, B
-
-
 def _basis(delta: float, eta: float):
     """Generalized eigenvectors of the double-zero Jacobian and its
     transpose as float pairs, normalized so that <v1,w1> = <v0,w0> = 1 and
@@ -311,11 +294,11 @@ def normal_form(params: ModelParams, bt_point: BTPoint) -> BTNormalForm:
 
 def _freeze(pbt: ModelParams, pt: BTPoint, basis, A0: float) -> tuple:
     """Everything ``beta_map`` needs that does not depend on lambda:
-    ``model._frozen_jet``'s terms at the BT point, the basis, and the
-    products of the lambda-free jet entries with the basis, each written
+    ``model._frozen_jet``'s h- and delta-terms at the BT point, the basis,
+    and the products of the lambda-free jet entries with it, each written
     as the subexpression ``_project`` computes, so ``beta_map`` repeats
     ``_project`` bit for bit."""
-    frozen, (f_y, g_x, f_xy, g_xx, g_xy, g_yy), _ = _frozen_jet(pbt, pt.x, pt.y)
+    h_terms, delta_terms, (f_y, g_x, f_xy, g_xx, g_xy, g_yy), _ = _frozen_jet(pbt, pt.x, pt.y)
     (v0x, v0y), (v1x, v1y), (w0x, w0y), (w1x, w1y) = basis
     # f's Hessian is ((f_xx, f_xy), (f_xy, 0)) and only f_xx moves with lambda
     f_r0y, f_r1y = v0x * f_xy + v0y * 0.0, v1x * f_xy + v1y * 0.0
@@ -323,39 +306,87 @@ def _freeze(pbt: ModelParams, pt: BTPoint, basis, A0: float) -> tuple:
     r0x, r0y = v0x * g_xx + v0y * g_xy, v0x * g_xy + v0y * g_yy
     r1x, r1y = v1x * g_xx + v1y * g_xy, v1x * g_xy + v1y * g_yy
     g20, g11, g02 = r0x * v0x + r0y * v0y, r0x * v1x + r0y * v1y, r1x * v1x + r1y * v1y
-    return (frozen, pbt.h, pbt.delta, v0x, v0y, v1x, v1y, w0x, w0y, w1x, w1y,
+    return (h_terms, delta_terms, pbt.h, pbt.delta, v0x, v0y, v1x, v1y, w0x, w0y, w1x, w1y,
             f_y * v0y, f_y * v1y, v0y * f_xy, v1y * f_xy,
             f_r0y * v0y, f_r0y * v1y, f_r1y * v1y, g_x * v0x, g_x * v1x,
             w0y * g20, w0y * g11, w0y * g02, w1y * g20, w1y * g11, w1y * g02,
             1e-14 * (1.0 + abs(A0)))
 
 
+def _beta_row(nf: BTNormalForm, lambda1: float):
+    """(beta1, beta2) at ``lambda1`` as a function of lambda2, memoized by
+    lambda2: each lambda2 is evaluated once, by ``_beta_at``.
+
+    The row evaluates once what depends on lambda1 alone: the h-dependent
+    jet entries, their products with the basis, a20, a11, a02, b20, b11 and
+    b02, and the chain's g20, g11, g02, a11 + b02, B^4 and B^2.  Each is
+    the subexpression ``_project`` and the chain compute, so every beta
+    equals the jet-based chain's bit for bit.
+    """
+    (h_terms, delta_terms, h, delta, v0x, v0y, v1x, v1y, w0x, w0y, w1x, w1y,
+     fy_v0y, fy_v1y, fxy_v0y, fxy_v1y, f_r0y_v0y, f_r0y_v1y, f_r1y_v1y, gx_v0x, gx_v1x,
+     w0y_g20, w0y_g11, w0y_g02, w1y_g20, w1y_g11, w1y_g02, a_tol) = nf._frozen
+    f, f_x, f_xx = _h_entries(h_terms, h + lambda1)
+    # _project's component sums: DF v0, DF v1 and v'H v of f
+    f10, f01 = f_x * v0x + fy_v0y, f_x * v1x + fy_v1y
+    r0x, r1x = v0x * f_xx + fxy_v0y, v1x * f_xx + fxy_v1y
+    f20, f11, f02 = r0x * v0x + f_r0y_v0y, r0x * v1x + f_r0y_v1y, r1x * v1x + f_r1y_v1y
+    a20, a11, a02 = w0x * f20 + w0y_g20, w0x * f11 + w0y_g11, w0x * f02 + w0y_g02
+    b20, b11, b02 = w1x * f20 + w1y_g20, w1x * f11 + w1y_g11, w1x * f02 + w1y_g02
+    g11 = a20 + b11
+    if g11 == 0:
+        raise DegenerateBT("g11(lambda) = 0 in the parameter shift", condition="BT.1")
+    terms = (delta_terms, delta, v0y, v1y, w0y, w1y, gx_v0x, gx_v1x,
+             w0x * f, w1x * f, w0x * f10, w1x * f10, w1x * f01,
+             a11, a02, b11, a11 + b02, b20, 0.5 * b20, g11, b02 + 2.0 * a11,
+             g11**4, g11**2, a_tol)
+    memo = {}
+
+    def beta(lambda2: float) -> tuple[float, float]:
+        b = memo.get(lambda2)
+        if b is None:
+            b = memo[lambda2] = _beta_at(terms, lambda1, lambda2)
+        return b
+
+    return beta
+
+
+def _beta_at(terms: tuple, lambda1: float, lambda2: float) -> tuple[float, float]:
+    """The lambda2 stage of ``_beta_row``, from its ``terms``: the
+    delta-dependent jet entries, g's DF v0 and DF v1, a00, a10, b00, b10
+    and b01, then the rest of the coefficient chain (a01 does not enter it)
+    and beta."""
+    (delta_terms, delta, v0y, v1y, w0y, w1y, gx_v0x, gx_v1x,
+     w0x_f, w1x_f, w0x_f10, w1x_f10, w1x_f01,
+     a11, a02, b11, a11_b02, g20, half_g20, g11, g02, B4, B2, a_tol) = terms
+    g, g_y = _delta_entries(delta_terms, delta + lambda2)
+    g_v0, g_v1 = gx_v0x + g_y * v0y, gx_v1x + g_y * v1y
+    a00, a10 = w0x_f + w0y * g, w0x_f10 + w0y * g_v0
+    b00, b10, b01 = w1x_f + w1y * g, w1x_f10 + w1y * g_v0, w1x_f01 + w1y * g_v1
+    # g00 = b00; h20, h11, h02 = g20, g11, g02
+    g10 = b10 + a11 * b00 - b11 * a00
+    g01 = b01 + a10 + a02 * b00 - a11_b02 * a00
+    shift = -g01 / g11
+    mu1 = b00 + g10 * shift + half_g20 * shift**2
+    h10 = g10 + g20 * shift
+    mu2 = h10 - 0.5 * mu1 * g02
+    A = 0.5 * (g20 - h10 * g02)
+    if -a_tol < A < a_tol:
+        raise DegenerateBT(f"A(lambda) ~ 0 at lambda=({lambda1}, {lambda2})", condition="BT.2")
+    return B4 / A**3 * mu1, B2 / A**2 * mu2
+
+
 def beta_map(nf: BTNormalForm, lambda1: float, lambda2: float) -> tuple[float, float]:
-    """(beta1, beta2) of the normal form at a small parameter offset.
+    """(beta1, beta2) of the normal form at a small parameter offset: the
+    row of ``lambda1`` evaluated at ``lambda2``.
 
     The coefficient chain is evaluated at the given offset with the
     first-order (lambda-linear) raw coefficients; the chain's own products
     are kept.  The coefficients equal ``_ab_coeffs``' bit for bit, from the
-    terms ``_freeze`` keeps: only the five lambda-dependent jet entries and
+    terms ``_freeze`` keeps: only the lambda-dependent jet entries and
     their products with the basis are evaluated here.
     """
-    (frozen, h, delta, v0x, v0y, v1x, v1y, w0x, w0y, w1x, w1y,
-     fy_v0y, fy_v1y, fxy_v0y, fxy_v1y, f_r0y_v0y, f_r0y_v1y, f_r1y_v1y, gx_v0x, gx_v1x,
-     w0y_g20, w0y_g11, w0y_g02, w1y_g20, w1y_g11, w1y_g02, a_tol) = nf._frozen
-    f, g, f_x, g_y, f_xx = _h_delta_entries(frozen, h + lambda1, delta + lambda2)
-    # _project's component sums: DF v0, DF v1 and v'H v of f, DF v0 and DF v1 of g
-    f10, f01 = f_x * v0x + fy_v0y, f_x * v1x + fy_v1y
-    g10, g01 = gx_v0x + g_y * v0y, gx_v1x + g_y * v1y
-    r0x, r1x = v0x * f_xx + fxy_v0y, v1x * f_xx + fxy_v1y
-    f20, f11, f02 = r0x * v0x + f_r0y_v0y, r0x * v1x + f_r0y_v1y, r1x * v1x + f_r1y_v1y
-    mu1, mu2, A, B = _chain_mu(
-        w0x * f + w0y * g, w0x * f10 + w0y * g10,
-        w0x * f20 + w0y_g20, w0x * f11 + w0y_g11, w0x * f02 + w0y_g02,
-        w1x * f + w1y * g, w1x * f10 + w1y * g10, w1x * f01 + w1y * g01,
-        w1x * f20 + w1y_g20, w1x * f11 + w1y_g11, w1x * f02 + w1y_g02)
-    if abs(A) < a_tol:
-        raise DegenerateBT(f"A(lambda) ~ 0 at lambda=({lambda1}, {lambda2})", condition="BT.2")
-    return B**4 / A**3 * mu1, B**2 / A**2 * mu2
+    return _beta_row(nf, lambda1)(lambda2)
 
 
 _CURVE_DEFS = {
@@ -375,17 +406,16 @@ def bifurcation_curves(nf: BTNormalForm, lambda_box, n: int = 50) -> CurveSet:
     b2_tol = 16.0 * math.ulp(max(abs(v) for row in nf.beta_jacobian for v in row)
                              * max(abs(v) for v in lambda_box))
     samples = {"T": [], "H": [], "P": []}
+    betas = {"T": [], "H": [], "P": []}
     for l1 in linspace(l1_min, l1_max, n):
+        beta = _beta_row(nf, l1)
         for name, fdef in _CURVE_DEFS.items():
-            def val(l2):
-                b1, b2 = beta_map(nf, l1, l2)
-                return fdef(b1, b2)
             lo, hi = l2_min, l2_max
-            flo, fhi = val(lo), val(hi)
+            flo, fhi = fdef(*beta(lo)), fdef(*beta(hi))
             if flo * fhi > 0:
                 # scan for a bracket on a coarse grid
                 grid = linspace(l2_min, l2_max, 64)
-                vs = [val(g) for g in grid]
+                vs = [fdef(*beta(g)) for g in grid]
                 k = next((i for i in range(63) if vs[i] * vs[i + 1] <= 0), None)
                 if k is None:
                     continue
@@ -394,7 +424,7 @@ def bifurcation_curves(nf: BTNormalForm, lambda_box, n: int = 50) -> CurveSet:
             # every later one would repeat it
             for _ in range(80):
                 mid = 0.5 * (lo + hi)
-                fm = val(mid)
+                fm = fdef(*beta(mid))
                 if flo * fm <= 0:
                     if mid == hi:
                         break
@@ -404,8 +434,9 @@ def bifurcation_curves(nf: BTNormalForm, lambda_box, n: int = 50) -> CurveSet:
                         break
                     lo, flo = mid, fm
             l2 = 0.5 * (lo + hi)
-            _, b2 = beta_map(nf, l1, l2)
-            if name in ("H", "P") and b2 >= b2_tol:
+            b = beta(l2)
+            if name in ("H", "P") and b[1] >= b2_tol:
                 continue
             samples[name].append((l1, l2))
-    return CurveSet(samples["T"], samples["H"], samples["P"], tuple(lambda_box))
+            betas[name].append(b)
+    return CurveSet(samples["T"], samples["H"], samples["P"], tuple(lambda_box), betas)

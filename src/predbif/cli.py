@@ -322,8 +322,7 @@ def cmd_bt_curves(cfg, params, fmt, *, lambda1_min, lambda1_max, lambda2_min, la
     cs = bt.bifurcation_curves(nf, box, n)
     rows = []
     for name in ("T", "H", "P"):
-        for l1, l2 in getattr(cs, name):
-            b1, b2 = bt.beta_map(nf, l1, l2)
+        for (l1, l2), (b1, b2) in zip(getattr(cs, name), cs.beta[name]):
             rows.append([name, l1, l2, b1, b2])
     jobs = [("csv", "bt-curves", ["curve", "lambda1", "lambda2", "beta1", "beta2"], rows)]
     if fmt == "svg":

@@ -8,9 +8,9 @@ The scaled system in state (x, y) is
 
 All operations here are pure functions of their inputs.  ``jet`` is the one
 place that writes out the derivatives of the field, assembled from its
-(h, delta)-free terms (``_frozen_jet``) and the entries that depend on h or
-delta (``_h_delta_entries``); ``jacobian`` returns its first derivatives as
-an array.
+(h, delta)-free terms (``_frozen_jet``), the entries that depend on h
+(``_h_entries``) and those that depend on delta (``_delta_entries``);
+``jacobian`` returns its first derivatives as an array.
 """
 
 from __future__ import annotations
@@ -168,10 +168,11 @@ def jet(params: ModelParams, x: float, y: float, dh: float = 0.0, ddelta: float 
     ``by_delta`` are the exact partials of (F, DF, D2F), the field being
     affine in h and delta.  F keeps the floating-point form of ``rhs``, so
     the two agree bit for bit."""
-    frozen, (f_y, g_x, f_xy, g_xx, g_xy, g_yy), rest = _frozen_jet(params, x, y)
+    h_terms, delta_terms, (f_y, g_x, f_xy, g_xx, g_xy, g_yy), rest = _frozen_jet(params, x, y)
     f_xxx0, cx4, f_xxy, g_xxx, g_xxy, g_xyy, by_h, by_delta = rest
     h = params.h + dh
-    f, g, f_x, g_y, f_xx = _h_delta_entries(frozen, h, params.delta + ddelta)
+    f, f_x, f_xx = _h_entries(h_terms, h)
+    g, g_y = _delta_entries(delta_terms, params.delta + ddelta)
     f_xy_ = (f_xxy, 0.0)  # d/dx and d/dy of f_xy
     g_xy_ = (g_xxy, g_xyy)
     return (
@@ -187,11 +188,12 @@ def jet(params: ModelParams, x: float, y: float, dh: float = 0.0, ddelta: float 
 
 def _frozen_jet(params: ModelParams, x: float, y: float):
     """``jet`` at an admissible (x, y) with h and delta left open, as
-    ``(frozen, fixed, rest)``: ``frozen`` is what ``_h_delta_entries``
-    takes, ``fixed`` the entries of (F, DF, D2F) that depend on neither h
-    nor delta, (f_y, g_x, f_xy, g_xx, g_xy, g_yy), and ``rest`` the
-    remaining terms of ``jet``: f_xxx without its h-term, (c + x)^4, the
-    other third derivatives and the two partials."""
+    ``(h_terms, delta_terms, fixed, rest)``: ``h_terms`` is what
+    ``_h_entries`` takes and ``delta_terms`` what ``_delta_entries`` takes,
+    ``fixed`` the entries of (F, DF, D2F) that depend on neither h nor
+    delta, (f_y, g_x, f_xy, g_xx, g_xy, g_yy), and ``rest`` the remaining
+    terms of ``jet``: f_xxx without its h-term, (c + x)^4, the other third
+    derivatives and the two partials."""
     a, b, c = params.a, params.b, params.c
     eta = params.eta
     p = _check_domain(params, x, y)
@@ -207,8 +209,9 @@ def _frozen_jet(params: ModelParams, x: float, y: float):
     g_xx = -2.0 * ey * y / mx3
     g_xy = 2.0 * ey / mx2
     g_yy = -2.0 * eta / mx
-    frozen = (x, y, c, cx, cx2, cx3, x * (1.0 - x) - x * x * y / p, ey / mx,
-              1.0 - 2.0 * x - x * y * bx2 / p2, 2.0 * ey / mx, -2.0 + 2.0 * y * poly / p3)
+    h_terms = (x, c, cx, cx2, cx3, x * (1.0 - x) - x * x * y / p,
+               1.0 - 2.0 * x - x * y * bx2 / p2, -2.0 + 2.0 * y * poly / p3)
+    delta_terms = (y, ey / mx, 2.0 * ey / mx)
     fixed = (-x * x / p, ey * y / mx2, -x * bx2 / p2, g_xx, g_xy, g_yy)
     rest = (-6.0 * y * (axx - 1.0) * (b * axx + 4.0 * a * x + b) / (p2 * p2), cx2 * cx2,
             2.0 * poly / p3, -3.0 * g_xx / mx, -2.0 * g_xy / mx, -g_yy / mx,
@@ -216,17 +219,22 @@ def _frozen_jet(params: ModelParams, x: float, y: float):
              (((2.0 * c / cx3, 0.0), (0.0, 0.0)), ((0.0, 0.0), (0.0, 0.0)))),
             ((0.0, y), ((0.0, 0.0), (0.0, 1.0)),
              (((0.0, 0.0), (0.0, 0.0)), ((0.0, 0.0), (0.0, 0.0)))))
-    return frozen, fixed, rest
+    return h_terms, delta_terms, fixed, rest
 
 
-def _h_delta_entries(frozen, h: float, delta: float):
-    """The entries of (F, DF, D2F) that depend on h or delta, written here
-    only: F0, F1, f_x, g_y and f_xx at (h, delta), from the ``frozen``
-    terms of ``_frozen_jet``."""
-    x, y, c, cx, cx2, cx3, f0, ey_mx, f_x0, g_y0, f_xx0 = frozen
+def _h_entries(h_terms, h: float):
+    """The entries of (F, DF, D2F) that depend on h, written here only: F0,
+    f_x and f_xx at h, from the ``h_terms`` of ``_frozen_jet``."""
+    x, c, cx, cx2, cx3, f0, f_x0, f_xx0 = h_terms
     hc = h * c
-    return (f0 - h * x / cx, y * (delta - ey_mx), f_x0 - hc / cx2, delta - g_y0,
-            f_xx0 + 2.0 * hc / cx3)
+    return f0 - h * x / cx, f_x0 - hc / cx2, f_xx0 + 2.0 * hc / cx3
+
+
+def _delta_entries(delta_terms, delta: float):
+    """The entries of (F, DF, D2F) that depend on delta, written here only:
+    F1 and g_y at delta, from the ``delta_terms`` of ``_frozen_jet``."""
+    y, ey_mx, g_y0 = delta_terms
+    return y * (delta - ey_mx), delta - g_y0
 
 
 def solve2(m00, m01, m10, m11, r):

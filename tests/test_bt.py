@@ -9,7 +9,6 @@ import pytest
 from predbif import bt, model
 from predbif.bt import (
     _ab_coeffs,
-    _chain_mu,
     beta_map,
     bifurcation_curves,
     bt_candidate_x,
@@ -17,7 +16,7 @@ from predbif.bt import (
     normal_form,
 )
 from predbif.equilibria import Equilibrium, hopf_curve_point
-from predbif.errors import NoCandidate
+from predbif.errors import DegenerateBT, NoCandidate
 from predbif.model import ModelParams, State, jacobian, jet, rhs, solve2
 from predbif.stability import classify_generic
 
@@ -314,25 +313,26 @@ class TestCurves:
     def test_origin_samples_do_not_depend_on_the_sign_of_rounding(self, nf, monkeypatch):
         # beta2 = 0 at lambda = 0 in theory; rounding noise of either sign
         # there must keep the lambda1 = 0 samples of H and P
-        exact = bt.beta_map
+        exact = bt._beta_at
         calls = {"shifted": 0, "entries": 0}
 
-        def shifted(nf, lambda1, lambda2):
+        def shifted(terms, lambda1, lambda2):
             calls["shifted"] += 1
-            b1, b2 = exact(nf, lambda1, lambda2)
+            b1, b2 = exact(terms, lambda1, lambda2)
             return b1, b2 + 3e-15
 
-        # every beta evaluation, through jet or not, computes the lambda-
-        # dependent jet entries once: all of them must pass the shifted map
-        entries = model._h_delta_entries
+        # every beta evaluation, through jet or not, computes the delta-
+        # dependent jet entries once: all of them must pass the shifted
+        # lambda2 stage of the rows
+        entries = model._delta_entries
 
         def counted(*args):
             calls["entries"] += 1
             return entries(*args)
 
-        monkeypatch.setattr(bt, "beta_map", shifted)
-        monkeypatch.setattr(bt, "_h_delta_entries", counted)
-        monkeypatch.setattr(model, "_h_delta_entries", counted)
+        monkeypatch.setattr(bt, "_beta_at", shifted)
+        monkeypatch.setattr(bt, "_delta_entries", counted)
+        monkeypatch.setattr(model, "_delta_entries", counted)
         cs = bifurcation_curves(nf, (0.0, 5e-5, -5e-5, 5e-5), n=11)
         assert calls["shifted"] > 0
         assert calls["entries"] == calls["shifted"]
@@ -415,9 +415,31 @@ BT_EXAMPLE_BOX = (0.0, 1e-4, -1e-4, 1e-4)  # the curves box of configs/bt_exampl
 TEST_BOX = (0.0, 5e-5, -5e-5, 5e-5)  # the box of TestCurves
 
 
+def _chain_mu(a00, a10, a20, a11, a02, b00, b10, b01, b20, b11, b02):
+    """(mu1, mu2, A, B) from the coefficient chain at finite lambda; a01
+    does not enter."""
+    g00 = b00
+    g10 = b10 + a11 * b00 - b11 * a00
+    g01 = b01 + a10 + a02 * b00 - (a11 + b02) * a00
+    g20 = b20
+    g11 = a20 + b11
+    g02 = b02 + 2.0 * a11
+    if g11 == 0:
+        raise DegenerateBT("g11(lambda) = 0 in the parameter shift", condition="BT.1")
+    shift = -g01 / g11
+    h00 = g00 + g10 * shift + 0.5 * g20 * shift**2
+    h10 = g10 + g20 * shift
+    h20, h11, h02 = g20, g11, g02
+    mu1 = h00
+    mu2 = h10 - 0.5 * h00 * h02
+    A = 0.5 * (h20 - h10 * h02)
+    B = h11
+    return mu1, mu2, A, B
+
+
 def _reference_beta(nf, lambda1, lambda2):
-    """beta through the full jet: ``_ab_coeffs``, ``_chain_mu`` and the
-    beta formula of ``beta_map``."""
+    """beta through the full jet: ``_ab_coeffs``, the coefficient chain
+    and the beta formula of ``beta_map``."""
     coeffs = _ab_coeffs(nf.params, nf.point, (nf.v0, nf.v1, nf.w0, nf.w1), (lambda1, lambda2))
     del coeffs["a01"]
     mu1, mu2, A, B = _chain_mu(**coeffs)
@@ -500,6 +522,8 @@ def curve_cases(nf):
 
 class TestFrozenBetaMap:
     def test_beta_map_equals_the_jet_chain_bit_for_bit(self, curve_cases):
+        # through beta_map (a fresh row per point) and through a row that
+        # already holds the box's lambda2 ends and 0 in its memo
         rng = np.random.default_rng(11)
         checked = 0
         for nf_k, (l1_min, l1_max, l2_min, l2_max), _ in curve_cases:
@@ -507,11 +531,29 @@ class TestFrozenBetaMap:
                     (l1_max, l2_max)]
             lams += [(float(rng.uniform(l1_min, l1_max)), float(rng.uniform(l2_min, l2_max)))
                      for _ in range(80)]
+            rows = {}
             for lam in lams:
-                got, want = beta_map(nf_k, *lam), _reference_beta(nf_k, *lam)
-                assert [v.hex() for v in got] == [v.hex() for v in want], lam
+                want = [v.hex() for v in _reference_beta(nf_k, *lam)]
+                assert [v.hex() for v in beta_map(nf_k, *lam)] == want, lam
+                row = rows.get(lam[0])
+                if row is None:
+                    row = rows[lam[0]] = bt._beta_row(nf_k, lam[0])
+                    row(l2_min), row(l2_max), row(0.0)
+                for _ in range(2):  # evaluated, then memoized
+                    assert [v.hex() for v in row(lam[1])] == want, lam
                 checked += 1
         assert checked >= 1000
+
+    def test_curve_betas_equal_the_jet_chain_bit_for_bit(self, curve_cases):
+        # the (beta1, beta2) bt-curves reports next to each sample
+        for nf_k, box, n in curve_cases:
+            cs = bifurcation_curves(nf_k, box, n)
+            for name in "THP":
+                pts = getattr(cs, name)
+                assert len(cs.beta[name]) == len(pts) > 0
+                for lam, b in zip(pts, cs.beta[name]):
+                    want = _reference_beta(nf_k, *lam)
+                    assert [v.hex() for v in b] == [v.hex() for v in want], (name, lam)
 
     def test_samples_equal_the_fixed_80_step_bisection(self, curve_cases):
         for nf_k, box, n in curve_cases:
@@ -536,27 +578,29 @@ class TestFrozenBetaMap:
         assert (cs.T, cs.H, cs.P) == ([], [], [])
 
     def test_curve_sampling_counts(self, nf, monkeypatch):
-        # deterministic counts for bt_example at n = 25: no full jet, and
-        # the bisection stops once an interval halving changes nothing
-        # (the fixed 80 steps took 6225 beta evaluations; the bound is the
-        # exact count at bt_locate's point, and moves with its last bits)
-        calls = {"jet": 0, "beta_map": 0}
-        exact_jet, exact_beta = model.jet, bt.beta_map
+        # deterministic counts for bt_example at n = 25: no full jet, no
+        # (lambda1, lambda2) evaluated twice, and the bisection stops once an
+        # interval halving changes nothing (the fixed 80 steps took 6225 beta
+        # evaluations; 3152 distinct ones remain at bt_locate's point)
+        calls = {"jet": 0}
+        evaluated = []
+        exact_jet, exact_beta = model.jet, bt._beta_at
 
         def counted_jet(*args, **kwargs):
             calls["jet"] += 1
             return exact_jet(*args, **kwargs)
 
-        def counted_beta(*args):
-            calls["beta_map"] += 1
-            return exact_beta(*args)
+        def counted_beta(terms, lambda1, lambda2):
+            evaluated.append((lambda1, lambda2))
+            return exact_beta(terms, lambda1, lambda2)
 
         monkeypatch.setattr(model, "jet", counted_jet)
         monkeypatch.setattr(bt, "jet", counted_jet)
-        monkeypatch.setattr(bt, "beta_map", counted_beta)
+        monkeypatch.setattr(bt, "_beta_at", counted_beta)
         bifurcation_curves(nf, BT_EXAMPLE_BOX, 25)
         assert calls["jet"] == 0
-        assert 0 < calls["beta_map"] <= 4513
+        assert len(set(evaluated)) == len(evaluated)
+        assert 0 < len(evaluated) <= 3200
 
 
 class TestTrueUnfolding:

@@ -303,6 +303,23 @@ class TestStabilityCoefficient:
                 assert (l1 > 0) == (verdict == "Repelling"), (p, eq)
         assert decided >= 4
 
+    @pytest.mark.parametrize("h, x_hopf", [(0.1, 0.81857), (0.15, 0.77075)])
+    def test_printed_verdict_disagrees_with_l1(self, h, x_hopf):
+        # two Hopf points of FAMILIES[0], each just below a fold of its
+        # branch, where the printed l calls the cycle stable while l1 > 0
+        # says it repels; the rotation-frame oracle sides with l1
+        base = ModelParams(a=2.0, b=-2.82, c=0.05, h=h, delta=1.0, eta=0.1, m=0.8)
+        delta = _on_equilibrium_curve(base, x_hopf)[0].delta
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PrintedFormulaMismatch)
+            (hd,) = hopf_scan(base.with_(delta=0.99 * delta), (0.99 * delta, 1.0003 * delta),
+                              n_samples=20, eq_branch=3)
+        assert hd.equilibrium.x == pytest.approx(x_hopf, abs=1e-5)
+        assert hd.cycle_verdict == "StablePerFormula" and hd.l > 0
+        assert hd.l1 > 0
+        field, omega, _ = rotation_frame_field(base.with_(delta=hd.delta_H), hd.equilibrium)
+        assert gh_coefficient(field, omega, 1e-4) > 0
+
     def test_verdicts_consistent_with_observed_cycle(self, hopf_point):
         # the cycle born on this branch is unstable (subcritical Hopf)
         assert hopf_point.cycle_verdict == "RepellingPerFormula"
