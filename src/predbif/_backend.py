@@ -1,6 +1,6 @@
 """Kernel backend selection: compiled extension when available, pure Python
-otherwise.  ``PREDBIF_FORCE_PY=1`` forces the fallback (useful for the
-benchmark and for debugging)."""
+otherwise.  ``PREDBIF_FORCE_PY=1`` forces the fallback, e.g. to run the
+Python kernel where the extension is built; both give the same bits."""
 
 from __future__ import annotations
 

@@ -337,12 +337,11 @@ def cmd_bt_curves(cfg, params, fmt, *, lambda1_min, lambda1_max, lambda2_min, la
 
 def cmd_simulate(cfg, params, fmt, *, x0, y0, t_end, tol):
     traj = simmod.integrate(params, State(x0, y0), t_end, tol, on_failure="keep")
-    rows = [[float(t), float(s[0]), float(s[1])]
-            for t, s in zip(traj.times, traj.states)]
+    states = traj.states.tolist()
+    rows = [[t, x, y] for t, (x, y) in zip(traj.times.tolist(), states)]
     jobs = [("csv", "simulate", ["t", "x", "y"], rows)]
     if fmt == "svg":
-        pts = [(float(s[0]), float(s[1])) for s in traj.states]
-        jobs.append(("svg", "simulate", [("black", pts)], ("x", "y")))
+        jobs.append(("svg", "simulate", [("black", states)], ("x", "y")))
     elif fmt == "json":
         results = {
             "tol": tol,

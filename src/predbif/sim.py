@@ -151,17 +151,16 @@ def _hermite(s, v0, v1, d0, d1, dt):
 def _section_crossings(traj: Trajectory, xc: float, yc: float):
     """Times and radii of crossings of the half-line {y = yc, x > xc},
     refined by cubic Hermite interpolation inside the step."""
-    t = traj.times
-    x = traj.states[:, 0]
-    y = traj.states[:, 1]
-    dx = traj.derivs[:, 0]
-    dy = traj.derivs[:, 1]
-    g = y - yc
+    t = traj.times.tolist()
+    x, y = traj.states.T.tolist()
+    dx, dy = traj.derivs.T.tolist()
+    g = traj.states[:, 1] - yc
+    steps = np.nonzero(g[:-1] * g[1:] < 0)[0].tolist()
     out = []
-    for i in np.nonzero(g[:-1] * g[1:] < 0)[0]:
+    for i in steps:
         dt = t[i + 1] - t[i]
         lo, hi = 0.0, 1.0
-        glo = g[i]
+        glo = y[i] - yc
         for _ in range(60):
             mid = 0.5 * (lo + hi)
             gm = _hermite(mid, y[i], y[i + 1], dy[i], dy[i + 1], dt) - yc

@@ -183,6 +183,28 @@ class TestInterior:
                 assert abs(got.x - e.x) <= 1e-14 * (1.0 + e.x), (e, offset)
                 assert abs(got.y - e.y) <= 1e-14 * (1.0 + e.y), (e, offset)
 
+    def test_root_just_above_zero_near_the_diagonal(self):
+        # |h - c| ~ 9e-7: the quartic's smallest positive root, x ~ 9.84e-7,
+        # is a true interior equilibrium; the unfiltered sign-scan oracle
+        # and numpy.roots both find it next to the one at x ~ 0.369
+        p = ModelParams(a=2.0, b=-2.82, c=0.05702201099186123, h=0.05702292657006363,
+                        delta=0.025757750772824523, eta=0.10038800816442833,
+                        m=0.8437472618082063)
+        eqs = interior_equilibria(p)
+        oracle = interior_roots_oracle(p, 1.2, 400_000)
+        q = quartic_coeffs(p)
+        np_roots = sorted(r.real for r in np.roots([1.0, q.A, q.B, q.C, q.D])
+                          if r.imag == 0.0 and r.real > 0.0)
+        assert len(eqs) == len(oracle) == len(np_roots) == 2
+        for e, xo, xn in zip(eqs, oracle, np_roots):
+            assert e.x == pytest.approx(xo, rel=1e-9)
+            assert e.x == pytest.approx(xn, rel=1e-9)
+            assert e.y == pytest.approx(p.delta * (p.m + e.x) / p.eta, rel=1e-12)
+            f = rhs(p, State(e.x, e.y))
+            assert max(abs(f[0]), abs(f[1])) < 1e-12
+        assert 9.8e-7 < eqs[0].x < 9.9e-7
+        assert 0.3693 < eqs[1].x < 0.3694
+
     def test_all_equilibria_is_union(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

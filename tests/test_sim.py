@@ -1,4 +1,6 @@
 import importlib.util
+import math
+import random
 import re
 import shlex
 import shutil
@@ -12,11 +14,20 @@ import numpy as np
 import pytest
 
 import predbif
+from predbif import _rk_py
+from predbif._rk_py import (
+    ESCAPE_RADIUS,
+    _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54,
+    _A61, _A62, _A63, _A64, _A65, _B1, _B3, _B4, _B5, _B6,
+    _E1, _E3, _E4, _E5, _E6, _E7,
+)
 from predbif.equilibria import Equilibrium, interior_equilibria
 from predbif.errors import DomainError, StepFailure
 from predbif.model import ModelParams, State, jacobian
 from predbif.sim import (
     Trajectory,
+    _hermite,
+    _section_crossings,
     bound_check,
     detect_limit_cycle,
     integrate,
@@ -120,18 +131,164 @@ def _compiled_kernel(tmp_path):
     return module
 
 
+#: (a, b, c, h, delta, eta, m) of the two shipped families
+FAMILIES = [(p.a, p.b, p.c, p.h, p.delta, p.eta, p.m) for p in (BASE, ALT)]
+KERNEL_TOLS = (1e-6, 1e-9, 1e-12)
+
+
+def _kernel_cases():
+    """Seeded integrate_kernel inputs: 200 interior starts per family with
+    h and delta each moved by up to 10%, and per family and tolerance a
+    start on the x = 0 axis, one on the y = 0 axis, a backward run, a
+    negative-x0 escape (status 2) and a run that exhausts max_steps
+    (status 1)."""
+    rng = random.Random(1)
+    special = [(0.0, 0.7, 50.0, 10_000_000), (0.5, 0.0, 50.0, 10_000_000),
+               (0.5, 0.5, -5.0, 10_000_000), (-2.0, 0.5, 50.0, 10_000_000),
+               (0.5, 0.5, 1000.0, 50)]
+    cases = []
+    for a, b, c, h, delta, eta, m in FAMILIES:
+        for k in range(200):
+            tol = KERNEL_TOLS[k % 3]
+            cases.append((a, b, c, h * rng.uniform(0.9, 1.1), delta * rng.uniform(0.9, 1.1),
+                          eta, m, rng.uniform(0.05, 1.5), rng.uniform(0.05, 1.5), 0.0,
+                          rng.uniform(20.0, 100.0), tol, tol, 10_000_000))
+        for tol in KERNEL_TOLS:
+            cases += [(a, b, c, h, delta, eta, m, x0, y0, 0.0, t_end, tol, tol, max_steps)
+                      for x0, y0, t_end, max_steps in special]
+    return cases
+
+
+def _bits(out):
+    """The kernel's five lists as float.hex strings, and its status."""
+    return [[v.hex() for v in values] for values in out[:5]], out[5]
+
+
+def _reference_rhs(a, b, c, h, delta, eta, m, x, y, x_axis, y_axis):
+    if x_axis:
+        dx = 0.0
+    else:
+        p = a * x * x + b * x + 1.0
+        dx = x * (1.0 - x) - x * x * y / p - h * x / (c + x)
+    if y_axis:
+        dy = 0.0
+    else:
+        dy = y * (delta - eta * y / (m + x))
+    return dx, dy
+
+
+def _reference_kernel(a, b, c, h_par, delta, eta, m,
+                      x0, y0, t0, t_end, rtol, atol, max_steps):
+    """_rk_py.integrate_kernel as it was written with a field function
+    called at every stage, with the error norm squared by products as in
+    _rk_cy.pyx."""
+    direction = 1.0 if t_end >= t0 else -1.0
+    span = abs(t_end - t0)
+    x_axis = x0 == 0.0
+    y_axis = y0 == 0.0
+
+    t = t0
+    x, y = x0, y0
+    fx, fy = _reference_rhs(a, b, c, h_par, delta, eta, m, x, y, x_axis, y_axis)
+    ts = [t]
+    xs = [x]
+    ys = [y]
+    dxs = [fx]
+    dys = [fy]
+
+    hstep = direction * min(1e-3, span if span > 0 else 1e-3)
+    hmin = 1e-14 * max(1.0, span)
+    err_prev = 1.0
+    status = 0
+    steps = 0
+
+    while (t - t_end) * direction < 0.0 and steps < max_steps:
+        steps += 1
+        if abs(hstep) > abs(t_end - t):
+            hstep = t_end - t
+
+        k1x, k1y = fx, fy
+        x2 = x + hstep * _A21 * k1x
+        y2 = y + hstep * _A21 * k1y
+        k2x, k2y = _reference_rhs(a, b, c, h_par, delta, eta, m, x2, y2, x_axis, y_axis)
+        x3 = x + hstep * (_A31 * k1x + _A32 * k2x)
+        y3 = y + hstep * (_A31 * k1y + _A32 * k2y)
+        k3x, k3y = _reference_rhs(a, b, c, h_par, delta, eta, m, x3, y3, x_axis, y_axis)
+        x4 = x + hstep * (_A41 * k1x + _A42 * k2x + _A43 * k3x)
+        y4 = y + hstep * (_A41 * k1y + _A42 * k2y + _A43 * k3y)
+        k4x, k4y = _reference_rhs(a, b, c, h_par, delta, eta, m, x4, y4, x_axis, y_axis)
+        x5 = x + hstep * (_A51 * k1x + _A52 * k2x + _A53 * k3x + _A54 * k4x)
+        y5 = y + hstep * (_A51 * k1y + _A52 * k2y + _A53 * k3y + _A54 * k4y)
+        k5x, k5y = _reference_rhs(a, b, c, h_par, delta, eta, m, x5, y5, x_axis, y_axis)
+        x6 = x + hstep * (_A61 * k1x + _A62 * k2x + _A63 * k3x + _A64 * k4x + _A65 * k5x)
+        y6 = y + hstep * (_A61 * k1y + _A62 * k2y + _A63 * k3y + _A64 * k4y + _A65 * k5y)
+        k6x, k6y = _reference_rhs(a, b, c, h_par, delta, eta, m, x6, y6, x_axis, y_axis)
+        xn = x + hstep * (_B1 * k1x + _B3 * k3x + _B4 * k4x + _B5 * k5x + _B6 * k6x)
+        yn = y + hstep * (_B1 * k1y + _B3 * k3y + _B4 * k4y + _B5 * k5y + _B6 * k6y)
+        k7x, k7y = _reference_rhs(a, b, c, h_par, delta, eta, m, xn, yn, x_axis, y_axis)
+
+        ex = hstep * (_E1 * k1x + _E3 * k3x + _E4 * k4x + _E5 * k5x + _E6 * k6x + _E7 * k7x)
+        ey = hstep * (_E1 * k1y + _E3 * k3y + _E4 * k4y + _E5 * k5y + _E6 * k6y + _E7 * k7y)
+        scx = atol + rtol * max(abs(x), abs(xn))
+        scy = atol + rtol * max(abs(y), abs(yn))
+        err = math.sqrt(0.5 * ((ex / scx) * (ex / scx) + (ey / scy) * (ey / scy)))
+
+        if err <= 1.0 or abs(hstep) <= hmin:
+            t = t + hstep
+            x, y = xn, yn
+            if x_axis:
+                x = 0.0
+            if y_axis:
+                y = 0.0
+            fx, fy = k7x, k7y
+            ts.append(t)
+            xs.append(x)
+            ys.append(y)
+            dxs.append(fx)
+            dys.append(fy)
+            if x * x + y * y > ESCAPE_RADIUS * ESCAPE_RADIUS:
+                status = 2
+                break
+            err_prev = max(err, 1e-10)
+
+        # PI controller
+        if err == 0.0:
+            fac = 5.0
+        else:
+            fac = 0.9 * err ** -0.14 * err_prev ** 0.08
+            fac = min(5.0, max(0.2, fac))
+        hstep = hstep * fac
+        if abs(hstep) < hmin:
+            if err > 1.0:
+                status = 1
+                break
+            hstep = math.copysign(hmin, direction)
+
+    if status == 0 and (t - t_end) * direction < 0.0:
+        status = 1  # ran out of steps
+    return ts, xs, ys, dxs, dys, status
+
+
 class TestBackends:
+    def test_case_set_covers_every_status_and_axis(self):
+        cases = _kernel_cases()
+        statuses = {_rk_py.integrate_kernel(*args)[5] for args in cases}
+        assert statuses == {0, 1, 2}
+        assert {args[12] for args in cases} == set(KERNEL_TOLS)
+        assert any(args[7] == 0.0 for args in cases)
+        assert any(args[8] == 0.0 for args in cases)
+        assert any(args[10] < args[9] for args in cases)
+
     def test_python_and_compiled_agree(self, tmp_path):
-        from predbif import _rk_py
+        # every list element and the status, bit for bit
         _rk_cy = _compiled_kernel(tmp_path)
-        args = (ALT.a, ALT.b, ALT.c, ALT.h, ALT.delta, ALT.eta, ALT.m,
-                0.5, 0.5, 0.0, 200.0, 1e-9, 1e-9, 10_000_000)
-        out_py = _rk_py.integrate_kernel(*args)
-        out_cy = _rk_cy.integrate_kernel(*args)
-        assert len(out_py[0]) == len(out_cy[0])
-        assert out_py[5] == out_cy[5]
-        assert np.max(np.abs(np.asarray(out_py[1]) - np.asarray(out_cy[1]))) < 1e-12
-        assert np.max(np.abs(np.asarray(out_py[2]) - np.asarray(out_cy[2]))) < 1e-12
+        for args in _kernel_cases():
+            want = _bits(_rk_cy.integrate_kernel(*args))
+            assert _bits(_rk_py.integrate_kernel(*args)) == want, args
+
+    def test_python_kernel_equals_reference(self):
+        for args in _kernel_cases():
+            assert _bits(_rk_py.integrate_kernel(*args)) == _bits(_reference_kernel(*args)), args
 
     def test_generated_c_quotes_its_pyx(self):
         # every '/* "predbif/_rk_cy.pyx":N' block of the generated C marks
@@ -214,6 +371,14 @@ class TestCycleProbe:
         gap = abs(loop.final.x - x_start.x) + abs(loop.final.y - x_start.y)
         assert gap < 1e-6
 
+    def test_probe_fields_are_floats(self):
+        p = BASE.with_(h=BASE.h + 0.02, delta=BASE.delta - 0.01284449222)
+        probe = detect_limit_cycle(p, _spiral_interior(p), probe_radius=1e-3, t_max=20000.0)
+        assert probe.found
+        assert type(probe.period) is float
+        assert type(probe.floquet_ratio) is float
+        assert probe.radii and all(type(r) is float for r in probe.radii)
+
     def test_stable_spiral_without_cycle(self):
         # far below the homoclinic curve the stable spiral has no nearby cycle
         p = BASE.with_(h=BASE.h + 0.02, delta=BASE.delta - 0.0132)
@@ -234,3 +399,46 @@ class TestCycleProbe:
     def test_non_interior_center_rejected(self):
         with pytest.raises(DomainError):
             detect_limit_cycle(BASE, Equilibrium(0.0, 0.0, "Origin"))
+
+
+def _numpy_section_crossings(traj, xc, yc):
+    """sim._section_crossings as it was written on numpy arrays and scalars."""
+    t = traj.times
+    x = traj.states[:, 0]
+    y = traj.states[:, 1]
+    dx = traj.derivs[:, 0]
+    dy = traj.derivs[:, 1]
+    g = y - yc
+    out = []
+    for i in np.nonzero(g[:-1] * g[1:] < 0)[0]:
+        dt = t[i + 1] - t[i]
+        lo, hi = 0.0, 1.0
+        glo = g[i]
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            gm = _hermite(mid, y[i], y[i + 1], dy[i], dy[i + 1], dt) - yc
+            if glo * gm <= 0:
+                hi = mid
+            else:
+                lo, glo = mid, gm
+        s = 0.5 * (lo + hi)
+        xs = _hermite(s, x[i], x[i + 1], dx[i], dx[i + 1], dt)
+        if xs > xc:
+            out.append((t[i] + s * dt, xs - xc))
+    return out
+
+
+class TestSectionCrossings:
+    @pytest.mark.parametrize("t_end", [2000.0, -2000.0, 1.0], ids=["forward", "backward", "none"])
+    def test_float_bisection_equals_numpy(self, t_end):
+        # the probe's trajectories around the subcritical focus; within
+        # t = 1 the seed does not reach its half-line again
+        p = BASE.with_(h=BASE.h + 0.02, delta=BASE.delta - 0.01284449222)
+        center = _spiral_interior(p)
+        traj = integrate(p, State(center.x + 1e-3, center.y), t_end, on_failure="keep")
+        got = _section_crossings(traj, center.x, center.y)
+        want = _numpy_section_crossings(traj, center.x, center.y)
+        assert [(float(t).hex(), float(r).hex()) for t, r in want] == \
+            [(t.hex(), r.hex()) for t, r in got]
+        assert all(type(t) is float and type(r) is float for t, r in got)
+        assert (len(got) >= 4) == (t_end != 1.0)
