@@ -1,24 +1,15 @@
-"""Kernel backend selection: compiled extension when available, pure Python
-otherwise.  ``PREDBIF_FORCE_PY=1`` forces the fallback, e.g. to run the
-Python kernel where the extension is built; both give the same bits."""
+"""Kernel backend selection: the compiled extension when it is built, the
+pure-Python twin otherwise; both give the same bits."""
 
 from __future__ import annotations
 
-import os
+try:
+    from . import _rk_cy as _kernel_mod  # type: ignore[attr-defined]
 
-if os.environ.get("PREDBIF_FORCE_PY") == "1":
+    BACKEND = "compiled"
+except ImportError:
     from . import _rk_py as _kernel_mod
 
     BACKEND = "python"
-else:
-    try:
-        from . import _rk_cy as _kernel_mod  # type: ignore[attr-defined]
-
-        BACKEND = "compiled"
-    except ImportError:
-        from . import _rk_py as _kernel_mod
-
-        BACKEND = "python"
 
 integrate_kernel = _kernel_mod.integrate_kernel
-ESCAPE_RADIUS = 1.0e3

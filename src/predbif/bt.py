@@ -9,7 +9,9 @@ bifurcation curves.
 The coefficient chain projects ``model.jet`` at the frozen BT point, with
 (h, delta) shifted by lambda, onto the generalized eigenbasis; the
 lambda-partials of the coefficients project the jet's exact h- and
-delta-partials, and are cross-checked against their published closed forms.
+delta-partials.  The paper's printed closed forms for those partials and
+for the a*eta = 1 point live in ``tests/test_bt.py`` as transcriptions,
+each held equal to the computed value there.
 ``beta_map`` runs the same projection on terms precomputed at the BT point
 in two stages: a row per lambda1 evaluates the jet entries that depend on h
 and every coefficient they alone determine, and the row's lambda2 stage
@@ -21,11 +23,10 @@ sample, memoized by lambda2.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field, replace
 
 from .equilibria import hopf_curve_point
-from .errors import DegenerateBT, NoCandidate, PrintedFormulaMismatch
+from .errors import DegenerateBT, NoCandidate
 from .model import (ModelParams, _delta_entries, _frozen_jet, _h_entries, jet, linspace,
                     validate)
 
@@ -63,7 +64,6 @@ class BTNormalForm:
     s: int
     beta_jacobian: tuple  # d(beta1, beta2)/d(lambda1, lambda2) at 0, as float rows
     nondegeneracy: dict = field(default_factory=dict)  # BT.1/BT.2/BT.3 -> bool
-    diagnostics: list = field(default_factory=list)
     _frozen: tuple = field(default=(), repr=False, compare=False)  # see _freeze
 
 
@@ -102,29 +102,6 @@ def bt_candidate_x(a: float, b: float, eta: float) -> list[tuple[float, str]]:
     return [(x3, "EtaAgt1-x3"), (x4, "EtaAgt1-x4")]
 
 
-def _printed_h1_delta1(params: ModelParams) -> tuple[float, float]:
-    """Published closed forms for the critical pair in the a*eta = 1 case
-    (cross-check only; the linear-system solve is authoritative)."""
-    b, c, eta, m = params.b, params.c, params.eta, params.m
-    delta1 = -(b * c - b - 2.0) / (
-        b
-        * (
-            b**4 * c * eta * m
-            - b**3 * c * eta
-            - b**3 * eta * m
-            - b**2 * c * m
-            + b**2 * eta
-            + 1.0
-        )
-    )
-    h1 = (
-        (b**3 * eta + b**2 * eta + b * delta1 - b - 2.0)
-        * (b * c - 1.0) ** 2
-        / (b**3 * (b**2 * c * eta - b * eta - c))
-    )
-    return h1, delta1
-
-
 def bt_locate(params: ModelParams) -> list[BTPoint]:
     """All Bogdanov-Takens points for the given (a, b, c, eta, m); the h and
     delta fields of ``params`` are treated as free parameters.
@@ -147,15 +124,6 @@ def bt_locate(params: ModelParams) -> list[BTPoint]:
         if max(abs(f[0]), abs(f[1])) >= BT_RESIDUAL_TOL or abs(tr) >= BT_RESIDUAL_TOL \
                 or abs(det) >= BT_RESIDUAL_TOL:
             continue
-        if tag == "EtaAeq1":
-            h1, d1 = _printed_h1_delta1(params)
-            if abs(h1 - h) > 1e-6 * (1.0 + abs(h)) or abs(d1 - delta) > 1e-6 * (1.0 + abs(delta)):
-                warnings.warn(
-                    f"reference a*eta=1 closed forms (h1={h1}, delta1={d1}) disagree with "
-                    f"the equilibrium-equation solve (h={h}, delta={delta})",
-                    PrintedFormulaMismatch,
-                    stacklevel=2,
-                )
         points.append(BTPoint(x, y, h, delta, tag))
     points.sort(key=lambda p: p.x)
     return points
@@ -230,7 +198,6 @@ def normal_form(params: ModelParams, bt_point: BTPoint) -> BTNormalForm:
     A0 = 0.5 * g20_0
     B0 = g11_0
 
-    diagnostics: list[str] = []
     scale0 = max(abs(c0[k]) for k in ("a20", "b11", "b20"))
     bt1 = abs(g11_0) > NONDEGENERACY_TOL * (1.0 + scale0)
     bt2 = abs(g20_0) > NONDEGENERACY_TOL * (1.0 + scale0)
@@ -258,26 +225,6 @@ def normal_form(params: ModelParams, bt_point: BTPoint) -> BTNormalForm:
     if not bt3:
         raise DegenerateBT(f"BT.3 failed: det(dbeta/dlambda) = {det_bj}", condition="BT.3")
 
-    # cross-check reference lambda-linear coefficient forms
-    x1, y1, ch, dlt, e = bt_point.x, bt_point.y, params.c, bt_point.delta_bt, params.eta
-    printed = {
-        "a00": ((dlt - 1.0) * x1 / ((ch + x1) * e), y1),
-        "a10": ((dlt - 1.0) * ch / (ch + x1) ** 2, dlt),
-        "a01": ((dlt - 1.0) * ch / (ch + x1) ** 2, dlt - 1.0),
-        "b00": (-dlt * x1 / (e * (ch + x1)), -y1),
-        "b10": (-ch * dlt / (ch + x1) ** 2, -dlt),
-        "b01": (-ch * dlt / (ch + x1) ** 2, -(dlt - 1.0)),
-    }
-    for key, pv in printed.items():
-        cv = (ph[key], pd[key])
-        if max(abs(pv[0] - cv[0]), abs(pv[1] - cv[1])) > 1e-4 * (1.0 + max(map(abs, cv))):
-            diagnostics.append(f"printed d{key} = {pv} vs computed {cv}")
-            warnings.warn(
-                f"reference lambda-partial d{key} disagrees with the analytic value",
-                PrintedFormulaMismatch,
-                stacklevel=2,
-            )
-
     s = 1 if g20_0 * g11_0 > 0 else -1
     return BTNormalForm(
         point=bt_point,
@@ -287,7 +234,6 @@ def normal_form(params: ModelParams, bt_point: BTPoint) -> BTNormalForm:
         A0=A0, B0=B0, s=s,
         beta_jacobian=beta_jac,
         nondegeneracy={"BT.1": bt1, "BT.2": bt2, "BT.3": bt3},
-        diagnostics=diagnostics,
         _frozen=_freeze(pbt, bt_point, basis, A0),
     )
 

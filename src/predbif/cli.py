@@ -236,14 +236,12 @@ def _eq_dict(e: equilibria.Equilibrium) -> dict:
 def cmd_equilibria(cfg, params, fmt):
     region = equilibria.classify_region(params.h, params.c)
     eqs = equilibria.all_equilibria(params)
-    equilibria.check_printed_quartic(params)
     results = {"region": region.tag, "equilibria": [_eq_dict(e) for e in eqs]}
     return [("json", "equilibria", results)]
 
 
 def cmd_stability(cfg, params, fmt):
     eqs = equilibria.all_equilibria(params)
-    equilibria.check_printed_quartic(params)
     rows = []
     for e in eqs:
         rep = stability.classify_generic(params, e)
@@ -268,7 +266,6 @@ def cmd_hopf(cfg, params, fmt, *, delta_min, delta_max, n_samples, branch):
             "delta_H": hd.delta_H,
             "omega": hd.omega,
             "det": hd.det,
-            "l_printed": hd.l,
             "l1": hd.l1,
             "transversality": hd.transversality,
             "transversality_branch": hd.transversality_branch,
@@ -307,7 +304,6 @@ def cmd_bt_normal_form(cfg, params, fmt):
                 "beta_jacobian": nf.beta_jacobian,
                 "det_beta_jacobian": j00 * j11 - j01 * j10,
                 "nondegeneracy": nf.nondegeneracy,
-                "notes": nf.diagnostics,
             }
         )
     return [("json", "bt-normal-form", {"normal_forms": results})]

@@ -3,9 +3,9 @@ taxonomy that governs which closed-form solver applies.
 
 Interior equilibria are abscissas of a monic quartic whose coefficients
 come from the denominator-cleared expansion of the isocline intersection.
-The printed coefficient table is kept as a transcription only: reports
-compare it with the expansion once (``check_printed_quartic``) and surface a
-disagreement as a PrintedFormulaMismatch warning; the solve never reads it.
+The paper's printed coefficient table differs from it in A (delta/eta
+where the expansion gives delta/(a*eta)); it is kept as a transcription in
+``tests/test_equilibria.py``, which holds B, C and D equal to the expansion.
 
 The equilibrium curves are parametrized here by the abscissa x: the
 interior branch at fixed h that ``hopf.hopf_scan`` follows, and the Hopf
@@ -16,14 +16,13 @@ Bogdanov-Takens points.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import polyroots
-from .errors import DomainError, PrintedFormulaMismatch, SingularSolve
+from .errors import DomainError, SingularSolve
 from .model import EQUILIBRIUM_TOL, ModelParams, State, holling_denominator, jet, rhs, solve2
 
 #: |h - c| below this (relative) threshold counts as the K2 diagonal.
@@ -31,8 +30,6 @@ K2_EQUALITY_TOL = 1e-10
 
 #: quartic roots must exceed this to count as positive abscissas.
 POSITIVITY_TOL = 1e-10
-
-COEFF_MISMATCH_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -53,9 +50,6 @@ class QuarticCoeffs:
     B: float
     C: float
     D: float
-
-    def as_list(self) -> list[float]:
-        return [self.A, self.B, self.C, self.D]
 
 
 @dataclass(frozen=True)
@@ -121,38 +115,6 @@ def quartic_coeffs(params: ModelParams) -> QuarticCoeffs:
         C=(delta * c * m - eta * (b * (c - h) + 1.0 - c)) / ae,
         D=(h - c) / a,
     )
-
-
-def _printed_quartic(params: ModelParams) -> QuarticCoeffs:
-    a, b, c, h = params.a, params.b, params.c, params.h
-    delta, eta, m = params.delta, params.eta, params.m
-    return QuarticCoeffs(
-        A=(c - 1.0) + b / a + delta / eta,
-        B=(h - c) + (b / a) * (c - 1.0) + delta * (c + m) / (a * eta) + 1.0 / a,
-        C=(b / a) * (h - c) + (c - 1.0) / a + c * delta * m / (a * eta),
-        D=(h - c) / a,
-    )
-
-
-def check_printed_quartic(params: ModelParams) -> None:
-    """Warn PrintedFormulaMismatch when the transcribed coefficient table
-    disagrees with ``quartic_coeffs`` (its A carries delta/eta where the
-    expansion gives delta/(a*eta)); the derived coefficients are the ones
-    solved."""
-    derived = quartic_coeffs(params)
-    printed = _printed_quartic(params)
-    bad = [
-        name
-        for name, pv, dv in zip("ABCD", printed.as_list(), derived.as_list())
-        if abs(pv - dv) > COEFF_MISMATCH_TOL * (1.0 + abs(dv))
-    ]
-    if bad:
-        warnings.warn(
-            f"printed quartic coefficients {bad} disagree with the "
-            f"cleared-denominator expansion (printed={printed}, derived={derived})",
-            PrintedFormulaMismatch,
-            stacklevel=2,
-        )
 
 
 def isocline_y(params: ModelParams, x: float) -> float:

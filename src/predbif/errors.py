@@ -60,8 +60,3 @@ class NotPresent(PredbifError):
 class StepFailure(PredbifError):
     """The adaptive integrator hit the minimum step size."""
 
-
-class PrintedFormulaMismatch(UserWarning):
-    """A transcribed closed-form coefficient disagrees with its independent
-    derivation (numerically differentiated field or cleared-denominator
-    expansion) beyond tolerance; the derived value is used."""

@@ -1,23 +1,20 @@
 """Hopf bifurcation analysis: critical delta on an interior branch,
-transversality, and the cycle-stability coefficient.
+transversality, and the first Lyapunov coefficient.
 
-The coefficient is reported twice.  ``l1`` is the first Lyapunov
-coefficient (Kuznetsov, *Elements of Applied Bifurcation Theory*,
-section 3.5, eq. 3.20), computed from ``model.jet`` at the Hopf point with
-A = DF, B = D2F and C = D3F as multilinear forms:
+``l1`` is the first Lyapunov coefficient (Kuznetsov, *Elements of Applied
+Bifurcation Theory*, section 3.5, eq. 3.20), computed from ``model.jet``
+at the Hopf point with A = DF, B = D2F and C = D3F as multilinear forms:
 
     l1 = Re[<p, C(q,q,qbar)> - 2<p, B(q, A^-1 B(q,qbar))>
             + <p, B(qbar, (2 i omega - A)^-1 B(q,q))>] / (2 omega),
 
 where A q = i omega q, A^T p = -i omega p, <u, v> = conj(u) . v and the
 eigenvectors are normalized by <q, q> = 1 and <p, q> = 1.  l1 > 0 means
-the cycle born at the Hopf point repels, l1 < 0 that it attracts.  The
-transcribed closed form ``l`` uses its own frame and the opposite sign
-convention (stable iff l > 0); only the verdicts are comparable, and a
-disagreement beyond tolerance is surfaced as a PrintedFormulaMismatch
-warning, never silently reconciled.  The finite-difference stencil
-(Guckenheimer-Holmes 3.4.2 in a rotation frame) lives in the tests only,
-as the oracle for l1.
+the cycle born at the Hopf point repels, l1 < 0 that it attracts; the
+reported ``cycle_verdict`` is that sign.  The paper's printed closed form
+``l`` (its own frame, stable iff l > 0) and the finite-difference
+stencil (Guckenheimer-Holmes 3.4.2 in a rotation frame) live in
+``tests/test_hopf.py`` only, as a transcription and as the oracle for l1.
 """
 
 from __future__ import annotations
@@ -28,25 +25,21 @@ from dataclasses import dataclass
 
 from .equilibria import (Equilibrium, _CurvePoint, _on_curve, _zero_on_curve,
                          interior_equilibria, predator_free_x)
-from .errors import BranchLost, DomainError, NoHopf, PrintedFormulaMismatch
-from .model import ModelParams, State, jet, rhs, solve2, taylor_jet
+from .errors import BranchLost, DomainError, NoHopf
+from .model import ModelParams, State, jet, rhs, solve2
 
 #: |trace| at a reported Hopf point must fall below this
 TRACE_TOL = 1e-8
-
-#: relative printed-vs-l1 agreement expected for the coefficient
-L_AGREE_TOL = 1e-4
 
 
 @dataclass(frozen=True)
 class HopfData:
     delta_H: float
     omega: float
-    l: float  # printed closed form
     l1: float  # first Lyapunov coefficient, <q, q> = 1; > 0: the cycle repels
     transversality: float  # frozen point: identically -1
     transversality_branch: float  # d(trace)/d(delta) along the branch
-    cycle_verdict: str  # StablePerFormula | RepellingPerFormula (sign of l, printed convention)
+    cycle_verdict: str  # Repelling (l1 > 0) | Attracting
     equilibrium: Equilibrium
     det: float
 
@@ -97,16 +90,13 @@ def _dot(u, v) -> complex:
     return u[0].conjugate() * v[0] + u[1].conjugate() * v[1]
 
 
-def lyapunov_coefficient_l(params: ModelParams, eq: Equilibrium) -> tuple[float, float]:
-    """Cycle-stability coefficient at a Hopf point: (printed closed form l,
-    first Lyapunov coefficient l1).  Warns on disagreement beyond
-    L_AGREE_TOL relative; callers should treat l1 as authoritative."""
+def lyapunov_coefficient_l(params: ModelParams, eq: Equilibrium) -> float:
+    """First Lyapunov coefficient l1 at a Hopf point; l1 > 0: the cycle
+    repels."""
     _, ((a, b), (c, d)), D2F, D3F, _, _ = jet(params, eq.x, eq.y)
     det = a * d - b * c
     if det <= 0:
         raise DomainError(f"determinant must be positive at a Hopf point, got {det}")
-    if b == 0.0:
-        raise DomainError("alpha01 = 0: the printed coefficient is singular")
     omega = math.sqrt(det)
 
     # A q = i omega q with <q, q> = 1; A^T p = -i omega p with <p, q> = 1
@@ -118,50 +108,8 @@ def lyapunov_coefficient_l(params: ModelParams, eq: Equilibrium) -> tuple[float,
     p = (p[0] / pq, p[1] / pq)
     r1 = solve2(a, b, c, d, _form(D2F, q, qbar))
     r2 = solve2(complex(-a, 2.0 * omega), -b, -c, complex(-d, 2.0 * omega), _form(D2F, q, q))
-    l1 = (_dot(p, _form(D3F, q, q, qbar)) - 2.0 * _dot(p, _form(D2F, q, r1))
-          + _dot(p, _form(D2F, qbar, r2))).real / (2.0 * omega)
-
-    coef = taylor_jet(params, State(eq.x, eq.y))
-    delta = params.delta
-    a01 = coef.alpha01
-    a20, a11, a21 = coef.alpha20, coef.alpha11, coef.alpha21
-    b20, b11, b02 = coef.beta20, coef.beta11, coef.beta02
-    b30, b21, b12 = coef.beta30, coef.beta21, coef.beta12
-
-    l_printed = (
-        a21 * omega / (8.0 * a01)
-        + b12 * omega**2 / (8.0 * a01**2)
-        - 3.0 * b21 * delta / (8.0 * a01)
-        + 3.0 * b12 * delta**2 / (8.0 * a01**2)
-        + 3.0 * b30 / 8.0
-        + (1.0 / (16.0 * omega))
-        * (
-            (a11 * omega / a01) * (2.0 * a20 - 2.0 * a11 * delta / a01)
-            - (b11 * omega / a01 - 2.0 * b02 * delta * omega / a01**2)
-            * (
-                2.0 * b02 * omega**2 / a01**2
-                - 2.0 * b11 * delta / a01
-                + 2.0 * b20
-                + 2.0 * b02 * delta**2 / a01**2
-            )
-        )
-        + (1.0 / (16.0 * omega))
-        * (
-            (2.0 * a20 - 2.0 * a11 * delta / a01)
-            * (-2.0 * b11 * delta / a01 + 2.0 * b20 + 2.0 * b02 * delta**2 / a01**2)
-        )
-    )
-    if abs(l_printed - l1) > L_AGREE_TOL * (1.0 + abs(l1)):
-        warnings.warn(
-            f"transcribed stability coefficient {l_printed:.10g} disagrees "
-            f"with the first Lyapunov coefficient l1 = {l1:.10g} (the two "
-            f"differ in normalization and sign convention, so only stability "
-            f"verdicts are comparable); l1 is authoritative for the "
-            f"standard-convention verdict",
-            PrintedFormulaMismatch,
-            stacklevel=2,
-        )
-    return l_printed, l1
+    return (_dot(p, _form(D3F, q, q, qbar)) - 2.0 * _dot(p, _form(D2F, q, r1))
+            + _dot(p, _form(D2F, qbar, r2))).real / (2.0 * omega)
 
 
 def _hopf_data(params: ModelParams, pt: _CurvePoint) -> HopfData:
@@ -174,17 +122,14 @@ def _hopf_data(params: ModelParams, pt: _CurvePoint) -> HopfData:
     (fx, fy), _ = pt.jet[1]
     fxx, fxy = pt.jet[2][0][0]
     speed = (fxx - fxy * fx / fy) * fy * pt.y / pt.det - 1.0
-    l_printed, l1 = lyapunov_coefficient_l(p, eq)
-    # printed-formula sign under its own convention (stable iff l > 0)
-    verdict = "StablePerFormula" if l_printed > 0 else "RepellingPerFormula"
+    l1 = lyapunov_coefficient_l(p, eq)
     return HopfData(
         delta_H=pt.delta,
         omega=omega,
-        l=l_printed,
         l1=l1,
         transversality=transversality(p, eq),
         transversality_branch=speed,
-        cycle_verdict=verdict,
+        cycle_verdict="Repelling" if l1 > 0 else "Attracting",
         equilibrium=eq,
         det=pt.det,
     )

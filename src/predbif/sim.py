@@ -91,7 +91,8 @@ def integrate(params: ModelParams, x0: State, t_end: float,
     """Adaptive Dormand-Prince 5(4) trajectory from x0 over [t0, t_end].
 
     Coordinates that start exactly at 0 are held at 0 (axis invariance).
-    t_end < t0 integrates backward in time.
+    t_end < t0 integrates backward in time.  Raises DomainError for a start
+    with x0.x < 0, where the field leaves its domain (x = -c divides by 0).
     """
     validate(params)
     lo, hi = TOL_RANGE
@@ -99,6 +100,8 @@ def integrate(params: ModelParams, x0: State, t_end: float,
         raise DomainError(f"tol must lie in [{lo:g}, {hi:g}], got {tol}")
     if not (math.isfinite(x0.x) and math.isfinite(x0.y)):
         raise DomainError(f"initial state must be finite, got {x0}")
+    if x0.x < 0:
+        raise DomainError(f"initial prey density must be nonnegative, got x={x0.x}")
     traj = _raw_integrate(params, x0, t0, t_end, tol, max_steps)
     if traj.terminated == "StepFailure" and on_failure == "raise":
         raise StepFailure(

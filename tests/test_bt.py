@@ -9,6 +9,8 @@ import pytest
 from predbif import bt, model
 from predbif.bt import (
     _ab_coeffs,
+    _basis,
+    _project,
     beta_map,
     bifurcation_curves,
     bt_candidate_x,
@@ -16,8 +18,8 @@ from predbif.bt import (
     normal_form,
 )
 from predbif.equilibria import Equilibrium, hopf_curve_point
-from predbif.errors import DegenerateBT, NoCandidate
-from predbif.model import ModelParams, State, jacobian, jet, rhs, solve2
+from predbif.errors import DegenerateBT, NoCandidate, PredbifError
+from predbif.model import ModelParams, State, jacobian, jet, rhs, solve2, validate
 from predbif.stability import classify_generic
 
 BASE = ModelParams(a=2.0, b=-2.82, c=0.05, h=0.17, delta=0.03, eta=0.1, m=0.8)
@@ -126,10 +128,8 @@ class TestHopfCurvePoint:
 
     def test_locate_does_not_depend_on_h_and_delta(self):
         for params in (BASE, UNIT):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                found = [bt_locate(params.with_(h=h, delta=delta))
-                         for h, delta in ((0.17, 0.03), (0.5, 2.0), (1e-3, 1e-4))]
+            found = [bt_locate(params.with_(h=h, delta=delta))
+                     for h, delta in ((0.17, 0.03), (0.5, 2.0), (1e-3, 1e-4))]
             assert found[0]
             assert [repr(pts) for pts in found] == [repr(found[0])] * 3, params
 
@@ -152,9 +152,7 @@ class TestLocate:
 
     def test_unit_product_case_verified_by_residuals(self):
         p = ModelParams(a=10.0, b=-2.0, c=0.3, h=0.1, delta=0.1, eta=0.1, m=1.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            pts = bt_locate(p)
+        pts = bt_locate(p)
         for pt in pts:
             q = pt.params(p)
             f = rhs(q, State(pt.x, pt.y))
@@ -220,6 +218,78 @@ class TestNormalForm:
         # a and b scale alike with q0, so only their ratio is normalization-free
         assert a / b == pytest.approx(nf.A0 / nf.B0, rel=1e-12)
         assert np.sign(a * b) == nf.s
+
+
+# ---------------------------------------------------------------------------
+# the paper's printed closed forms, against the computed values
+
+
+def printed_h1_delta1(params):
+    """Transcription of the paper's critical pair (h1, delta1) for the
+    a*eta = 1 case, whose BT point sits at x = -1/b."""
+    b, c, eta, m = params.b, params.c, params.eta, params.m
+    delta1 = -(b * c - b - 2.0) / (
+        b * (b**4 * c * eta * m - b**3 * c * eta - b**3 * eta * m - b**2 * c * m
+             + b**2 * eta + 1.0))
+    h1 = ((b**3 * eta + b**2 * eta + b * delta1 - b - 2.0) * (b * c - 1.0) ** 2
+          / (b**3 * (b**2 * c * eta - b * eta - c)))
+    return h1, delta1
+
+
+def printed_lambda_partials(params, pt):
+    """Transcription of the paper's (d/dh, d/ddelta) of the six raw
+    coefficients a00, a10, a01, b00, b10, b01 at a BT point."""
+    x1, y1, c, dlt, eta = pt.x, pt.y, params.c, pt.delta_bt, params.eta
+    return {
+        "a00": ((dlt - 1.0) * x1 / ((c + x1) * eta), y1),
+        "a10": ((dlt - 1.0) * c / (c + x1) ** 2, dlt),
+        "a01": ((dlt - 1.0) * c / (c + x1) ** 2, dlt - 1.0),
+        "b00": (-dlt * x1 / (eta * (c + x1)), -y1),
+        "b10": (-c * dlt / (c + x1) ** 2, -dlt),
+        "b01": (-c * dlt / (c + x1) ** 2, -(dlt - 1.0)),
+    }
+
+
+def _seeded_bt_points(rng, n, unit_product):
+    """(params, BT point) pairs located on n seeded draws of (a, b, c, eta,
+    m), with a = 1/eta when ``unit_product``."""
+    out = []
+    for _ in range(n):
+        eta = float(rng.uniform(0.05, 0.5))
+        a = 1.0 / eta if unit_product else float(rng.uniform(0.5, 5.0))
+        b = float(rng.uniform(-1.95, -1.0)) * math.sqrt(a)
+        params = ModelParams(a=a, b=b, c=float(rng.uniform(0.02, 0.5)), h=0.1, delta=0.1,
+                             eta=eta, m=float(rng.uniform(0.1, 2.0)))
+        try:
+            out += [(params, pt) for pt in bt_locate(validate(params))]
+        except PredbifError:
+            continue
+    return out
+
+
+class TestTranscriptions:
+    def test_unit_product_pair_matches_locate(self):
+        points = _seeded_bt_points(np.random.default_rng(41), 200, unit_product=True)
+        assert len(points) >= 50
+        for params, pt in points:
+            assert pt.case_tag == "EtaAeq1"
+            h1, delta1 = printed_h1_delta1(params)
+            assert h1 == pytest.approx(pt.h_bt, rel=1e-12), params
+            assert delta1 == pytest.approx(pt.delta_bt, rel=1e-12), params
+
+    def test_lambda_partials_match_the_projected_jet(self, bt_point):
+        points = [(BASE, bt_point)]
+        points += _seeded_bt_points(np.random.default_rng(43), 200, unit_product=False)
+        assert len(points) >= 50
+        for params, pt in points:
+            basis = _basis(pt.delta_bt, params.eta)
+            by_h, by_delta = jet(pt.params(params), pt.x, pt.y)[4:]
+            ph, pd = _project(basis, *by_h), _project(basis, *by_delta)
+            for key, printed in printed_lambda_partials(params, pt).items():
+                computed = (ph[key], pd[key])
+                scale = 1.0 + max(map(abs, computed))
+                assert abs(printed[0] - computed[0]) <= 1e-13 * scale, (key, params)
+                assert abs(printed[1] - computed[1]) <= 1e-13 * scale, (key, params)
 
 
 def _ab_coeffs_matrix_form(nf, lam, op=np.asarray):

@@ -1,8 +1,17 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from predbif.cli import build_parser, parse_config, params_from_config, run, to_json
+from predbif.equilibria import isocline_y
+from predbif.model import ModelParams
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+#: the keys of one point of hopf.json
+HOPF_KEYS = {"delta_H", "omega", "det", "l1", "transversality", "transversality_branch",
+             "cycle_verdict", "equilibrium"}
 
 GOLD_KV = """\
 # worked-example parameters
@@ -212,9 +221,15 @@ class TestReports:
         assert kinds.count("PredatorFree") == 2
         assert "Origin" in kinds and "PreyExtinction" in kinds
         assert rep["versions"]["backend"] in ("compiled", "python")
-        # the quartic transcription diagnostic must surface in the report
-        assert any("coefficient" in d.lower() for d in rep["diagnostics"])
-        assert not any("np.float64(" in d for d in rep["diagnostics"])
+        # the printed quartic is a test-side transcription, not a report note
+        assert rep["diagnostics"] == []
+
+    @pytest.mark.parametrize("command", ["equilibria", "stability"])
+    def test_shipped_bt_example_has_no_diagnostics(self, command, tmp_path):
+        assert run([command, "--config", str(CONFIGS / "bt_example.cfg"),
+                    "--out", str(tmp_path)]) == 0
+        rep = json.loads((tmp_path / f"{command}.json").read_text())
+        assert rep["diagnostics"] == []
 
     def test_bt_locate_golden_values(self, bt_cfg, tmp_path):
         assert run(["bt-locate", "--config", bt_cfg, "--out", str(tmp_path)]) == 0
@@ -233,6 +248,8 @@ class TestReports:
         assert nf["s"] == 1
         assert nf["g11_0"] == pytest.approx(-0.5922764628, rel=1e-4)
         assert nf["nondegeneracy"] == {"BT.1": True, "BT.2": True, "BT.3": True}
+        assert "notes" not in nf
+        assert rep["diagnostics"] == []
 
     def test_hopf_report_keys(self, tmp_path):
         cfg = tmp_path / "h.cfg"
@@ -242,9 +259,29 @@ class TestReports:
         assert run(["hopf", "--config", str(cfg), "--out", str(tmp_path)]) == 0
         rep = json.loads((tmp_path / "hopf.json").read_text())
         (pt,) = rep["results"]["hopf_points"]
-        assert set(pt) == {"delta_H", "omega", "det", "l_printed", "l1", "transversality",
-                           "transversality_branch", "cycle_verdict", "equilibrium"}
+        assert set(pt) == HOPF_KEYS
+        assert pt["l1"] > 0 and pt["cycle_verdict"] == "Repelling"
+        assert rep["diagnostics"] == []
         assert "tol" not in rep["config"]
+
+    @pytest.mark.parametrize("h, x_hopf", [(0.1, 0.81857), (0.15, 0.77075)])
+    def test_hopf_verdict_follows_l1(self, h, x_hopf, tmp_path):
+        # two Hopf points just below a fold of their branch, where the
+        # paper's printed coefficient would call the cycle stable
+        base = ModelParams(a=2.0, b=-2.82, c=0.05, h=h, delta=1.0, eta=0.1, m=0.8)
+        delta = base.eta * isocline_y(base, x_hopf) / (base.m + x_hopf)
+        cfg = tmp_path / "h.cfg"
+        cfg.write_text("".join(f"params.{k} = {v!r}\n" for k, v in vars(base).items()
+                               if k != "delta")
+                       + f"params.delta = {0.99 * delta!r}\n"
+                       + f"hopf.delta_min = {0.99 * delta!r}\n"
+                       + f"hopf.delta_max = {1.0003 * delta!r}\n"
+                       + "hopf.n_samples = 20\nhopf.branch = 3\n")
+        assert run(["hopf", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        (pt,) = json.loads((tmp_path / "hopf.json").read_text())["results"]["hopf_points"]
+        assert set(pt) == HOPF_KEYS
+        assert pt["equilibrium"]["x"] == pytest.approx(x_hopf, abs=1e-5)
+        assert pt["l1"] > 0 and pt["cycle_verdict"] == "Repelling"
 
     def test_simulate_reports_its_tol(self, gold_cfg, tmp_path):
         assert run(["simulate", "--config", gold_cfg, "--out", str(tmp_path),

@@ -7,9 +7,9 @@ import pytest
 
 from predbif.cli import params_from_config, parse_config
 from predbif.equilibria import (
+    QuarticCoeffs,
     _polish_interior,
     all_equilibria,
-    check_printed_quartic,
     classify_region,
     interior_equilibria,
     interior_roots_oracle,
@@ -18,11 +18,25 @@ from predbif.equilibria import (
     quartic_coeffs,
     trivial_equilibria,
 )
-from predbif.errors import DomainError, PrintedFormulaMismatch
+from predbif.errors import DomainError
 from predbif.model import ModelParams, State, rhs
 
 GOLD = ModelParams(a=2.0, b=-2.82, c=0.05, h=0.1715598183,
                    delta=0.03070149222, eta=0.1, m=0.8)
+
+
+def printed_quartic(params: ModelParams) -> QuarticCoeffs:
+    """Transcription of the paper's coefficient table for the interior
+    quartic x^4 + A x^3 + B x^2 + C x + D; its A carries delta/eta where the
+    cleared-denominator expansion (``quartic_coeffs``) gives delta/(a*eta)."""
+    a, b, c, h = params.a, params.b, params.c, params.h
+    delta, eta, m = params.delta, params.eta, params.m
+    return QuarticCoeffs(
+        A=(c - 1.0) + b / a + delta / eta,
+        B=(h - c) + (b / a) * (c - 1.0) + delta * (c + m) / (a * eta) + 1.0 / a,
+        C=(b / a) * (h - c) + (c - 1.0) / a + c * delta * m / (a * eta),
+        D=(h - c) / a,
+    )
 
 
 class TestRegion:
@@ -93,12 +107,14 @@ class TestQuarticCoeffs:
             v = x**4 + q.A * x**3 + q.B * x**2 + q.C * x + q.D
             assert abs(v) < 1e-8
 
-    def test_transcription_mismatch_warns(self):
-        with pytest.warns(PrintedFormulaMismatch):
-            check_printed_quartic(GOLD)
+    def test_printed_a_differs_by_the_factor_a(self):
+        # the printed A is off by delta/eta - delta/(a*eta), far above rounding
+        derived, printed = quartic_coeffs(GOLD), printed_quartic(GOLD)
+        gap = GOLD.delta / GOLD.eta * (1.0 - 1.0 / GOLD.a)
+        assert abs(printed.A - derived.A) > 1e-7 * (1.0 + abs(derived.A))
+        assert printed.A - derived.A == pytest.approx(gap, rel=1e-12)
 
     def test_printed_b_c_d_agree(self):
-        from predbif.equilibria import _printed_quartic
         rng = np.random.default_rng(3)
         for _ in range(50):
             a = rng.uniform(0.2, 3.0)
@@ -106,7 +122,7 @@ class TestQuarticCoeffs:
                             c=rng.uniform(0.05, 1.5), h=rng.uniform(0.05, 1.5),
                             delta=rng.uniform(0.05, 1.5), eta=rng.uniform(0.05, 1.5),
                             m=rng.uniform(0.1, 2.0))
-            d, pr = quartic_coeffs(p), _printed_quartic(p)
+            d, pr = quartic_coeffs(p), printed_quartic(p)
             assert pr.B == pytest.approx(d.B, rel=1e-10)
             assert pr.C == pytest.approx(d.C, rel=1e-10)
             assert pr.D == pytest.approx(d.D, rel=1e-10)

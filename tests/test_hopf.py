@@ -7,7 +7,7 @@ import pytest
 
 from predbif import hopf, sim
 from predbif.equilibria import Equilibrium, interior_equilibria, isocline_y
-from predbif.errors import BranchLost, DomainError, NoHopf, PrintedFormulaMismatch
+from predbif.errors import BranchLost, DomainError, NoHopf
 from predbif.hopf import (
     frozen_trace,
     hopf_delta,
@@ -27,9 +27,7 @@ INTERVAL = (0.0177, 0.017863)
 
 @pytest.fixture(scope="module")
 def hopf_point():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return hopf_delta(SLICE, eq_branch=1, delta_interval=INTERVAL, n_samples=120)
+    return hopf_delta(SLICE, eq_branch=1, delta_interval=INTERVAL, n_samples=120)
 
 
 class TestHopfDelta:
@@ -59,20 +57,16 @@ class TestHopfDelta:
     def test_bt_point_is_not_hopf(self):
         # at the double-zero point trace = 0 but det = 0 too
         with pytest.raises((NoHopf, BranchLost)):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                hopf_delta(BASE, eq_branch=0,
-                           delta_interval=(BASE.delta - 1e-4, BASE.delta + 1e-4),
-                           n_samples=40)
+            hopf_delta(BASE, eq_branch=0,
+                       delta_interval=(BASE.delta - 1e-4, BASE.delta + 1e-4),
+                       n_samples=40)
 
     def test_no_branch_raises(self):
         with pytest.raises(NoHopf):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                # lambda2 = 0 slice: no interior equilibria at all
-                hopf_delta(SLICE, eq_branch=0,
-                           delta_interval=(BASE.delta - 1e-5, BASE.delta + 1e-5),
-                           n_samples=10)
+            # lambda2 = 0 slice: no interior equilibria at all
+            hopf_delta(SLICE, eq_branch=0,
+                       delta_interval=(BASE.delta - 1e-5, BASE.delta + 1e-5),
+                       n_samples=10)
 
 
 class TestTransversality:
@@ -116,6 +110,42 @@ class TestTransversality:
             else:
                 lo, flo = mid, fm
         assert 0.5 * (lo + hi) == pytest.approx(root, abs=1e-10)
+
+
+def printed_l(params, eq):
+    """Transcription of the paper's closed-form cycle-stability coefficient
+    l at a Hopf point, in its own frame and with its own sign convention:
+    the cycle is stable iff l > 0."""
+    coef = taylor_jet(params, State(eq.x, eq.y))
+    omega = math.sqrt(coef.alpha10 * coef.beta01 - coef.alpha01 * coef.beta10)
+    delta = params.delta
+    a01 = coef.alpha01
+    a20, a11, a21 = coef.alpha20, coef.alpha11, coef.alpha21
+    b20, b11, b02 = coef.beta20, coef.beta11, coef.beta02
+    b30, b21, b12 = coef.beta30, coef.beta21, coef.beta12
+    return (
+        a21 * omega / (8.0 * a01)
+        + b12 * omega**2 / (8.0 * a01**2)
+        - 3.0 * b21 * delta / (8.0 * a01)
+        + 3.0 * b12 * delta**2 / (8.0 * a01**2)
+        + 3.0 * b30 / 8.0
+        + (1.0 / (16.0 * omega))
+        * (
+            (a11 * omega / a01) * (2.0 * a20 - 2.0 * a11 * delta / a01)
+            - (b11 * omega / a01 - 2.0 * b02 * delta * omega / a01**2)
+            * (
+                2.0 * b02 * omega**2 / a01**2
+                - 2.0 * b11 * delta / a01
+                + 2.0 * b20
+                + 2.0 * b02 * delta**2 / a01**2
+            )
+        )
+        + (1.0 / (16.0 * omega))
+        * (
+            (2.0 * a20 - 2.0 * a11 * delta / a01)
+            * (-2.0 * b11 * delta / a01 + 2.0 * b20 + 2.0 * b02 * delta**2 / a01**2)
+        )
+    )
 
 
 def rotation_frame_field(params, eq):
@@ -211,6 +241,10 @@ FAMILIES = [(2.0, -2.82, 0.05, 0.1, 0.8), (2.0, -2.0, 0.1, 0.2, 0.5),
             (3.0, -3.0, 0.05, 0.15, 0.6)]
 H_VALUES = (0.1, 0.15, 0.18, 0.2, 0.23, 0.26, 0.3)
 
+#: (h, x) of the two Hopf points of FAMILIES[0] where the printed l and l1
+#: give opposite verdicts
+FOUND_POINTS = [(0.1, 0.81857), (0.15, 0.77075)]
+
 
 def _on_equilibrium_curve(base, x):
     """(params, y, trace) at the equilibrium with abscissa x: y on the prey
@@ -268,20 +302,24 @@ class TestStabilityCoefficient:
         assert J[0, 1] == pytest.approx(-omega, rel=1e-5)
         assert J[1, 0] == pytest.approx(omega, rel=1e-5)
 
-    def test_both_paths_finite_and_discrepancy_reported(self, hopf_point):
+    def test_both_paths_finite_and_different(self, hopf_point):
+        # the two coefficients differ in frame and normalization, far beyond
+        # rounding; computing l1 warns about nothing
         p = SLICE.with_(delta=hopf_point.delta_H)
-        with pytest.warns(PrintedFormulaMismatch):
-            l_printed, l1 = lyapunov_coefficient_l(p, hopf_point.equilibrium)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            l1 = lyapunov_coefficient_l(p, hopf_point.equilibrium)
+        l_printed = printed_l(p, hopf_point.equilibrium)
+        assert type(l1) is float and l1 == hopf_point.l1
         assert np.isfinite(l_printed) and np.isfinite(l1)
+        assert abs(l_printed - l1) > 1e-4 * (1.0 + abs(l1))
 
     def test_l1_matches_rotation_frame_oracle(self, hopf_point):
         # the rotation-frame coefficient is l1 in the frame's normalization:
         # l1 = 2 a_GH / (omega |Q q_Y|^2), q_Y = (1, -i)/sqrt(2) the
         # frame's unit eigenvector of the rotation
         p = SLICE.with_(delta=hopf_point.delta_H)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", PrintedFormulaMismatch)
-            _, l1 = lyapunov_coefficient_l(p, hopf_point.equilibrium)
+        l1 = lyapunov_coefficient_l(p, hopf_point.equilibrium)
         field, omega, Q = rotation_frame_field(p, hopf_point.equilibrium)
         q_Y = np.array([1.0, -1.0j]) / math.sqrt(2.0)
         scale = omega * np.linalg.norm(Q @ q_Y) ** 2
@@ -292,9 +330,7 @@ class TestStabilityCoefficient:
         assert len(points) == 13
         decided = 0
         for p, eq in points:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", PrintedFormulaMismatch)
-                _, l1 = lyapunov_coefficient_l(p, eq)
+            l1 = lyapunov_coefficient_l(p, eq)
             field, omega, _ = rotation_frame_field(p, eq)
             assert (l1 > 0) == (gh_coefficient(field, omega, 1e-4) > 0), (p, eq)
             verdict = empirical_verdict(p, eq, omega)
@@ -303,26 +339,36 @@ class TestStabilityCoefficient:
                 assert (l1 > 0) == (verdict == "Repelling"), (p, eq)
         assert decided >= 4
 
-    @pytest.mark.parametrize("h, x_hopf", [(0.1, 0.81857), (0.15, 0.77075)])
+    def test_printed_verdict_agrees_with_l1_at_11_of_13_points(self):
+        # the printed l calls the cycle stable iff l > 0, l1 iff l1 < 0; the
+        # two verdicts differ only at the two points of FOUND_POINTS
+        disagree = []
+        for p, eq in _hopf_points_by_x():
+            if (printed_l(p, eq) > 0) != (lyapunov_coefficient_l(p, eq) < 0):
+                disagree.append((p.h, eq.x))
+        assert len(disagree) == 2
+        for (h, x), (h_found, x_found) in zip(sorted(disagree), FOUND_POINTS):
+            assert h == h_found and x == pytest.approx(x_found, abs=1e-5)
+
+    @pytest.mark.parametrize("h, x_hopf", FOUND_POINTS)
     def test_printed_verdict_disagrees_with_l1(self, h, x_hopf):
         # two Hopf points of FAMILIES[0], each just below a fold of its
         # branch, where the printed l calls the cycle stable while l1 > 0
-        # says it repels; the rotation-frame oracle sides with l1
+        # says it repels; the rotation-frame oracle sides with l1, and so
+        # does the reported verdict
         base = ModelParams(a=2.0, b=-2.82, c=0.05, h=h, delta=1.0, eta=0.1, m=0.8)
         delta = _on_equilibrium_curve(base, x_hopf)[0].delta
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", PrintedFormulaMismatch)
-            (hd,) = hopf_scan(base.with_(delta=0.99 * delta), (0.99 * delta, 1.0003 * delta),
-                              n_samples=20, eq_branch=3)
+        (hd,) = hopf_scan(base.with_(delta=0.99 * delta), (0.99 * delta, 1.0003 * delta),
+                          n_samples=20, eq_branch=3)
         assert hd.equilibrium.x == pytest.approx(x_hopf, abs=1e-5)
-        assert hd.cycle_verdict == "StablePerFormula" and hd.l > 0
-        assert hd.l1 > 0
+        assert printed_l(base.with_(delta=hd.delta_H), hd.equilibrium) > 0
+        assert hd.l1 > 0 and hd.cycle_verdict == "Repelling"
         field, omega, _ = rotation_frame_field(base.with_(delta=hd.delta_H), hd.equilibrium)
         assert gh_coefficient(field, omega, 1e-4) > 0
 
     def test_verdicts_consistent_with_observed_cycle(self, hopf_point):
         # the cycle born on this branch is unstable (subcritical Hopf)
-        assert hopf_point.cycle_verdict == "RepellingPerFormula"
+        assert hopf_point.cycle_verdict == "Repelling"
         assert _observed_verdict(hopf_point) == "Repelling"
 
     def test_numeric_standard_convention_matches_empirical(self, hopf_point):
@@ -332,22 +378,16 @@ class TestStabilityCoefficient:
 
 class TestHopfScan:
     def test_agreement_with_hopf_delta(self, hopf_point):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            pts = hopf_scan(SLICE, INTERVAL, n_samples=120, eq_branch=1)
+        pts = hopf_scan(SLICE, INTERVAL, n_samples=120, eq_branch=1)
         assert len(pts) == 1
         assert pts[0].delta_H == pytest.approx(hopf_point.delta_H, abs=1e-9)
 
     def test_no_sign_change_gives_empty(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            assert hopf_scan(SLICE, (0.0177, 0.0178), n_samples=30, eq_branch=1) == []
+        assert hopf_scan(SLICE, (0.0177, 0.0178), n_samples=30, eq_branch=1) == []
 
     def test_fold_crossing_reports_branch_lost(self):
         with pytest.raises(BranchLost) as exc:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                hopf_scan(SLICE, (0.0177, 0.0180), n_samples=60, eq_branch=1)
+            hopf_scan(SLICE, (0.0177, 0.0180), n_samples=60, eq_branch=1)
         lo, hi = exc.value.interval
         assert 0.0177 < lo < hi < 0.0180
 
@@ -363,27 +403,22 @@ class TestHopfScan:
             (lo, x_lo), (hi, _) = sorted(ends)
             eqs = interior_equilibria(p.with_(delta=lo))
             branch = min(range(len(eqs)), key=lambda i: abs(eqs[i].x - x_lo))
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                pts = hopf_scan(p, (lo, hi), n_samples=20, eq_branch=branch)
+            pts = hopf_scan(p, (lo, hi), n_samples=20, eq_branch=branch)
             assert len(pts) == 1, (p, eq)
             assert pts[0].delta_H == pytest.approx(p.delta, abs=1e-12)
             assert pts[0].equilibrium.x == pytest.approx(eq.x, abs=1e-12)
+            assert (pts[0].cycle_verdict == "Repelling") == (pts[0].l1 > 0), (p, eq)
 
     def test_delta_H_does_not_depend_on_the_window(self):
         windows = [((0.0177, 0.017863), 120), ((0.01765, 0.017861), 100),
                    ((0.0178, 0.017859), 150)]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            found = [hopf_scan(SLICE, w, n_samples=n, eq_branch=1) for w, n in windows]
+        found = [hopf_scan(SLICE, w, n_samples=n, eq_branch=1) for w, n in windows]
         deltas = [pts[0].delta_H for pts in found]
         assert [len(pts) for pts in found] == [1, 1, 1]
         assert max(deltas) - min(deltas) <= 1e-15
 
     def test_reported_point_is_an_equilibrium_with_zero_trace(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            (hd,) = hopf_scan(SLICE, INTERVAL, n_samples=120, eq_branch=1)
+        (hd,) = hopf_scan(SLICE, INTERVAL, n_samples=120, eq_branch=1)
         p = SLICE.with_(delta=hd.delta_H)
         state = State(hd.equilibrium.x, hd.equilibrium.y)
         assert abs(np.trace(jacobian(p, state))) < 1e-12
@@ -398,16 +433,13 @@ class TestHopfScan:
             return interior_equilibria(params)
 
         monkeypatch.setattr(hopf, "interior_equilibria", counted)
-        with warnings.catch_warnings(), contextlib.suppress(BranchLost):
-            warnings.simplefilter("ignore")
+        with contextlib.suppress(BranchLost):
             hopf_scan(SLICE, window, n_samples=120, eq_branch=1)
         assert 1 <= len(calls) <= 2
 
     def test_fold_interval_brackets_the_fold(self):
         with pytest.raises(BranchLost) as exc:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                hopf_scan(SLICE, (0.0177, 0.0180), n_samples=60, eq_branch=1)
+            hopf_scan(SLICE, (0.0177, 0.0180), n_samples=60, eq_branch=1)
         # the fold lies between the two branches at delta_min, where det
         # changes sign along the curve; bisect it there in x
         lo_x, hi_x = (e.x for e in interior_equilibria(SLICE.with_(delta=0.0177)))
@@ -432,9 +464,7 @@ class TestHopfScan:
         # on h = c the interior branch reaches x = 0 at delta = eta(1-c)/(c m)
         p = ModelParams(a=2.0, b=-2.82, c=0.05, h=0.05, delta=1.0, eta=0.1, m=0.8)
         with pytest.raises(BranchLost) as exc:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                hopf_scan(p, (0.5, 3.0), n_samples=50)
+            hopf_scan(p, (0.5, 3.0), n_samples=50)
         lo, hi = exc.value.interval
         assert lo < 0.1 * 0.95 / (0.05 * 0.8) < hi <= 3.0
 

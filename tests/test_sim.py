@@ -85,6 +85,12 @@ class TestIntegrate:
         with pytest.raises(StepFailure):
             integrate(ALT, State(0.5, 0.5), 1000.0, max_steps=5)
 
+    @pytest.mark.parametrize("x0", [-BASE.c, -1e-12, -0.5])
+    def test_negative_prey_start_is_a_domain_error(self, x0):
+        # at x = -c the harvesting term h*x/(c + x) divides by zero
+        with pytest.raises(DomainError, match="nonnegative"):
+            integrate(BASE, State(x0, 0.5), 10.0)
+
     def test_escape_from_negative_seed_region(self):
         # y < 0 with delta > 0 makes y' = y*(delta - eta*y/(m+x)) blow down
         traj = integrate(ALT, State(0.5, -0.5), 100.0, on_failure="keep")
