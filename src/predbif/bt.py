@@ -3,21 +3,16 @@ in the (h, delta) plane, reduction to the two-parameter normal form
 
     eta1' = eta2,   eta2' = beta1 + beta2*eta1 + eta1^2 + s*eta1*eta2 + ...
 
-and local approximations of the fold (T), Hopf (H) and homoclinic (P)
-bifurcation curves.
+and the fold (T), Hopf (H) and homoclinic (P) bifurcation curves.
 
-The coefficient chain projects ``model.jet`` at the frozen BT point, with
-(h, delta) shifted by lambda, onto the generalized eigenbasis; the
+The coefficient chain projects ``model.jet`` at the BT point, with (h,
+delta) shifted by lambda, onto the generalized eigenbasis; the
 lambda-partials of the coefficients project the jet's exact h- and
 delta-partials.  The paper's printed closed forms for those partials and
 for the a*eta = 1 point live in ``tests/test_bt.py`` as transcriptions,
-each held equal to the computed value there.
-``beta_map`` runs the same projection on terms precomputed at the BT point
-in two stages: a row per lambda1 evaluates the jet entries that depend on h
-and every coefficient they alone determine, and the row's lambda2 stage
-the entries that depend on delta and the rest of the chain, in the same
-floating-point order.  ``bifurcation_curves`` keeps one row per lambda1
-sample, memoized by lambda2.
+each held equal to the computed value there.  T and H are the exact fold
+and Hopf curves of ``equilibria`` (Kuznetsov, Elements of Applied
+Bifurcation Theory, section 8.4); the normal form gives P's offset from H.
 """
 
 from __future__ import annotations
@@ -25,10 +20,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from .equilibria import hopf_curve_point
-from .errors import DegenerateBT, NoCandidate
-from .model import (ModelParams, _delta_entries, _frozen_jet, _h_entries, jet, linspace,
-                    validate)
+from .equilibria import fold_curve_point, hopf_curve_point
+from .errors import DegenerateBT, DomainError, NoCandidate, SingularSolve
+from .model import ModelParams, jet, linspace, validate
 
 BT_RESIDUAL_TOL = 1e-8
 
@@ -64,7 +58,6 @@ class BTNormalForm:
     s: int
     beta_jacobian: tuple  # d(beta1, beta2)/d(lambda1, lambda2) at 0, as float rows
     nondegeneracy: dict = field(default_factory=dict)  # BT.1/BT.2/BT.3 -> bool
-    _frozen: tuple = field(default=(), repr=False, compare=False)  # see _freeze
 
 
 @dataclass
@@ -234,155 +227,93 @@ def normal_form(params: ModelParams, bt_point: BTPoint) -> BTNormalForm:
         A0=A0, B0=B0, s=s,
         beta_jacobian=beta_jac,
         nondegeneracy={"BT.1": bt1, "BT.2": bt2, "BT.3": bt3},
-        _frozen=_freeze(pbt, bt_point, basis, A0),
     )
-
-
-def _freeze(pbt: ModelParams, pt: BTPoint, basis, A0: float) -> tuple:
-    """Everything ``beta_map`` needs that does not depend on lambda:
-    ``model._frozen_jet``'s h- and delta-terms at the BT point, the basis,
-    and the products of the lambda-free jet entries with it, each written
-    as the subexpression ``_project`` computes, so ``beta_map`` repeats
-    ``_project`` bit for bit."""
-    h_terms, delta_terms, (f_y, g_x, f_xy, g_xx, g_xy, g_yy), _ = _frozen_jet(pbt, pt.x, pt.y)
-    (v0x, v0y), (v1x, v1y), (w0x, w0y), (w1x, w1y) = basis
-    # f's Hessian is ((f_xx, f_xy), (f_xy, 0)) and only f_xx moves with lambda
-    f_r0y, f_r1y = v0x * f_xy + v0y * 0.0, v1x * f_xy + v1y * 0.0
-    # g's Hessian does not move at all
-    r0x, r0y = v0x * g_xx + v0y * g_xy, v0x * g_xy + v0y * g_yy
-    r1x, r1y = v1x * g_xx + v1y * g_xy, v1x * g_xy + v1y * g_yy
-    g20, g11, g02 = r0x * v0x + r0y * v0y, r0x * v1x + r0y * v1y, r1x * v1x + r1y * v1y
-    return (h_terms, delta_terms, pbt.h, pbt.delta, v0x, v0y, v1x, v1y, w0x, w0y, w1x, w1y,
-            f_y * v0y, f_y * v1y, v0y * f_xy, v1y * f_xy,
-            f_r0y * v0y, f_r0y * v1y, f_r1y * v1y, g_x * v0x, g_x * v1x,
-            w0y * g20, w0y * g11, w0y * g02, w1y * g20, w1y * g11, w1y * g02,
-            1e-14 * (1.0 + abs(A0)))
-
-
-def _beta_row(nf: BTNormalForm, lambda1: float):
-    """(beta1, beta2) at ``lambda1`` as a function of lambda2, memoized by
-    lambda2: each lambda2 is evaluated once, by ``_beta_at``.
-
-    The row evaluates once what depends on lambda1 alone: the h-dependent
-    jet entries, their products with the basis, a20, a11, a02, b20, b11 and
-    b02, and the chain's g20, g11, g02, a11 + b02, B^4 and B^2.  Each is
-    the subexpression ``_project`` and the chain compute, so every beta
-    equals the jet-based chain's bit for bit.
-    """
-    (h_terms, delta_terms, h, delta, v0x, v0y, v1x, v1y, w0x, w0y, w1x, w1y,
-     fy_v0y, fy_v1y, fxy_v0y, fxy_v1y, f_r0y_v0y, f_r0y_v1y, f_r1y_v1y, gx_v0x, gx_v1x,
-     w0y_g20, w0y_g11, w0y_g02, w1y_g20, w1y_g11, w1y_g02, a_tol) = nf._frozen
-    f, f_x, f_xx = _h_entries(h_terms, h + lambda1)
-    # _project's component sums: DF v0, DF v1 and v'H v of f
-    f10, f01 = f_x * v0x + fy_v0y, f_x * v1x + fy_v1y
-    r0x, r1x = v0x * f_xx + fxy_v0y, v1x * f_xx + fxy_v1y
-    f20, f11, f02 = r0x * v0x + f_r0y_v0y, r0x * v1x + f_r0y_v1y, r1x * v1x + f_r1y_v1y
-    a20, a11, a02 = w0x * f20 + w0y_g20, w0x * f11 + w0y_g11, w0x * f02 + w0y_g02
-    b20, b11, b02 = w1x * f20 + w1y_g20, w1x * f11 + w1y_g11, w1x * f02 + w1y_g02
-    g11 = a20 + b11
-    if g11 == 0:
-        raise DegenerateBT("g11(lambda) = 0 in the parameter shift", condition="BT.1")
-    terms = (delta_terms, delta, v0y, v1y, w0y, w1y, gx_v0x, gx_v1x,
-             w0x * f, w1x * f, w0x * f10, w1x * f10, w1x * f01,
-             a11, a02, b11, a11 + b02, b20, 0.5 * b20, g11, b02 + 2.0 * a11,
-             g11**4, g11**2, a_tol)
-    memo = {}
-
-    def beta(lambda2: float) -> tuple[float, float]:
-        b = memo.get(lambda2)
-        if b is None:
-            b = memo[lambda2] = _beta_at(terms, lambda1, lambda2)
-        return b
-
-    return beta
-
-
-def _beta_at(terms: tuple, lambda1: float, lambda2: float) -> tuple[float, float]:
-    """The lambda2 stage of ``_beta_row``, from its ``terms``: the
-    delta-dependent jet entries, g's DF v0 and DF v1, a00, a10, b00, b10
-    and b01, then the rest of the coefficient chain (a01 does not enter it)
-    and beta."""
-    (delta_terms, delta, v0y, v1y, w0y, w1y, gx_v0x, gx_v1x,
-     w0x_f, w1x_f, w0x_f10, w1x_f10, w1x_f01,
-     a11, a02, b11, a11_b02, g20, half_g20, g11, g02, B4, B2, a_tol) = terms
-    g, g_y = _delta_entries(delta_terms, delta + lambda2)
-    g_v0, g_v1 = gx_v0x + g_y * v0y, gx_v1x + g_y * v1y
-    a00, a10 = w0x_f + w0y * g, w0x_f10 + w0y * g_v0
-    b00, b10, b01 = w1x_f + w1y * g, w1x_f10 + w1y * g_v0, w1x_f01 + w1y * g_v1
-    # g00 = b00; h20, h11, h02 = g20, g11, g02
-    g10 = b10 + a11 * b00 - b11 * a00
-    g01 = b01 + a10 + a02 * b00 - a11_b02 * a00
-    shift = -g01 / g11
-    mu1 = b00 + g10 * shift + half_g20 * shift**2
-    h10 = g10 + g20 * shift
-    mu2 = h10 - 0.5 * mu1 * g02
-    A = 0.5 * (g20 - h10 * g02)
-    if -a_tol < A < a_tol:
-        raise DegenerateBT(f"A(lambda) ~ 0 at lambda=({lambda1}, {lambda2})", condition="BT.2")
-    return B4 / A**3 * mu1, B2 / A**2 * mu2
 
 
 def beta_map(nf: BTNormalForm, lambda1: float, lambda2: float) -> tuple[float, float]:
     """(beta1, beta2) of the normal form at a small parameter offset: the
-    row of ``lambda1`` evaluated at ``lambda2``.
+    coefficient chain on ``_ab_coeffs`` at (lambda1, lambda2), the raw
+    coefficients first order in lambda and the chain's products kept."""
+    c = _ab_coeffs(nf.params, nf.point, (nf.v0, nf.v1, nf.w0, nf.w1), (lambda1, lambda2))
+    g10 = c["b10"] + c["a11"] * c["b00"] - c["b11"] * c["a00"]
+    g01 = c["b01"] + c["a10"] + c["a02"] * c["b00"] - (c["a11"] + c["b02"]) * c["a00"]
+    g20, g11, g02 = c["b20"], c["a20"] + c["b11"], c["b02"] + 2.0 * c["a11"]
+    if g11 == 0:
+        raise DegenerateBT("g11(lambda) = 0 in the parameter shift", condition="BT.1")
+    shift = -g01 / g11
+    mu1 = c["b00"] + g10 * shift + 0.5 * g20 * shift**2
+    h10 = g10 + g20 * shift
+    A = 0.5 * (g20 - h10 * g02)
+    if abs(A) < 1e-14 * (1.0 + abs(nf.A0)):
+        raise DegenerateBT(f"A(lambda) ~ 0 at lambda=({lambda1}, {lambda2})", condition="BT.2")
+    return g11**4 / A**3 * mu1, g11**2 / A**2 * (h10 - 0.5 * mu1 * g02)
 
-    The coefficient chain is evaluated at the given offset with the
-    first-order (lambda-linear) raw coefficients; the chain's own products
-    are kept.  The coefficients equal ``_ab_coeffs``' bit for bit, from the
-    terms ``_freeze`` keeps: only the lambda-dependent jet entries and
-    their products with the basis are evaluated here.
-    """
-    return _beta_row(nf, lambda1)(lambda2)
 
-
-_CURVE_DEFS = {
-    "T": lambda b1, b2: 4.0 * b1 - b2 * b2,
-    "H": lambda b1, b2: b1,
-    "P": lambda b1, b2: b1 + (6.0 / 25.0) * b2 * b2,
-}
+#: secant steps allowed per curve sample
+SECANT_STEPS = 10
 
 
 def bifurcation_curves(nf: BTNormalForm, lambda_box, n: int = 50) -> CurveSet:
-    """Sample the local T/H/P curves over the lambda box by bisection in
-    lambda2 at each lambda1 sample.  H and P samples require beta2 < 0, up
-    to rounding; unbracketable samples are dropped."""
+    """The T, H and P curves over the lambda box at n lambda1 samples.
+
+    T and H are the exact fold and Hopf curves: at each lambda1, secant
+    steps in x from the previous sample's point and slope dh/dx (the first
+    from the BT point) reach h within 4 ulps of h_bt + lambda1, and lambda2
+    = delta - delta_bt.  P is H moved by the normal form's gap beta1 =
+    -(6/25) beta2^2 through d(beta1)/d(lambda2).  Samples not reached in
+    SECANT_STEPS steps or outside the lambda2 window are dropped, as are H
+    and P samples with beta2 >= 0, up to rounding.  Each kept sample's beta
+    is one ``beta_map``.
+    """
     l1_min, l1_max, l2_min, l2_max = lambda_box
+    pt, params = nf.point, nf.params
     # beta2 = 0 at lambda = 0 in theory, and comes out as rounding noise
     # there: a few ulps of the betas' size over the box
     b2_tol = 16.0 * math.ulp(max(abs(v) for row in nf.beta_jacobian for v in row)
                              * max(abs(v) for v in lambda_box))
-    samples = {"T": [], "H": [], "P": []}
-    betas = {"T": [], "H": [], "P": []}
-    for l1 in linspace(l1_min, l1_max, n):
-        beta = _beta_row(nf, l1)
-        for name, fdef in _CURVE_DEFS.items():
-            lo, hi = l2_min, l2_max
-            flo, fhi = fdef(*beta(lo)), fdef(*beta(hi))
-            if flo * fhi > 0:
-                # scan for a bracket on a coarse grid
-                grid = linspace(l2_min, l2_max, 64)
-                vs = [fdef(*beta(g)) for g in grid]
-                k = next((i for i in range(63) if vs[i] * vs[i + 1] <= 0), None)
-                if k is None:
-                    continue
-                lo, hi, flo = grid[k], grid[k + 1], vs[k]
-            # 80 halvings, cut short once one leaves (lo, hi, flo) as it was:
-            # every later one would repeat it
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                fm = fdef(*beta(mid))
-                if flo * fm <= 0:
-                    if mid == hi:
+    gap = -(6.0 / 25.0) / nf.beta_jacobian[0][1]
+    cs = CurveSet([], [], [], tuple(lambda_box), {"T": [], "H": [], "P": []})
+
+    def report(curve, l1, l2, b):
+        getattr(cs, curve).append((l1, l2))
+        cs.beta[curve].append(b)
+
+    x1 = pt.x * (1.0 + 2.0**-20)
+    for name, point in (("T", fold_curve_point), ("H", hopf_curve_point)):
+        (h, delta, _), (h1, _, _) = point(params, pt.x), point(params, x1)
+        found = (pt.x, h, delta, (h1 - h) / (x1 - pt.x))  # the last point reached, and dh/dx
+        for l1 in linspace(l1_min, l1_max, n):
+            target = pt.h_bt + l1
+            tol = 4.0 * math.ulp(target)
+            x, h, delta, slope = found
+            try:
+                for _ in range(SECANT_STEPS):
+                    if abs(h - target) <= tol:
                         break
-                    hi = mid
-                else:
-                    if mid == lo and fm == flo:
-                        break
-                    lo, flo = mid, fm
-            l2 = 0.5 * (lo + hi)
-            b = beta(l2)
-            if name in ("H", "P") and b[1] >= b2_tol:
+                    x_new = x + (target - h) / slope
+                    h_new, delta, _ = point(params, x_new)
+                    # steps inside h's rounding noise keep the slope
+                    if abs(h_new - h) > 16.0 * tol:
+                        slope = (h_new - h) / (x_new - x)
+                    x, h = x_new, h_new
+            except (DomainError, SingularSolve, ZeroDivisionError):
                 continue
-            samples[name].append((l1, l2))
-            betas[name].append(b)
-    return CurveSet(samples["T"], samples["H"], samples["P"], tuple(lambda_box), betas)
+            if not abs(h - target) <= tol:
+                continue
+            found = (x, h, delta, slope)
+            l2 = delta - pt.delta_bt
+            if name == "T":
+                if l2_min <= l2 <= l2_max:
+                    report("T", l1, l2, beta_map(nf, l1, l2))
+                continue
+            b = beta_map(nf, l1, l2)  # P needs H's beta2 even outside the window
+            if b[1] >= b2_tol:
+                continue
+            if l2_min <= l2 <= l2_max:
+                report("H", l1, l2, b)
+            l2 += gap * b[1] ** 2
+            if l2_min <= l2 <= l2_max:
+                b = beta_map(nf, l1, l2)
+                if b[1] < b2_tol:
+                    report("P", l1, l2, b)
+    return cs

@@ -9,8 +9,9 @@ where the expansion gives delta/(a*eta)); it is kept as a transcription in
 
 The equilibrium curves are parametrized here by the abscissa x: the
 interior branch at fixed h that ``hopf.hopf_scan`` follows, and the Hopf
-curve in the (h, delta) plane on which ``bt.bt_locate`` finds the
-Bogdanov-Takens points.
+and fold curves in the (h, delta) plane, on which ``bt.bt_locate`` finds
+the Bogdanov-Takens points and ``bt.bifurcation_curves`` samples the
+unfolding.
 """
 
 from __future__ import annotations
@@ -185,6 +186,22 @@ def hopf_curve_point(params: ModelParams, x: float) -> tuple[float, float, float
                           (-F[0], -trace))
     except ZeroDivisionError:
         raise SingularSolve(f"the Hopf-curve rows are dependent at x={x}") from None
+    return h, delta, delta * dy
+
+
+def fold_curve_point(params: ModelParams, x: float) -> tuple[float, float, float]:
+    """(h, delta, y) of the fold curve at abscissa x > 0, as
+    ``hopf_curve_point`` with det in place of the trace: where g = 0,
+    det/delta = -(f_x + f_y*delta/eta), also affine in (h, delta)."""
+    dy = (params.m + x) / params.eta
+    F, DF, D2F, _, by_h, by_delta = jet(params, x, 0.0, -params.h, -params.delta)
+    f_y = DF[0][1]  # depends on x only
+    try:
+        h, delta = solve2(by_h[0][0], by_delta[0][0] + dy * f_y,
+                          by_h[1][0][0], by_delta[1][0][0] + dy * D2F[0][0][1] + f_y / params.eta,
+                          (-F[0], -DF[0][0]))
+    except ZeroDivisionError:
+        raise SingularSolve(f"the fold-curve rows are dependent at x={x}") from None
     return h, delta, delta * dy
 
 

@@ -7,10 +7,8 @@ The scaled system in state (x, y) is
     y' = y (delta - eta y / (m + x))
 
 All operations here are pure functions of their inputs.  ``jet`` is the one
-place that writes out the derivatives of the field, assembled from its
-(h, delta)-free terms (``_frozen_jet``), the entries that depend on h
-(``_h_entries``) and those that depend on delta (``_delta_entries``);
-``jacobian`` returns its first derivatives as an array.
+place that writes out the derivatives of the field; ``jacobian`` returns its
+first derivatives as an array.
 """
 
 from __future__ import annotations
@@ -168,73 +166,44 @@ def jet(params: ModelParams, x: float, y: float, dh: float = 0.0, ddelta: float 
     ``by_delta`` are the exact partials of (F, DF, D2F), the field being
     affine in h and delta.  F keeps the floating-point form of ``rhs``, so
     the two agree bit for bit."""
-    h_terms, delta_terms, (f_y, g_x, f_xy, g_xx, g_xy, g_yy), rest = _frozen_jet(params, x, y)
-    f_xxx0, cx4, f_xxy, g_xxx, g_xxy, g_xyy, by_h, by_delta = rest
-    h = params.h + dh
-    f, f_x, f_xx = _h_entries(h_terms, h)
-    g, g_y = _delta_entries(delta_terms, params.delta + ddelta)
-    f_xy_ = (f_xxy, 0.0)  # d/dx and d/dy of f_xy
-    g_xy_ = (g_xxy, g_xyy)
-    return (
-        (f, g),
-        ((f_x, f_y), (g_x, g_y)),
-        (((f_xx, f_xy), (f_xy, 0.0)), ((g_xx, g_xy), (g_xy, g_yy))),
-        ((((f_xxx0 - 6.0 * (h * params.c) / cx4, f_xxy), f_xy_), (f_xy_, (0.0, 0.0))),
-         (((g_xxx, g_xxy), g_xy_), (g_xy_, (g_xyy, 0.0)))),
-        by_h,
-        by_delta,
-    )
-
-
-def _frozen_jet(params: ModelParams, x: float, y: float):
-    """``jet`` at an admissible (x, y) with h and delta left open, as
-    ``(h_terms, delta_terms, fixed, rest)``: ``h_terms`` is what
-    ``_h_entries`` takes and ``delta_terms`` what ``_delta_entries`` takes,
-    ``fixed`` the entries of (F, DF, D2F) that depend on neither h nor
-    delta, (f_y, g_x, f_xy, g_xx, g_xy, g_yy), and ``rest`` the remaining
-    terms of ``jet``: f_xxx without its h-term, (c + x)^4, the other third
-    derivatives and the two partials."""
     a, b, c = params.a, params.b, params.c
-    eta = params.eta
+    eta, m = params.eta, params.m
+    h = params.h + dh
+    delta = params.delta + ddelta
     p = _check_domain(params, x, y)
     axx = a * x * x
-    cx, mx = c + x, params.m + x
+    cx, mx = c + x, m + x
     p2, p3 = p**2, p**3
     cx2, cx3 = cx**2, cx**3
     mx2, mx3 = mx**2, mx**3
     bx2 = b * x + 2.0
+    hc = h * c
     ey = eta * y
     # the Holling term is y*phi(x) with phi = x^2/p; poly = -p^3 phi''/2
     poly = a * b * x**3 + 3.0 * a * x**2 - 1.0
+    f_xy = -x * bx2 / p2
+    f_xxy = 2.0 * poly / p3
     g_xx = -2.0 * ey * y / mx3
     g_xy = 2.0 * ey / mx2
     g_yy = -2.0 * eta / mx
-    h_terms = (x, c, cx, cx2, cx3, x * (1.0 - x) - x * x * y / p,
-               1.0 - 2.0 * x - x * y * bx2 / p2, -2.0 + 2.0 * y * poly / p3)
-    delta_terms = (y, ey / mx, 2.0 * ey / mx)
-    fixed = (-x * x / p, ey * y / mx2, -x * bx2 / p2, g_xx, g_xy, g_yy)
-    rest = (-6.0 * y * (axx - 1.0) * (b * axx + 4.0 * a * x + b) / (p2 * p2), cx2 * cx2,
-            2.0 * poly / p3, -3.0 * g_xx / mx, -2.0 * g_xy / mx, -g_yy / mx,
-            ((-x / cx, 0.0), ((-c / cx2, 0.0), (0.0, 0.0)),
-             (((2.0 * c / cx3, 0.0), (0.0, 0.0)), ((0.0, 0.0), (0.0, 0.0)))),
-            ((0.0, y), ((0.0, 0.0), (0.0, 1.0)),
-             (((0.0, 0.0), (0.0, 0.0)), ((0.0, 0.0), (0.0, 0.0)))))
-    return h_terms, delta_terms, fixed, rest
-
-
-def _h_entries(h_terms, h: float):
-    """The entries of (F, DF, D2F) that depend on h, written here only: F0,
-    f_x and f_xx at h, from the ``h_terms`` of ``_frozen_jet``."""
-    x, c, cx, cx2, cx3, f0, f_x0, f_xx0 = h_terms
-    hc = h * c
-    return f0 - h * x / cx, f_x0 - hc / cx2, f_xx0 + 2.0 * hc / cx3
-
-
-def _delta_entries(delta_terms, delta: float):
-    """The entries of (F, DF, D2F) that depend on delta, written here only:
-    F1 and g_y at delta, from the ``delta_terms`` of ``_frozen_jet``."""
-    y, ey_mx, g_y0 = delta_terms
-    return y * (delta - ey_mx), delta - g_y0
+    g_xxy = -2.0 * g_xy / mx
+    g_xyy = -g_yy / mx
+    f_xy_ = (f_xxy, 0.0)  # d/dx and d/dy of f_xy
+    g_xy_ = (g_xxy, g_xyy)
+    return (
+        (x * (1.0 - x) - x * x * y / p - h * x / cx, y * (delta - eta * y / mx)),
+        ((1.0 - 2.0 * x - x * y * bx2 / p2 - hc / cx2, -x * x / p),
+         (ey * y / mx2, delta - 2.0 * ey / mx)),
+        (((-2.0 + 2.0 * y * poly / p3 + 2.0 * hc / cx3, f_xy), (f_xy, 0.0)),
+         ((g_xx, g_xy), (g_xy, g_yy))),
+        ((((-6.0 * y * (axx - 1.0) * (b * axx + 4.0 * a * x + b) / (p2 * p2)
+            - 6.0 * hc / (cx2 * cx2), f_xxy), f_xy_), (f_xy_, (0.0, 0.0))),
+         (((-3.0 * g_xx / mx, g_xxy), g_xy_), (g_xy_, (g_xyy, 0.0)))),
+        ((-x / cx, 0.0), ((-c / cx2, 0.0), (0.0, 0.0)),
+         (((2.0 * c / cx3, 0.0), (0.0, 0.0)), ((0.0, 0.0), (0.0, 0.0)))),
+        ((0.0, y), ((0.0, 0.0), (0.0, 1.0)),
+         (((0.0, 0.0), (0.0, 0.0)), ((0.0, 0.0), (0.0, 0.0)))),
+    )
 
 
 def solve2(m00, m01, m10, m11, r):

@@ -67,3 +67,7 @@ def test_block_zero_measures_every_traced_layer_metric(workload, tmp_path):
     unmeasured = sorted(name for name in per_layer & set(metrics)
                         if not isinstance(metrics[name], (int, float)))
     assert unmeasured == [], workload
+    if workload == "bifurcation-reports":
+        # bt-curves evaluates each reported sample's beta through the public
+        # bt.beta_map, the function the tracer wraps
+        assert metrics["bt.beta_map.calls_per_item"] > 0

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from predbif import bt, model
+from predbif import bt, equilibria, sim
 from predbif.bt import (
     _ab_coeffs,
     _basis,
@@ -17,9 +17,10 @@ from predbif.bt import (
     bt_locate,
     normal_form,
 )
-from predbif.equilibria import Equilibrium, hopf_curve_point
-from predbif.errors import DegenerateBT, NoCandidate, PredbifError
-from predbif.model import ModelParams, State, jacobian, jet, rhs, solve2, validate
+from predbif.equilibria import (Equilibrium, fold_curve_point, hopf_curve_point,
+                                interior_equilibria)
+from predbif.errors import DegenerateBT, NoCandidate, PredbifError, SingularSolve
+from predbif.model import ModelParams, State, jacobian, jet, rhs, validate
 from predbif.stability import classify_generic
 
 BASE = ModelParams(a=2.0, b=-2.82, c=0.05, h=0.17, delta=0.03, eta=0.1, m=0.8)
@@ -132,6 +133,37 @@ class TestHopfCurvePoint:
                      for h, delta in ((0.17, 0.03), (0.5, 2.0), (1e-3, 1e-4))]
             assert found[0]
             assert [repr(pts) for pts in found] == [repr(found[0])] * 3, params
+
+
+class TestFoldCurvePoint:
+    def test_equilibrium_with_zero_det(self):
+        checked = 0
+        for params in (BASE, UNIT):
+            for k in range(1, 40):
+                x = 0.025 * k
+                h, delta, y = fold_curve_point(params, x)
+                if h <= 0 or delta <= 0:
+                    continue
+                assert y == pytest.approx(delta * (params.m + x) / params.eta, rel=1e-15)
+                residual, _, det = _trace_det_residual(params, x, h, delta, y)
+                assert residual < 1e-15 and abs(det) < 1e-15, (params, x)
+                checked += 1
+        assert checked >= 20
+
+    def test_meets_the_hopf_curve_at_the_bt_point(self, bt_point):
+        h, delta, y = fold_curve_point(BASE, bt_point.x)
+        assert h == pytest.approx(bt_point.h_bt, rel=1e-14)
+        assert delta == pytest.approx(bt_point.delta_bt, rel=1e-14)
+        assert y == pytest.approx(bt_point.y, rel=1e-14)
+
+    def test_dependent_rows_raise(self, monkeypatch):
+        def singular(*args):
+            raise ZeroDivisionError
+
+        monkeypatch.setattr(equilibria, "solve2", singular)
+        for point in (fold_curve_point, hopf_curve_point):
+            with pytest.raises(SingularSolve):
+                point(BASE, 0.3)
 
 
 class TestLocate:
@@ -357,6 +389,20 @@ class TestBetaMap:
         ])
         assert np.allclose(num, nf.beta_jacobian, rtol=1e-4, atol=1e-3)
 
+    def test_equals_the_reference_chain_bit_for_bit(self, curve_cases):
+        rng = np.random.default_rng(11)
+        checked = 0
+        for nf_k, (l1_min, l1_max, l2_min, l2_max), _ in curve_cases:
+            lams = [(0.0, 0.0), (l1_min, l2_min), (l1_min, l2_max), (l1_max, l2_min),
+                    (l1_max, l2_max)]
+            lams += [(float(rng.uniform(l1_min, l1_max)), float(rng.uniform(l2_min, l2_max)))
+                     for _ in range(80)]
+            for lam in lams:
+                want = [v.hex() for v in _reference_beta(nf_k, *lam)]
+                assert [v.hex() for v in beta_map(nf_k, *lam)] == want, lam
+                checked += 1
+        assert checked >= 1000
+
 
 class TestCurves:
     def test_pass_through_origin_and_residuals(self, nf):
@@ -364,49 +410,36 @@ class TestCurves:
         cs = bifurcation_curves(nf, box, n=11)
         for name in ("T", "H", "P"):
             pts = getattr(cs, name)
-            assert pts, name
+            assert len(pts) == 11, name
             l1_0, l2_0 = pts[0]
             assert l1_0 == 0.0
             assert abs(l2_0) < 1e-9
-        for l1, l2 in cs.T:
-            b1, b2 = beta_map(nf, l1, l2)
-            assert abs(4.0 * b1 - b2 * b2) < 1e-9
-        for l1, l2 in cs.H:
-            b1, b2 = beta_map(nf, l1, l2)
-            assert abs(b1) < 1e-9
+        # T and H are exact curve points (TestDirectCurves); P is H moved by
+        # the normal form's gap beta1 = -(6/25) beta2^2 through
+        # d(beta1)/d(lambda2), and H and P lie where beta2 < 0
+        j01 = nf.beta_jacobian[0][1]
+        for (l1, l2), (_, b2), (l1_p, l2_p) in zip(cs.H, cs.beta["H"], cs.P):
+            assert l1_p == l1
+            assert l2_p - l2 == pytest.approx(-(6.0 / 25.0) * b2 * b2 / j01, rel=1e-9, abs=1e-20)
             assert b2 < 0 or l1 == 0.0
-        for l1, l2 in cs.P:
-            b1, b2 = beta_map(nf, l1, l2)
-            assert abs(b1 + (6.0 / 25.0) * b2 * b2) < 1e-9
+        for (l1, _), (_, b2) in zip(cs.P, cs.beta["P"]):
             assert b2 < 0 or l1 == 0.0
 
     def test_origin_samples_do_not_depend_on_the_sign_of_rounding(self, nf, monkeypatch):
         # beta2 = 0 at lambda = 0 in theory; rounding noise of either sign
         # there must keep the lambda1 = 0 samples of H and P
-        exact = bt._beta_at
-        calls = {"shifted": 0, "entries": 0}
+        exact = bt.beta_map
+        calls = []
 
-        def shifted(terms, lambda1, lambda2):
-            calls["shifted"] += 1
-            b1, b2 = exact(terms, lambda1, lambda2)
+        def shifted(nf_, lambda1, lambda2):
+            calls.append((lambda1, lambda2))
+            b1, b2 = exact(nf_, lambda1, lambda2)
             return b1, b2 + 3e-15
 
-        # every beta evaluation, through jet or not, computes the delta-
-        # dependent jet entries once: all of them must pass the shifted
-        # lambda2 stage of the rows
-        entries = model._delta_entries
-
-        def counted(*args):
-            calls["entries"] += 1
-            return entries(*args)
-
-        monkeypatch.setattr(bt, "_beta_at", shifted)
-        monkeypatch.setattr(bt, "_delta_entries", counted)
-        monkeypatch.setattr(model, "_delta_entries", counted)
+        monkeypatch.setattr(bt, "beta_map", shifted)
         cs = bifurcation_curves(nf, (0.0, 5e-5, -5e-5, 5e-5), n=11)
-        assert calls["shifted"] > 0
-        assert calls["entries"] == calls["shifted"]
-        assert cs.H[0][0] == 0.0
+        assert calls
+        assert cs.H[0] == (0.0, 0.0)
         assert cs.P[0][0] == 0.0
 
     def test_ordering_near_bt_point(self, nf):
@@ -422,67 +455,33 @@ class TestCurves:
                 assert t[l1] > h[l1] > p[l1]
 
 
-def _fold_curve_point(params, x):
-    """(h, delta, y) of the fold curve at abscissa x: on the predator
-    isocline y = delta*(m + x)/eta, det/delta = -(f_x + f_y*delta/eta), and
-    f = 0 and that row are affine in (h, delta).  Rows from the jet at
-    h = delta = y = 0, with dy/d(delta) = (m + x)/eta."""
-    dy = (params.m + x) / params.eta
-    F, DF, D2F, _, by_h, by_delta = jet(params, x, 0.0, -params.h, -params.delta)
-    f_y = DF[0][1]  # depends on x only
-    h, delta = solve2(by_h[0][0], by_delta[0][0] + dy * f_y,
-                      by_h[1][0][0], by_delta[1][0][0] + dy * D2F[0][0][1] + f_y / params.eta,
-                      (-F[0], -DF[0][0]))
-    return h, delta, delta * dy
-
-
-def _direct_point_at_h(point, h, x_near):
+def _direct_point_at_h(point, params, h, x_near):
     """The point of a direct curve, (x, h, delta, y), whose h is the given
     one, by bisection in x in the smallest window around x_near (doubled
-    from 1e-3) where h - h(x) changes sign."""
+    from 1e-3) where h - h(x) changes sign, down to adjacent floats: the
+    one of the two whose h is nearer."""
     width = 1e-3
     while True:
         lo, hi = x_near - width, x_near + width
-        f_lo, f_hi = point(BASE, lo)[0] - h, point(BASE, hi)[0] - h
+        f_lo, f_hi = point(params, lo)[0] - h, point(params, hi)[0] - h
         if f_lo * f_hi < 0:
             break
         width *= 2.0
     while (mid := 0.5 * (lo + hi)) not in (lo, hi):
-        f_mid = point(BASE, mid)[0] - h
+        f_mid = point(params, mid)[0] - h
         if f_lo * f_mid <= 0:
-            hi = mid
+            hi, f_hi = mid, f_mid
         else:
             lo, f_lo = mid, f_mid
-    return (lo, *point(BASE, lo))
-
-
-class TestDirectCurves:
-    """The normal form's T and H curves against the fold and Hopf curves
-    computed directly on the equilibrium curve (Kuznetsov, Elements of
-    Applied Bifurcation Theory, section 8.4): they agree to second order in
-    lambda1."""
-
-    @pytest.mark.parametrize("lambda1", [1e-3, 1e-4, 1e-5])
-    def test_normal_form_curves_are_second_order_close(self, nf, bt_point, lambda1):
-        # one lambda1 sample: linspace(lo, hi, 1) is [lo]
-        cs = bifurcation_curves(nf, (lambda1, lambda1, -2.0 * lambda1, 2.0 * lambda1), 1)
-        for name, point in (("T", _fold_curve_point), ("H", hopf_curve_point)):
-            ((l1, l2),) = getattr(cs, name)
-            assert l1 == lambda1
-            x, h, delta, y = _direct_point_at_h(point, bt_point.h_bt + l1, bt_point.x)
-            assert abs(h - (bt_point.h_bt + l1)) <= 4.0 * math.ulp(h)
-            residual, trace, det = _trace_det_residual(BASE, x, h, delta, y)
-            assert residual < 1e-15, name
-            assert abs(trace if name == "H" else det) < 1e-15, name
-            assert abs(l2 - (delta - bt_point.delta_bt)) / l1**2 <= 10.0, name
+    x = lo if abs(f_lo) <= abs(f_hi) else hi
+    return (x, *point(params, x))
 
 
 # ---------------------------------------------------------------------------
-# beta_map's frozen-point evaluation against the jet-based chain
+# the normal form's curves, kept here as the reference for the direct ones
 
 
 BT_EXAMPLE_BOX = (0.0, 1e-4, -1e-4, 1e-4)  # the curves box of configs/bt_example.cfg
-TEST_BOX = (0.0, 5e-5, -5e-5, 5e-5)  # the box of TestCurves
 
 
 def _chain_mu(a00, a10, a20, a11, a02, b00, b10, b01, b20, b11, b02):
@@ -524,32 +523,27 @@ _REFERENCE_CURVES = {
 
 
 def _reference_curves(nf, box, n):
-    """The sampling of ``bifurcation_curves`` with a fixed 80-step bisection
-    on ``_reference_beta``.  Returns the T/H/P samples and, per sample, how
-    its bracket was found: "ends" (the box ends), "grid" (the 64-point
-    scan) or "none" (no bracket: dropped); "beta2" marks an H or P sample
-    dropped for beta2 >= 0."""
+    """The normal form's T/H/P samples: a fixed 80-step bisection in
+    lambda2 on ``_reference_beta`` at each lambda1 sample, from the box
+    ends or else a 64-point scan; H and P samples require beta2 < 0, up to
+    rounding."""
     l1_min, l1_max, l2_min, l2_max = box
     b2_tol = 16.0 * math.ulp(max(abs(v) for row in nf.beta_jacobian for v in row)
                              * max(abs(v) for v in box))
     samples = {"T": [], "H": [], "P": []}
-    paths = []
     for l1 in np.linspace(l1_min, l1_max, n).tolist():
         for name, fdef in _REFERENCE_CURVES.items():
             def val(l2):
                 return fdef(*_reference_beta(nf, l1, l2))
             lo, hi = l2_min, l2_max
             flo, fhi = val(lo), val(hi)
-            path = "ends"
             if flo * fhi > 0:
                 grid = np.linspace(l2_min, l2_max, 64).tolist()
                 vs = [val(g) for g in grid]
                 k = next((i for i in range(63) if vs[i] * vs[i + 1] <= 0), None)
                 if k is None:
-                    paths.append("none")
                     continue
                 lo, hi, flo = grid[k], grid[k + 1], vs[k]
-                path = "grid"
             for _ in range(80):
                 mid = 0.5 * (lo + hi)
                 fm = val(mid)
@@ -558,18 +552,10 @@ def _reference_curves(nf, box, n):
                 else:
                     lo, flo = mid, fm
             l2 = 0.5 * (lo + hi)
-            _, b2 = _reference_beta(nf, l1, l2)
-            if name in ("H", "P") and b2 >= b2_tol:
-                paths.append("beta2")
+            if name in ("H", "P") and _reference_beta(nf, l1, l2)[1] >= b2_tol:
                 continue
             samples[name].append((l1, l2))
-            paths.append(path)
-    return samples, paths
-
-
-def _same_samples(cs, samples) -> bool:
-    # repr tells -0.0 from 0.0 and prints each float's shortest round trip
-    return all(repr(getattr(cs, name)) == repr(samples[name]) for name in "THP")
+    return samples
 
 
 @pytest.fixture(scope="module")
@@ -579,7 +565,7 @@ def curve_cases(nf):
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
     from workloads import make_block
 
-    cases = [(nf, BT_EXAMPLE_BOX, 25), (nf, TEST_BOX, 11)]
+    cases = [(nf, BT_EXAMPLE_BOX, 25), (nf, (0.0, 5e-5, -5e-5, 5e-5), 11)]
     for k in range(12):
         (op,) = [op for op in make_block("bifurcation-reports", 1, k)
                  if op["command"] == "bt-curves"]
@@ -590,32 +576,67 @@ def curve_cases(nf):
     return cases
 
 
-class TestFrozenBetaMap:
-    def test_beta_map_equals_the_jet_chain_bit_for_bit(self, curve_cases):
-        # through beta_map (a fresh row per point) and through a row that
-        # already holds the box's lambda2 ends and 0 in its memo
-        rng = np.random.default_rng(11)
-        checked = 0
-        for nf_k, (l1_min, l1_max, l2_min, l2_max), _ in curve_cases:
-            lams = [(0.0, 0.0), (l1_min, l2_min), (l1_min, l2_max), (l1_max, l2_min),
-                    (l1_max, l2_max)]
-            lams += [(float(rng.uniform(l1_min, l1_max)), float(rng.uniform(l2_min, l2_max)))
-                     for _ in range(80)]
-            rows = {}
-            for lam in lams:
-                want = [v.hex() for v in _reference_beta(nf_k, *lam)]
-                assert [v.hex() for v in beta_map(nf_k, *lam)] == want, lam
-                row = rows.get(lam[0])
-                if row is None:
-                    row = rows[lam[0]] = bt._beta_row(nf_k, lam[0])
-                    row(l2_min), row(l2_max), row(0.0)
-                for _ in range(2):  # evaluated, then memoized
-                    assert [v.hex() for v in row(lam[1])] == want, lam
-                checked += 1
-        assert checked >= 1000
+def _spied_curves(monkeypatch, nf, box, n):
+    """``bifurcation_curves(nf, box, n)`` and every curve point it
+    evaluated, as {"T": [(x, h, delta, y), ...], "H": [...]}."""
+    seen = {"T": [], "H": []}
+    for name, attr in (("T", "fold_curve_point"), ("H", "hopf_curve_point")):
+        def spy(params, x, point=getattr(equilibria, attr), out=seen[name]):
+            found = point(params, x)
+            out.append((x, *found))
+            return found
+        monkeypatch.setattr(bt, attr, spy)
+    return bifurcation_curves(nf, box, n), seen
 
-    def test_curve_betas_equal_the_jet_chain_bit_for_bit(self, curve_cases):
-        # the (beta1, beta2) bt-curves reports next to each sample
+
+class TestDirectCurves:
+    """bt-curves' T and H are the fold and Hopf curves computed directly on
+    the equilibrium curve (Kuznetsov, Elements of Applied Bifurcation
+    Theory, section 8.4); the normal form's curves agree with them to
+    second order in lambda1."""
+
+    @pytest.mark.parametrize("lambda1", [1e-3, 1e-4, 1e-5])
+    def test_normal_form_curves_are_second_order_close(self, nf, lambda1):
+        # one lambda1 sample: linspace(lo, hi, 1) is [lo]
+        box = (lambda1, lambda1, -2.0 * lambda1, 2.0 * lambda1)
+        cs, reference = bifurcation_curves(nf, box, 1), _reference_curves(nf, box, 1)
+        for name in "TH":
+            ((l1, l2),) = getattr(cs, name)
+            ((l1_nf, l2_nf),) = reference[name]
+            assert l1 == l1_nf == lambda1
+            assert abs(l2 - l2_nf) / l1**2 <= 10.0, name
+
+    def test_samples_are_exact_curve_points(self, curve_cases, monkeypatch):
+        # each T and H sample is a curve point the secant evaluated, h within
+        # 4 ulps of h_bt + lambda1 and lambda2 its delta - delta_bt, and the
+        # collapse-to-ulp bisection in x finds the same point: to 4 ulps of
+        # delta, after the two points' offsets from the target h and 4 ulps
+        # of rounding in h, times d(delta)/dh along the curve
+        cases = curve_cases + [(curve_cases[0][0], (l1, l1, -2.0 * l1, 2.0 * l1), 1)
+                               for l1 in (1e-3, 0.02)]
+        checked = 0
+        for nf_k, box, n in cases:
+            pt, params = nf_k.point, nf_k.params
+            cs, seen = _spied_curves(monkeypatch, nf_k, box, n)
+            for name, point in (("T", fold_curve_point), ("H", hopf_curve_point)):
+                assert len(getattr(cs, name)) == n, (name, box)
+                for l1, l2 in getattr(cs, name):
+                    target = pt.h_bt + l1
+                    ((x, h, delta, y),) = {p for p in seen[name] if p[2] - pt.delta_bt == l2
+                                           and abs(p[1] - target) <= 4.0 * math.ulp(target)}
+                    residual, trace, det = _trace_det_residual(params, x, h, delta, y)
+                    assert residual <= 1e-15, (name, l1)
+                    assert abs(trace if name == "H" else det) <= 1e-15, (name, l1)
+                    _, h_o, delta_o, _ = _direct_point_at_h(point, params, target, pt.x)
+                    (h_lo, d_lo, _), (h_hi, d_hi, _) = (point(params, x + e) for e in (-1e-7, 1e-7))
+                    slope = abs((d_hi - d_lo) / (h_hi - h_lo))
+                    offsets = abs(h - target) + abs(h_o - target) + 4.0 * math.ulp(target)
+                    tol = 4.0 * math.ulp(delta) + slope * offsets
+                    assert abs(delta - delta_o) <= tol, (name, l1)
+                    checked += 1
+        assert checked == 2 * sum(n for _, _, n in cases)
+
+    def test_beta_column_equals_the_reference_chain_bit_for_bit(self, curve_cases):
         for nf_k, box, n in curve_cases:
             cs = bifurcation_curves(nf_k, box, n)
             for name in "THP":
@@ -625,52 +646,135 @@ class TestFrozenBetaMap:
                     want = _reference_beta(nf_k, *lam)
                     assert [v.hex() for v in b] == [v.hex() for v in want], (name, lam)
 
-    def test_samples_equal_the_fixed_80_step_bisection(self, curve_cases):
-        for nf_k, box, n in curve_cases:
-            samples, paths = _reference_curves(nf_k, box, n)
-            assert _same_samples(bifurcation_curves(nf_k, box, n), samples), box
-            assert set(paths) <= {"ends", "beta2"}, box
+    def test_evaluation_counts(self, nf, monkeypatch):
+        # bt_example at n = 25: a few secant steps per sample, and one
+        # beta_map call per reported sample, so no bisection in lambda2
+        calls = []
+        exact = bt.beta_map
 
-    def test_grid_scan_brackets_match_the_fixed_bisection(self, nf):
-        # lambda1 = 0.02..0.03 reaches past the curves to where A(lambda)
-        # crosses zero and beta changes sign once more (a pole), so the box
-        # ends share a sign and the 64-point scan finds the bracket
-        box = (0.02, 0.03, -0.03, 0.03)
-        samples, paths = _reference_curves(nf, box, 5)
-        assert paths == ["grid"] * 15
-        assert _same_samples(bifurcation_curves(nf, box, 5), samples)
-        # a lambda2 window above all three curves brackets nothing: the
-        # samples are dropped
-        box = (0.0, 1e-4, 1e-4, 2e-4)
-        samples, paths = _reference_curves(nf, box, 5)
-        assert paths == ["none"] * 15
-        cs = bifurcation_curves(nf, box, 5)
+        def counted(nf_, lambda1, lambda2):
+            calls.append((lambda1, lambda2))
+            return exact(nf_, lambda1, lambda2)
+
+        monkeypatch.setattr(bt, "beta_map", counted)
+        cs, seen = _spied_curves(monkeypatch, nf, BT_EXAMPLE_BOX, 25)
+        kept = len(cs.T) + len(cs.H)
+        assert kept == 50
+        assert len(seen["T"]) + len(seen["H"]) <= 10 * kept
+        assert sorted(calls) == sorted(cs.T + cs.H + cs.P)
+
+    def test_a_missed_sample_is_dropped(self, nf, monkeypatch):
+        # the 10th Hopf-curve point fails: that H sample and its P are
+        # dropped, and the next sample starts from the last point reached
+        full = bifurcation_curves(nf, BT_EXAMPLE_BOX, 25)
+        calls = []
+
+        def failing(params, x):
+            calls.append(x)
+            if len(calls) == 10:
+                raise SingularSolve("dependent rows")
+            return hopf_curve_point(params, x)
+
+        monkeypatch.setattr(bt, "hopf_curve_point", failing)
+        cs = bifurcation_curves(nf, BT_EXAMPLE_BOX, 25)
+        assert cs.T == full.T
+        for name in "HP":
+            kept, all_ = dict(getattr(cs, name)), dict(getattr(full, name))
+            (missed,) = set(all_) - set(kept)
+            assert 0.0 < missed < BT_EXAMPLE_BOX[1]
+            for l1, l2 in kept.items():
+                assert abs(l2 - all_[l1]) <= 1e-15, (name, l1)
+
+    def test_window_above_the_curves_keeps_nothing(self, nf):
+        cs = bifurcation_curves(nf, (0.0, 1e-4, 1e-4, 2e-4), 5)
         assert (cs.T, cs.H, cs.P) == ([], [], [])
 
-    def test_curve_sampling_counts(self, nf, monkeypatch):
-        # deterministic counts for bt_example at n = 25: no full jet, no
-        # (lambda1, lambda2) evaluated twice, and the bisection stops once an
-        # interval halving changes nothing (the fixed 80 steps took 6225 beta
-        # evaluations; 3152 distinct ones remain at bt_locate's point)
-        calls = {"jet": 0}
-        evaluated = []
-        exact_jet, exact_beta = model.jet, bt._beta_at
 
-        def counted_jet(*args, **kwargs):
-            calls["jet"] += 1
-            return exact_jet(*args, **kwargs)
+# ---------------------------------------------------------------------------
+# the homoclinic (P) curve on the true system, by separatrix splitting
 
-        def counted_beta(terms, lambda1, lambda2):
-            evaluated.append((lambda1, lambda2))
-            return exact_beta(terms, lambda1, lambda2)
 
-        monkeypatch.setattr(model, "jet", counted_jet)
-        monkeypatch.setattr(bt, "jet", counted_jet)
-        monkeypatch.setattr(bt, "_beta_at", counted_beta)
-        bifurcation_curves(nf, BT_EXAMPLE_BOX, 25)
-        assert calls["jet"] == 0
-        assert len(set(evaluated)) == len(evaluated)
-        assert 0 < len(evaluated) <= 3200
+def _separatrix_split(params, bt_point):
+    """Splitting of the saddle's separatrices near the BT point: the
+    unstable branch (forward) and the stable branch (backward), each started
+    1e-7 off the saddle toward the antisaddle and integrated at tol 1e-12
+    for |t| <= 20000, cut the half-line y = y_anti, x > x_anti, refined as
+    ``sim._section_crossings`` refines; returns the difference of the two
+    first crossing abscissas, which changes sign at the homoclinic orbit."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        near = sorted(interior_equilibria(params), key=lambda e: abs(e.x - bt_point.x))[:2]
+    dets = [_trace_det_residual(params, e.x, params.h, params.delta, e.y)[2] for e in near]
+    saddle, anti = near if dets[0] < 0 else near[::-1]
+    assert dets == sorted(dets) or dets == sorted(dets, reverse=True)
+    assert anti.x > saddle.x  # the half-line lies beyond the antisaddle
+    (a, b), (c, d) = jet(params, saddle.x, saddle.y)[1]
+    half_tr = 0.5 * (a + d)
+    root = math.sqrt(half_tr * half_tr - (a * d - b * c))
+    crossings = []
+    for eig, t_end in ((half_tr + root, 20000.0), (half_tr - root, -20000.0)):
+        vx, vy = b, eig - a  # (DF - eig) v = 0
+        if vx * (anti.x - saddle.x) + vy * (anti.y - saddle.y) < 0:
+            vx, vy = -vx, -vy
+        scale = 1e-7 / math.hypot(vx, vy)
+        start = State(saddle.x + scale * vx, saddle.y + scale * vy)
+        traj = sim.integrate(params, start, t_end, tol=1e-12, on_failure="keep")
+        crossings.append(sim._section_crossings(traj, anti.x, anti.y)[0][1])
+    return crossings[0] - crossings[1]
+
+
+class TestHomoclinic:
+    """The reported P curve against the homoclinic orbit of the true system,
+    located by separatrix splitting between the reported H and 1.5 P - H
+    gaps: the normal form's gap is right to first order in lambda1."""
+
+    @pytest.mark.parametrize("lambda1", [1e-3, 5e-4])
+    def test_p_gap_matches_the_homoclinic_orbit(self, nf, bt_point, lambda1):
+        cs = bifurcation_curves(nf, (lambda1, lambda1, -2.0 * lambda1, 2.0 * lambda1), 1)
+        ((_, l2_h),), ((_, l2_p),) = cs.H, cs.P
+        gap = l2_p - l2_h
+        base = BASE.with_(h=bt_point.h_bt + lambda1)
+
+        def split(k):
+            return _separatrix_split(base.with_(delta=bt_point.delta_bt + l2_h + k * gap),
+                                     bt_point)
+
+        # bisect the sign change of the split in units of the gap
+        lo, hi = 0.5, 1.5
+        s_lo = split(lo)
+        assert s_lo * split(hi) < 0
+        while hi - lo > 1e-3:
+            mid = 0.5 * (lo + hi)
+            s_mid = split(mid)
+            if s_lo * s_mid <= 0:
+                hi = mid
+            else:
+                lo, s_lo = mid, s_mid
+        ratio = 0.5 * (lo + hi)
+        assert abs(ratio - 1.0) <= 150.0 * lambda1
+
+
+def _fold_by_interior_count(bt_point, l1):
+    """lambda2 of the fold at lambda1 = l1 on the true system: where the
+    count of interior equilibria drops from 2 to 0, bisected 60 times
+    inside (-0.0130, -0.0125)."""
+    p0 = bt_point.params(BASE)
+
+    def n_interior(l2):
+        p = p0.with_(h=p0.h + l1, delta=p0.delta + l2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return len(interior_equilibria(p))
+
+    lo, hi = -0.0130, -0.0125
+    assert n_interior(lo) == 2 and n_interior(hi) == 0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if n_interior(mid) == 0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
 
 
 class TestTrueUnfolding:
@@ -678,23 +782,13 @@ class TestTrueUnfolding:
     validity scale, so those regimes are checked on the true system."""
 
     def test_fold_location_matches_reference_offset(self, bt_point):
-        from predbif.equilibria import interior_equilibria
-        p0 = bt_point.params(BASE)
-        l1 = 0.02
+        assert _fold_by_interior_count(bt_point, 0.02) == pytest.approx(-0.01283735222, abs=1e-6)
 
-        def n_interior(l2):
-            p = p0.with_(h=p0.h + l1, delta=p0.delta + l2)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                return len(interior_equilibria(p))
-
-        lo, hi = -0.0130, -0.0125
-        assert n_interior(lo) == 2 and n_interior(hi) == 0
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if n_interior(mid) == 0:
-                hi = mid
-            else:
-                lo = mid
-        fold = 0.5 * (lo + hi)
-        assert fold == pytest.approx(-0.01283735222, abs=1e-6)
+    def test_reported_fold_is_the_true_fold(self, nf, bt_point):
+        # far from the BT point the normal form's fold sits at -0.0150545;
+        # the reported one is the fold curve's
+        cs = bifurcation_curves(nf, (0.02, 0.02, -0.03, 0.03), 1)
+        ((l1, l2),) = cs.T
+        assert l1 == 0.02
+        assert l2 == pytest.approx(-0.01283735222, abs=1e-6)
+        assert l2 == pytest.approx(_fold_by_interior_count(bt_point, 0.02), abs=1e-6)
