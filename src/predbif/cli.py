@@ -221,29 +221,29 @@ def _render_svg(series: list[tuple[str, list]], labels: tuple[str, str],
     return "\n".join(body) + "\n"
 
 
-# Write jobs: ("json", name, results) | ("csv", name, header, rows)
-#           | ("svg", name, series, labels)
-
-
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (results, table, plot), None for what it lacks;
+# results is the JSON report's payload, table the CSV's (header, rows) and
+# plot the SVG's (series, labels)
 
 
 def _eq_dict(e: equilibria.Equilibrium) -> dict:
     return {"x": e.x, "y": e.y, "kind": e.kind, "source": e.source}
 
 
-def cmd_equilibria(cfg, params, fmt):
+def _bt_point_dict(p: bt.BTPoint) -> dict:
+    return {"x": p.x, "y": p.y, "h_bt": p.h_bt, "delta_bt": p.delta_bt, "case": p.case_tag}
+
+
+def cmd_equilibria(params):
     region = equilibria.classify_region(params.h, params.c)
     eqs = equilibria.all_equilibria(params)
-    results = {"region": region.tag, "equilibria": [_eq_dict(e) for e in eqs]}
-    return [("json", "equilibria", results)]
+    return {"region": region.tag, "equilibria": [_eq_dict(e) for e in eqs]}, None, None
 
 
-def cmd_stability(cfg, params, fmt):
-    eqs = equilibria.all_equilibria(params)
+def cmd_stability(params):
     rows = []
-    for e in eqs:
+    for e in equilibria.all_equilibria(params):
         rep = stability.classify_generic(params, e)
         rows.append(
             {
@@ -256,10 +256,10 @@ def cmd_stability(cfg, params, fmt):
                 "branch": rep.theorem_branch,
             }
         )
-    return [("json", "stability", {"reports": rows})]
+    return {"reports": rows}, None, None
 
 
-def cmd_hopf(cfg, params, fmt, *, delta_min, delta_max, n_samples, branch):
+def cmd_hopf(params, *, delta_min, delta_max, n_samples, branch):
     points = hopf.hopf_scan(params, (delta_min, delta_max), n_samples, branch)
     results = [
         {
@@ -274,27 +274,21 @@ def cmd_hopf(cfg, params, fmt, *, delta_min, delta_max, n_samples, branch):
         }
         for hd in points
     ]
-    return [("json", "hopf", {"hopf_points": results})]
+    return {"hopf_points": results}, None, None
 
 
-def cmd_bt_locate(cfg, params, fmt):
-    pts = bt.bt_locate(params)
-    results = [
-        {"x": p.x, "y": p.y, "h_bt": p.h_bt, "delta_bt": p.delta_bt, "case": p.case_tag}
-        for p in pts
-    ]
-    return [("json", "bt-locate", {"bt_points": results})]
+def cmd_bt_locate(params):
+    return {"bt_points": [_bt_point_dict(p) for p in bt.bt_locate(params)]}, None, None
 
 
-def cmd_bt_normal_form(cfg, params, fmt):
+def cmd_bt_normal_form(params):
     results = []
     for p in bt.bt_locate(params):
         nf = bt.normal_form(params, p)
         (j00, j01), (j10, j11) = nf.beta_jacobian
         results.append(
             {
-                "point": {"x": p.x, "y": p.y, "h_bt": p.h_bt, "delta_bt": p.delta_bt,
-                          "case": p.case_tag},
+                "point": _bt_point_dict(p),
                 "g20_0": nf.g20_0,
                 "g11_0": nf.g11_0,
                 "g02_0": nf.g02_0,
@@ -306,50 +300,37 @@ def cmd_bt_normal_form(cfg, params, fmt):
                 "nondegeneracy": nf.nondegeneracy,
             }
         )
-    return [("json", "bt-normal-form", {"normal_forms": results})]
+    return {"normal_forms": results}, None, None
 
 
-def cmd_bt_curves(cfg, params, fmt, *, lambda1_min, lambda1_max, lambda2_min, lambda2_max, n):
+def cmd_bt_curves(params, *, lambda1_min, lambda1_max, lambda2_min, lambda2_max, n):
     box = (lambda1_min, lambda1_max, lambda2_min, lambda2_max)
     pts = bt.bt_locate(params)
     if not pts:
         raise PredbifError("no BT point to unfold")
-    nf = bt.normal_form(params, pts[0])
-    cs = bt.bifurcation_curves(nf, box, n)
-    rows = []
-    for name in ("T", "H", "P"):
-        for (l1, l2), (b1, b2) in zip(getattr(cs, name), cs.beta[name]):
-            rows.append([name, l1, l2, b1, b2])
-    jobs = [("csv", "bt-curves", ["curve", "lambda1", "lambda2", "beta1", "beta2"], rows)]
-    if fmt == "svg":
-        series = [("black", cs.T), ("red", cs.H), ("blue", cs.P)]
-        jobs.append(("svg", "bt-curves", series, ("lambda1", "lambda2")))
-    elif fmt == "json":
-        results = {"box": list(box), "T": [list(p) for p in cs.T],
-                   "H": [list(p) for p in cs.H], "P": [list(p) for p in cs.P]}
-        jobs.append(("json", "bt-curves", results))
-    return jobs
+    cs = bt.bifurcation_curves(bt.normal_form(params, pts[0]), box, n)
+    rows = [[name, l1, l2, b1, b2] for name in ("T", "H", "P")
+            for (l1, l2), (b1, b2) in zip(getattr(cs, name), cs.beta[name])]
+    results = {"box": box, "T": cs.T, "H": cs.H, "P": cs.P}
+    table = (["curve", "lambda1", "lambda2", "beta1", "beta2"], rows)
+    plot = ([("black", cs.T), ("red", cs.H), ("blue", cs.P)], ("lambda1", "lambda2"))
+    return results, table, plot
 
 
-def cmd_simulate(cfg, params, fmt, *, x0, y0, t_end, tol):
+def cmd_simulate(params, *, x0, y0, t_end, tol):
     traj = simmod.integrate(params, State(x0, y0), t_end, tol, on_failure="keep")
     states = traj.states.tolist()
+    results = {
+        "tol": tol,
+        "terminated": traj.terminated,
+        "n_steps": len(traj) - 1,
+        "final": {"x": traj.final.x, "y": traj.final.y},
+    }
     rows = [[t, x, y] for t, (x, y) in zip(traj.times.tolist(), states)]
-    jobs = [("csv", "simulate", ["t", "x", "y"], rows)]
-    if fmt == "svg":
-        jobs.append(("svg", "simulate", [("black", states)], ("x", "y")))
-    elif fmt == "json":
-        results = {
-            "tol": tol,
-            "terminated": traj.terminated,
-            "n_steps": len(traj) - 1,
-            "final": {"x": traj.final.x, "y": traj.final.y},
-        }
-        jobs.append(("json", "simulate", results))
-    return jobs
+    return results, (["t", "x", "y"], rows), ([("black", states)], ("x", "y"))
 
 
-def cmd_sweep(cfg, params, fmt, *, h_min, h_max, c_min, c_max, n_h, n_c):
+def cmd_sweep(params, *, h_min, h_max, c_min, c_max, n_h, n_c):
     rows = []
     c_grid = linspace(c_min, c_max, n_c)
     for hv in linspace(h_min, h_max, n_h):
@@ -362,7 +343,7 @@ def cmd_sweep(cfg, params, fmt, *, h_min, h_max, c_min, c_max, n_h, n_c):
                 rows.append([hv, cv, region, len(eqs), ";".join(labels)])
             except PredbifError as exc:
                 rows.append([hv, cv, region, -1, f"error:{type(exc).__name__}"])
-    return [("csv", "sweep", ["h", "c", "region", "n_interior", "labels"], rows)]
+    return None, (["h", "c", "region", "n_interior", "labels"], rows), None
 
 
 COMMANDS = {
@@ -415,43 +396,37 @@ def run(argv: list[str]) -> int:
         cfg = parse_config(args.config)
         params = params_from_config(cfg)
         opts = command_options(args.command, cfg)
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
     except (OSError, ValueError, ParameterOutOfRange) as exc:
         print(f"predbif: config error: {exc}", file=sys.stderr)
         return 2
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     flags = {key: value for key, value in vars(args).items()
              if key not in ("command", "config", "out", "format")}
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            jobs = COMMANDS[args.command](cfg, params, args.format, **opts, **flags)
+            results, table, plot = COMMANDS[args.command](params, **opts, **flags)
         diags = sorted({str(w.message) for w in caught})
     except PredbifError as exc:
         print(f"predbif: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    written = []
-    for job in jobs:
-        if job[0] == "json":
-            _, name, results = job
-            report = {
-                "config": cfg,
-                "results": results,
-                "diagnostics": diags,
-                "versions": {"predbif": __version__, "backend": BACKEND},
-            }
-            path = out_dir / f"{name}.json"
-            path.write_text(to_json(report) + "\n")
-        elif job[0] == "csv":
-            _, name, header, rows = job
-            path = out_dir / f"{name}.csv"
-            path.write_text(_render_csv(header, rows))
-        else:
-            _, name, series, labels = job
-            path = out_dir / f"{name}.svg"
-            path.write_text(_render_svg(series, labels))
-        written.append(path)
-    for path in written:
+    reports = []
+    if table is not None:
+        reports.append(("csv", _render_csv(*table)))
+    if plot is not None and args.format == "svg":
+        reports.append(("svg", _render_svg(*plot)))
+    if results is not None and (args.format == "json" or table is None):
+        report = {
+            "config": cfg,
+            "results": results,
+            "diagnostics": diags,
+            "versions": {"predbif": __version__, "backend": BACKEND},
+        }
+        reports.append(("json", to_json(report) + "\n"))
+    for ext, text in reports:
+        path = out_dir / f"{args.command}.{ext}"
+        path.write_text(text)
         print(path)
     return 0
 

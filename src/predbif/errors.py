@@ -53,10 +53,6 @@ class DegenerateBT(PredbifError):
         self.condition = condition
 
 
-class NotPresent(PredbifError):
-    """The requested equilibrium does not exist for these parameters."""
-
-
 class StepFailure(PredbifError):
     """The adaptive integrator hit the minimum step size."""
 

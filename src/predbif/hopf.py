@@ -186,16 +186,3 @@ def hopf_scan(params: ModelParams, delta_interval: tuple[float, float],
             if pt.det > 0:
                 out.append(_hopf_data(params, pt))
     return out
-
-
-def hopf_delta(params: ModelParams, eq_branch: int = 0,
-               delta_interval: tuple[float, float] = (1e-3, 1.0),
-               n_samples: int = 200) -> HopfData:
-    """First self-consistent Hopf point of the chosen interior branch."""
-    found = hopf_scan(params, delta_interval, n_samples, eq_branch)
-    if not found:
-        raise NoHopf(
-            f"no trace sign change with positive determinant on branch "
-            f"{eq_branch} over delta in {delta_interval}"
-        )
-    return found[0]

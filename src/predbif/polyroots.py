@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import DegenerateResolvent, NoConvergence
 
@@ -22,12 +22,9 @@ DEGENERATE_Q2_TOL = 1e-12
 
 @dataclass
 class CubicResolution:
-    """Depressed-cubic data and roots of a monic cubic x^3+Ax^2+Bx+C."""
+    """Discriminant and roots of a monic cubic x^3+Ax^2+Bx+C."""
 
-    P: float
-    Q: float
     Delta: float
-    phi: float | None
     real_roots: list[float]
     complex_pair: tuple[complex, complex] | None
 
@@ -41,17 +38,11 @@ class CubicResolution:
 
 @dataclass
 class FerrariDecomposition:
-    """Tchirnhausen/resolvent data and the four roots of a monic quartic."""
+    """The four roots of a monic quartic and the path that found them."""
 
-    P2: float
-    Q2: float
-    r: float
-    u: float | None
-    Delta1: complex | None
-    Delta2: complex | None
     roots: list[complex]
-    biquadratic: bool = False
-    real_roots: list[float] = field(default_factory=list)
+    biquadratic: bool
+    real_roots: list[float]
 
 
 def _real_cbrt(v: float) -> float:
@@ -114,7 +105,6 @@ def solve_cubic_cardano(A: float, B: float, C: float) -> CubicResolution:
     Q = 2.0 * A**3 / 27.0 - A * B / 3.0 + C
     Delta = (Q / 2.0) ** 2 + (P / 3.0) ** 3
     shift = A / 3.0
-    phi: float | None = None
     coeffs = [A, B, C]
 
     if Delta > 0:
@@ -132,14 +122,14 @@ def solve_cubic_cardano(A: float, B: float, C: float) -> CubicResolution:
         if _classify_real(z1) and _classify_real(z2):
             # cancellation noise: treat as real triple
             reals = sorted([x1.real, z1.real, z2.real])
-            return CubicResolution(P, Q, Delta, phi, reals, None)
-        return CubicResolution(P, Q, Delta, phi, [x1.real], (z1, z2))
+            return CubicResolution(Delta, reals, None)
+        return CubicResolution(Delta, [x1.real], (z1, z2))
     if Delta == 0:
         t = _real_cbrt(-Q / 2.0)
         x1 = 2.0 * t - shift
         x2 = -t - shift
         reals = [float(_polish_or_keep(coeffs, x1).real), float(x2), float(x2)]
-        return CubicResolution(P, Q, Delta, phi, sorted(reals), None)
+        return CubicResolution(Delta, sorted(reals), None)
     # Delta < 0: three distinct reals
     rho = math.sqrt(-((P / 3.0) ** 3))
     cos_phi = max(-1.0, min(1.0, -(Q / 2.0) / rho))
@@ -149,7 +139,7 @@ def solve_cubic_cardano(A: float, B: float, C: float) -> CubicResolution:
     for k in range(3):
         xk = amp * math.cos((phi + 2.0 * math.pi * k) / 3.0) - shift
         reals.append(float(_polish_or_keep(coeffs, xk).real))
-    return CubicResolution(P, Q, Delta, phi, sorted(reals), None)
+    return CubicResolution(Delta, sorted(reals), None)
 
 
 def depress_quartic(A: float, B: float, C: float, D: float) -> tuple[float, float, float]:
@@ -203,7 +193,7 @@ def solve_quartic_ferrari(A: float, B: float, C: float, D: float) -> FerrariDeco
         Xs = _solve_biquadratic(P2, r)
         roots = [_polish_or_keep(coeffs, X - shift) for X in Xs]
         reals = sorted(z.real for z in roots if _classify_real(z))
-        return FerrariDecomposition(P2, Q2, r, None, None, None, roots, True, reals)
+        return FerrariDecomposition(roots, True, reals)
 
     u = resolvent_positive_root(P2, Q2, r)
     s2u = math.sqrt(2.0 * u)
@@ -242,4 +232,4 @@ def solve_quartic_ferrari(A: float, B: float, C: float, D: float) -> FerrariDeco
             cleaned.append(z)
             used[i] = True
     reals = sorted(z.real for z in cleaned if _classify_real(z))
-    return FerrariDecomposition(P2, Q2, r, u, Delta1, Delta2, cleaned, False, reals)
+    return FerrariDecomposition(cleaned, False, reals)

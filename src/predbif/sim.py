@@ -8,11 +8,11 @@ The stepper lives in a compiled kernel with a pure-Python twin
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ._backend import BACKEND, integrate_kernel
+from ._backend import integrate_kernel
 from .errors import DomainError, StepFailure
 from .model import ModelParams, State, jet, rhs, validate
 from .equilibria import Equilibrium
@@ -47,8 +47,6 @@ class Trajectory:
 class BoundReport:
     x_violation: float
     y_violation: float
-    x_bound_kind: str
-    y_bound: float
     ok: bool
 
 
@@ -57,16 +55,34 @@ class CycleProbe:
     found: bool
     period: float | None
     stability: str | None  # Attracting | Repelling | Inconclusive
-    section: tuple[float, float]  # half-line anchor (center of the section)
     floquet_ratio: float | None
-    radii: tuple[float, ...] = field(default=())
+    radii: tuple[float, ...]
 
 
-def _raw_integrate(params: ModelParams, x0: State, t0: float, t_end: float,
-                   tol: float, max_steps: int) -> Trajectory:
+def integrate(params: ModelParams, x0: State, t_end: float,
+              tol: float = DEFAULT_TOL, max_steps: int = 10_000_000,
+              on_failure: str = "raise") -> Trajectory:
+    """Adaptive Dormand-Prince 5(4) trajectory from x0 over [0, t_end].
+
+    Coordinates that start exactly at 0 are held at 0 (axis invariance).
+    t_end < 0 integrates backward in time.  Raises DomainError for a start
+    with x0.x < 0, where the field leaves its domain (x = -c divides by 0).
+    A StepFailure stop raises when ``on_failure`` is "raise" and is kept
+    in ``terminated`` when it is "keep".
+    """
+    validate(params)
+    lo, hi = TOL_RANGE
+    if not lo <= tol <= hi:
+        raise DomainError(f"tol must lie in [{lo:g}, {hi:g}], got {tol}")
+    if not (math.isfinite(x0.x) and math.isfinite(x0.y)):
+        raise DomainError(f"initial state must be finite, got {x0}")
+    if x0.x < 0:
+        raise DomainError(f"initial prey density must be nonnegative, got x={x0.x}")
+    if on_failure not in ("raise", "keep"):
+        raise DomainError(f'on_failure must be "raise" or "keep", got {on_failure!r}')
     ts, xs, ys, dxs, dys, status = integrate_kernel(
         params.a, params.b, params.c, params.h, params.delta, params.eta,
-        params.m, x0.x, x0.y, t0, t_end, tol, tol, max_steps,
+        params.m, x0.x, x0.y, 0.0, t_end, tol, tol, max_steps,
     )
     times = np.asarray(ts)
     states = np.column_stack([np.asarray(xs), np.asarray(ys)])
@@ -81,29 +97,8 @@ def _raw_integrate(params: ModelParams, x0: State, t0: float, t_end: float,
             terminated = f"Converged({states[-1, 0]:.9g},{states[-1, 1]:.9g})"
         else:
             terminated = "TimeLimit"
-    return Trajectory(times, states, derivs, terminated)
-
-
-def integrate(params: ModelParams, x0: State, t_end: float,
-              tol: float = DEFAULT_TOL, t0: float = 0.0,
-              max_steps: int = 10_000_000,
-              on_failure: str = "raise") -> Trajectory:
-    """Adaptive Dormand-Prince 5(4) trajectory from x0 over [t0, t_end].
-
-    Coordinates that start exactly at 0 are held at 0 (axis invariance).
-    t_end < t0 integrates backward in time.  Raises DomainError for a start
-    with x0.x < 0, where the field leaves its domain (x = -c divides by 0).
-    """
-    validate(params)
-    lo, hi = TOL_RANGE
-    if not lo <= tol <= hi:
-        raise DomainError(f"tol must lie in [{lo:g}, {hi:g}], got {tol}")
-    if not (math.isfinite(x0.x) and math.isfinite(x0.y)):
-        raise DomainError(f"initial state must be finite, got {x0}")
-    if x0.x < 0:
-        raise DomainError(f"initial prey density must be nonnegative, got x={x0.x}")
-    traj = _raw_integrate(params, x0, t0, t_end, tol, max_steps)
-    if traj.terminated == "StepFailure" and on_failure == "raise":
+    traj = Trajectory(times, states, derivs, terminated)
+    if status == 1 and on_failure == "raise":
         raise StepFailure(
             f"minimum step reached at t={traj.times[-1]:.6g}, state={traj.final}"
         )
@@ -122,15 +117,13 @@ def bound_check(traj: Trajectory, params: ModelParams, x0: State) -> BoundReport
         denom = 1.0 - C * np.exp(-t)
         xb = np.where(denom > 0, 1.0 / np.where(denom > 0, denom, 1.0), np.inf)
         x_violation = float(np.max(x - xb))
-        kind = "envelope"
     else:
         x_violation = float(np.max(x))  # x must stay at 0 on the axis
-        kind = "axis"
     M = max(x0.x, 1.0)
     yb = max(x0.y, params.delta * (params.m + M) / params.eta)
     y_violation = float(np.max(y - yb))
     ok = x_violation <= 1e-6 and y_violation <= 1e-6
-    return BoundReport(x_violation, y_violation, kind, yb, ok)
+    return BoundReport(x_violation, y_violation, ok)
 
 
 def phase_portrait(params: ModelParams, grid: list[State], t_end: float,
@@ -202,7 +195,6 @@ def detect_limit_cycle(params: ModelParams, center: Equilibrium,
         raise DomainError("cycle probe needs a spiral-type equilibrium (complex eigenvalues)")
     xc, yc = center.x, center.y
     seed = State(xc + probe_radius, yc)
-    section = (xc, yc)
 
     for direction, label in ((1.0, "Attracting"), (-1.0, "Repelling")):
         traj = integrate(params, seed, direction * t_max, tol, on_failure="keep")
@@ -216,9 +208,9 @@ def detect_limit_cycle(params: ModelParams, center: Equilibrium,
             ratio = None
             if len(diffs) >= 2 and diffs[-2] > 0:
                 ratio = diffs[-1] / diffs[-2]
-            return CycleProbe(True, period, label, section, ratio, tuple(radii[: k + 1]))
+            return CycleProbe(True, period, label, ratio, tuple(radii[: k + 1]))
         if k is not None:
             # spiraled into the equilibrium in this time direction: no cycle
             # between the seed and the focus on this side
             continue
-    return CycleProbe(False, None, "Inconclusive", section, None, ())
+    return CycleProbe(False, None, "Inconclusive", None, ())

@@ -10,9 +10,9 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 
-from .errors import DomainError, NotPresent
-from .equilibria import Equilibrium, predator_free_x
-from .model import ModelParams, jacobian, jet
+from .errors import DomainError
+from .equilibria import Equilibrium
+from .model import ModelParams, jacobian
 
 #: |eigenvalue| < ZERO_EIG_TOL * (1 + ||J||) routes to the degenerate branches.
 ZERO_EIG_TOL = 1e-8
@@ -26,11 +26,6 @@ class StabilityReport:
     label: str
     sector: str | None = None  # for SaddleNode: "Right" | "Left"
     theorem_branch: str = ""
-    sign_quantity: float | None = None
-
-    @property
-    def is_stable(self) -> bool:
-        return self.label in ("StableNode", "StableSpiral")
 
 
 def _spectrum(J) -> tuple[tuple[complex, complex], float, float]:
@@ -45,9 +40,9 @@ def _spectrum(J) -> tuple[tuple[complex, complex], float, float]:
     return (0.5 * tr + r, 0.5 * tr - r), tr, det
 
 
-def _report(spectrum: tuple, label: str, branch: str, sector: str | None = None,
-            sign_quantity: float | None = None) -> StabilityReport:
-    return StabilityReport(*spectrum, label, sector, branch, sign_quantity)
+def _report(spectrum: tuple, label: str, branch: str,
+            sector: str | None = None) -> StabilityReport:
+    return StabilityReport(*spectrum, label, sector, branch)
 
 
 def classify_generic(params: ModelParams, eq: Equilibrium) -> StabilityReport:
@@ -92,7 +87,7 @@ def classify_origin(params: ModelParams) -> StabilityReport:
         return _report(_spectrum(J), "Saddle", "origin/c<h")
     if abs(c - 1.0) > ZERO_EIG_TOL:
         sector = "Right" if c < 1.0 else "Left"
-        return _report(_spectrum(J), "SaddleNode", "origin/h=c", sector, sign_quantity=1.0 - c)
+        return _report(_spectrum(J), "SaddleNode", "origin/h=c", sector)
     return _report(_spectrum(J), "DegenerateSaddle", "origin/h=c=1")
 
 
@@ -110,23 +105,8 @@ def classify_prey_extinction(params: ModelParams) -> StabilityReport:
     q1 = c * delta * m + c * eta - eta
     if abs(q1) > ZERO_EIG_TOL:
         sector = "Right" if q1 > 0 else "Left"
-        return _report(_spectrum(J), "SaddleNode", "prey-extinction/h=c", sector, sign_quantity=q1)
+        return _report(_spectrum(J), "SaddleNode", "prey-extinction/h=c", sector)
     q2 = b * delta * eta * m - delta**2 * m**2 - 2.0 * delta * eta * m - delta * eta - eta**2
     if q2 < 0:
-        return _report(_spectrum(J), "UnstableNode", "prey-extinction/h=c,cubic", sign_quantity=q2)
-    return _report(_spectrum(J), "Saddle", "prey-extinction/h=c,cubic", sign_quantity=q2)
-
-
-def classify_predator_free(params: ModelParams, which: str) -> StabilityReport:
-    """Predator-free equilibrium E+ / E- (always unstable: one eigenvalue is
-    delta > 0)."""
-    x = predator_free_x(params, which)
-    if x is None:
-        raise NotPresent(f"E{'+' if which == 'plus' else '-'} does not exist for these parameters")
-    J = jet(params, x, 0.0)[1]  # ((lam2, -x^2/p), (0, delta)) on the x axis
-    lam2 = J[0][0]
-    if abs(lam2) < ZERO_EIG_TOL * (1.0 + abs(lam2)):
-        return _report(_spectrum(J), "NonHyperbolic-other",
-                       f"predator-free/{which}/zero-eigenvalue")
-    label = "Saddle" if lam2 < 0 else "UnstableNode"
-    return _report(_spectrum(J), label, f"predator-free/{which}")
+        return _report(_spectrum(J), "UnstableNode", "prey-extinction/h=c,cubic")
+    return _report(_spectrum(J), "Saddle", "prey-extinction/h=c,cubic")

@@ -1,4 +1,5 @@
 import json
+import shlex
 from pathlib import Path
 
 import pytest
@@ -7,7 +8,8 @@ from predbif.cli import build_parser, parse_config, params_from_config, run, to_
 from predbif.equilibria import isocline_y
 from predbif.model import ModelParams
 
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = ROOT / "configs"
 
 #: the keys of one point of hopf.json
 HOPF_KEYS = {"delta_H", "omega", "det", "l1", "transversality", "transversality_branch",
@@ -189,6 +191,16 @@ class TestExitCodes:
         assert run(["equilibria", "--config", gold_cfg, "--out", str(tmp_path)]) == 0
         assert build_parser() is build_parser()
 
+    @pytest.mark.parametrize("under", [False, True], ids=["out_is_a_file", "out_under_a_file"])
+    def test_out_that_cannot_be_a_directory_is_config_error(self, under, gold_cfg, tmp_path,
+                                                             capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / "sub" if under else blocker
+        assert run(["equilibria", "--config", gold_cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("predbif: config error: ")
+        assert blocker.read_text() == ""
+
 
 class TestDeterminism:
     def test_repeated_runs_byte_identical(self, gold_cfg, tmp_path):
@@ -209,6 +221,45 @@ class TestDeterminism:
         assert text.index('"a"') < text.index('"b"')
         parsed = json.loads(text.replace("NaN", '"NaN"'))
         assert parsed["a"] == {"z": True, "y": None}
+
+
+JSON_ONLY = {f: ["json"] for f in ("json", "csv", "svg")}
+TABLE_AND_PLOT = {"json": ["csv", "json"], "csv": ["csv"], "svg": ["csv", "svg"]}
+
+#: each command's shipped config, and the files it writes under each --format
+FORMAT_FILES = {
+    "equilibria": ("bt_example", JSON_ONLY),
+    "stability": ("bt_example", JSON_ONLY),
+    "hopf": ("hopf_example", JSON_ONLY),
+    "bt-locate": ("bt_example", JSON_ONLY),
+    "bt-normal-form": ("bt_example", JSON_ONLY),
+    "bt-curves": ("bt_example", TABLE_AND_PLOT),
+    "simulate": ("bt_example", TABLE_AND_PLOT),
+    "sweep": ("sweep_regions", {f: ["csv"] for f in ("json", "csv", "svg")}),
+}
+
+
+class TestFormats:
+    @pytest.mark.parametrize("fmt", ["json", "csv", "svg"])
+    @pytest.mark.parametrize("command", sorted(FORMAT_FILES))
+    def test_files_written_per_format(self, command, fmt, tmp_path, capsys):
+        config, files = FORMAT_FILES[command]
+        assert run([command, "--config", str(CONFIGS / f"{config}.cfg"), "--out", str(tmp_path),
+                    "--format", fmt]) == 0
+        want = [str(tmp_path / f"{command}.{ext}") for ext in files[fmt]]
+        assert capsys.readouterr().out.splitlines() == want
+        assert sorted(str(p) for p in tmp_path.iterdir()) == sorted(want)
+
+    def test_readme_cli_examples_run(self, tmp_path, monkeypatch):
+        readme = (ROOT / "README.md").read_text()
+        block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        lines = [shlex.split(line) for line in block.splitlines() if line.startswith("predbif ")]
+        assert len(lines) == len(FORMAT_FILES)
+        monkeypatch.chdir(ROOT)
+        for argv in lines:
+            argv = argv[1:]
+            argv[argv.index("--out") + 1] = str(tmp_path)
+            assert run(argv) == 0, argv
 
 
 class TestReports:

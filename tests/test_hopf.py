@@ -10,7 +10,6 @@ from predbif.equilibria import Equilibrium, interior_equilibria, isocline_y
 from predbif.errors import BranchLost, DomainError, NoHopf
 from predbif.hopf import (
     frozen_trace,
-    hopf_delta,
     hopf_scan,
     lyapunov_coefficient_l,
     transversality,
@@ -27,7 +26,7 @@ INTERVAL = (0.0177, 0.017863)
 
 @pytest.fixture(scope="module")
 def hopf_point():
-    return hopf_delta(SLICE, eq_branch=1, delta_interval=INTERVAL, n_samples=120)
+    return hopf_scan(SLICE, INTERVAL, n_samples=120, eq_branch=1)[0]
 
 
 class TestHopfDelta:
@@ -57,16 +56,12 @@ class TestHopfDelta:
     def test_bt_point_is_not_hopf(self):
         # at the double-zero point trace = 0 but det = 0 too
         with pytest.raises((NoHopf, BranchLost)):
-            hopf_delta(BASE, eq_branch=0,
-                       delta_interval=(BASE.delta - 1e-4, BASE.delta + 1e-4),
-                       n_samples=40)
+            hopf_scan(BASE, (BASE.delta - 1e-4, BASE.delta + 1e-4), n_samples=40)
 
     def test_no_branch_raises(self):
         with pytest.raises(NoHopf):
             # lambda2 = 0 slice: no interior equilibria at all
-            hopf_delta(SLICE, eq_branch=0,
-                       delta_interval=(BASE.delta - 1e-5, BASE.delta + 1e-5),
-                       n_samples=10)
+            hopf_scan(SLICE, (BASE.delta - 1e-5, BASE.delta + 1e-5), n_samples=10)
 
 
 class TestTransversality:
@@ -377,8 +372,8 @@ class TestStabilityCoefficient:
 
 
 class TestHopfScan:
-    def test_agreement_with_hopf_delta(self, hopf_point):
-        pts = hopf_scan(SLICE, INTERVAL, n_samples=120, eq_branch=1)
+    def test_agreement_across_sample_counts(self, hopf_point):
+        pts = hopf_scan(SLICE, INTERVAL, n_samples=30, eq_branch=1)
         assert len(pts) == 1
         assert pts[0].delta_H == pytest.approx(hopf_point.delta_H, abs=1e-9)
 

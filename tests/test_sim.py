@@ -85,6 +85,11 @@ class TestIntegrate:
         with pytest.raises(StepFailure):
             integrate(ALT, State(0.5, 0.5), 1000.0, max_steps=5)
 
+    @pytest.mark.parametrize("on_failure", ["rasie", "Keep", ""])
+    def test_unknown_on_failure_is_a_domain_error(self, on_failure):
+        with pytest.raises(DomainError, match="on_failure"):
+            integrate(ALT, State(0.5, 0.5), 1000.0, max_steps=5, on_failure=on_failure)
+
     @pytest.mark.parametrize("x0", [-BASE.c, -1e-12, -0.5])
     def test_negative_prey_start_is_a_domain_error(self, x0):
         # at x = -c the harvesting term h*x/(c + x) divides by zero
@@ -336,6 +341,12 @@ class TestBoundCheck:
         rep = bound_check(bad, BASE, State(0.8, 0.3))
         assert not rep.ok
         assert rep.x_violation > 1.0
+
+    def test_start_on_the_predator_axis(self):
+        x0 = State(0.0, 0.7)
+        rep = bound_check(integrate(BASE, x0, 100.0), BASE, x0)
+        assert rep.x_violation == 0.0
+        assert rep.ok
 
 
 class TestPhasePortrait:

@@ -5,13 +5,12 @@ import numpy as np
 import pytest
 
 from predbif.equilibria import Equilibrium, all_equilibria, interior_equilibria
-from predbif.errors import DomainError, NotPresent
+from predbif.errors import DomainError
 from predbif.model import ModelParams, State, jacobian
 from predbif.stability import (
     _spectrum,
     classify_generic,
     classify_origin,
-    classify_predator_free,
     classify_prey_extinction,
 )
 
@@ -77,20 +76,14 @@ class TestPredatorFree:
                             c=rng.uniform(0.05, 0.95), h=rng.uniform(0.05, 0.95),
                             delta=rng.uniform(0.05, 1.0), eta=rng.uniform(0.05, 1.0),
                             m=rng.uniform(0.1, 2.0))
-            for which in ("plus", "minus"):
-                try:
-                    rep = classify_predator_free(p, which)
-                except NotPresent:
+            for e in all_equilibria(p):
+                if e.kind != "PredatorFree":
                     continue
-                assert not rep.is_stable
+                rep = classify_generic(p, e)
+                assert rep.label not in ("StableNode", "StableSpiral")
                 # one eigenvalue is exactly delta > 0
                 assert any(abs(ev - p.delta) < 1e-12 for ev in rep.eigenvalues)
                 count += 1
-
-    def test_absent_equilibrium_raises(self):
-        p = GOLD.with_(c=0.3, h=0.5)  # disc < 0: no predator-free pair
-        with pytest.raises(NotPresent):
-            classify_predator_free(p, "plus")
 
 
 class TestGeneric:
@@ -98,6 +91,17 @@ class TestGeneric:
         p = GOLD.with_(c=0.3, h=0.3)
         rep = classify_generic(p, Equilibrium(0.0, 0.0, "Origin"))
         assert rep.label == "SaddleNode"
+
+    @pytest.mark.parametrize("a, b, delta, eta, m, label", [
+        (2.0, -2.82, 0.0307, 0.1, 0.8, "UnstableNode"),
+        (1.0, 10.0, 0.5, 0.1, 1.0, "Saddle"),
+    ])
+    def test_dispatches_prey_extinction_cubic_branch(self, a, b, delta, eta, m, label):
+        # h = c = eta/(delta m + eta) zeroes both 1 - h/c and the sector sign q1
+        c = eta / (delta * m + eta)
+        p = ModelParams(a=a, b=b, c=c, h=c, delta=delta, eta=eta, m=m)
+        rep = classify_generic(p, Equilibrium(0.0, delta * m / eta, "PreyExtinction"))
+        assert (rep.label, rep.theorem_branch) == (label, "prey-extinction/h=c,cubic")
 
     def test_labels_match_eigenvalues(self):
         rng = np.random.default_rng(17)
