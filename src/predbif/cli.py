@@ -319,15 +319,14 @@ def cmd_bt_curves(params, *, lambda1_min, lambda1_max, lambda2_min, lambda2_max,
 
 def cmd_simulate(params, *, x0, y0, t_end, tol):
     traj = simmod.integrate(params, State(x0, y0), t_end, tol, on_failure="keep")
-    states = traj.states.tolist()
     results = {
         "tol": tol,
         "terminated": traj.terminated,
         "n_steps": len(traj) - 1,
         "final": {"x": traj.final.x, "y": traj.final.y},
     }
-    rows = [[t, x, y] for t, (x, y) in zip(traj.times.tolist(), states)]
-    return results, (["t", "x", "y"], rows), ([("black", states)], ("x", "y"))
+    rows = [[t, x, y] for t, x, y in zip(traj.times, traj.xs, traj.ys)]
+    return results, (["t", "x", "y"], rows), ([("black", list(zip(traj.xs, traj.ys)))], ("x", "y"))
 
 
 def cmd_sweep(params, *, h_min, h_max, c_min, c_max, n_h, n_c):

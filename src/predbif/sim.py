@@ -10,11 +10,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from ._backend import integrate_kernel
 from .errors import DomainError, StepFailure
-from .model import ModelParams, State, jet, rhs, validate
+from .model import ModelParams, State, jet, validate
 from .equilibria import Equilibrium
 from .stability import _spectrum
 
@@ -30,9 +28,13 @@ CONVERGED_TOL = 1e-10
 
 @dataclass(frozen=True)
 class Trajectory:
-    times: np.ndarray  # (N,)
-    states: np.ndarray  # (N, 2)
-    derivs: np.ndarray  # (N, 2)
+    """The kernel's five float lists, kept as it returns them."""
+
+    times: list[float]
+    xs: list[float]
+    ys: list[float]
+    dxs: list[float]
+    dys: list[float]
     terminated: str  # TimeLimit | Converged(...) | Escaped | StepFailure
 
     def __len__(self) -> int:
@@ -40,7 +42,7 @@ class Trajectory:
 
     @property
     def final(self) -> State:
-        return State(float(self.states[-1, 0]), float(self.states[-1, 1]))
+        return State(self.xs[-1], self.ys[-1])
 
 
 @dataclass(frozen=True)
@@ -55,7 +57,6 @@ class CycleProbe:
     found: bool
     period: float | None
     stability: str | None  # Attracting | Repelling | Inconclusive
-    floquet_ratio: float | None
     radii: tuple[float, ...]
 
 
@@ -76,6 +77,8 @@ def integrate(params: ModelParams, x0: State, t_end: float,
         raise DomainError(f"tol must lie in [{lo:g}, {hi:g}], got {tol}")
     if not (math.isfinite(x0.x) and math.isfinite(x0.y)):
         raise DomainError(f"initial state must be finite, got {x0}")
+    if not math.isfinite(t_end):
+        raise DomainError(f"t_end must be finite, got {t_end}")
     if x0.x < 0:
         raise DomainError(f"initial prey density must be nonnegative, got x={x0.x}")
     if on_failure not in ("raise", "keep"):
@@ -84,20 +87,15 @@ def integrate(params: ModelParams, x0: State, t_end: float,
         params.a, params.b, params.c, params.h, params.delta, params.eta,
         params.m, x0.x, x0.y, 0.0, t_end, tol, tol, max_steps,
     )
-    times = np.asarray(ts)
-    states = np.column_stack([np.asarray(xs), np.asarray(ys)])
-    derivs = np.column_stack([np.asarray(dxs), np.asarray(dys)])
     if status == 2:
         terminated = "Escaped"
     elif status == 1:
         terminated = "StepFailure"
+    elif max(abs(dxs[-1]), abs(dys[-1])) < CONVERGED_TOL:
+        terminated = f"Converged({xs[-1]:.9g},{ys[-1]:.9g})"
     else:
-        fx, fy = derivs[-1]
-        if max(abs(fx), abs(fy)) < CONVERGED_TOL:
-            terminated = f"Converged({states[-1, 0]:.9g},{states[-1, 1]:.9g})"
-        else:
-            terminated = "TimeLimit"
-    traj = Trajectory(times, states, derivs, terminated)
+        terminated = "TimeLimit"
+    traj = Trajectory(ts, xs, ys, dxs, dys, terminated)
     if status == 1 and on_failure == "raise":
         raise StepFailure(
             f"minimum step reached at t={traj.times[-1]:.6g}, state={traj.final}"
@@ -108,20 +106,20 @@ def integrate(params: ModelParams, x0: State, t_end: float,
 def bound_check(traj: Trajectory, params: ModelParams, x0: State) -> BoundReport:
     """Check the prey envelope x(t) <= 1/(1 - C e^{-t}), C = 1 - 1/x(0)
     (which collapses to x <= max(x(0), 1)) and the predator envelope
-    y(t) <= max(y(0), delta*(m+M)/eta) with M = max(x(0), 1)."""
-    t = traj.times - traj.times[0]
-    x = traj.states[:, 0]
-    y = traj.states[:, 1]
+    y(t) <= max(y(0), delta*(m+M)/eta) with M = max(x(0), 1).  The theorem
+    holds forward in time: a backward trajectory is a DomainError."""
+    t0 = traj.times[0]
+    if traj.times[-1] < t0:
+        raise DomainError(f"bound_check needs forward time, got t={t0} to {traj.times[-1]}")
     if x0.x > 0:
         C = 1.0 - 1.0 / x0.x
-        denom = 1.0 - C * np.exp(-t)
-        xb = np.where(denom > 0, 1.0 / np.where(denom > 0, denom, 1.0), np.inf)
-        x_violation = float(np.max(x - xb))
+        denoms = [1.0 - C * math.exp(t0 - t) for t in traj.times]
+        x_violation = max(x - 1.0 / d if d > 0 else -math.inf for x, d in zip(traj.xs, denoms))
     else:
-        x_violation = float(np.max(x))  # x must stay at 0 on the axis
+        x_violation = max(traj.xs)  # x must stay at 0 on the axis
     M = max(x0.x, 1.0)
     yb = max(x0.y, params.delta * (params.m + M) / params.eta)
-    y_violation = float(np.max(y - yb))
+    y_violation = max(traj.ys) - yb
     ok = x_violation <= 1e-6 and y_violation <= 1e-6
     return BoundReport(x_violation, y_violation, ok)
 
@@ -147,16 +145,14 @@ def _hermite(s, v0, v1, d0, d1, dt):
 def _section_crossings(traj: Trajectory, xc: float, yc: float):
     """Times and radii of crossings of the half-line {y = yc, x > xc},
     refined by cubic Hermite interpolation inside the step."""
-    t = traj.times.tolist()
-    x, y = traj.states.T.tolist()
-    dx, dy = traj.derivs.T.tolist()
-    g = traj.states[:, 1] - yc
-    steps = np.nonzero(g[:-1] * g[1:] < 0)[0].tolist()
+    t, x, y, dx, dy = traj.times, traj.xs, traj.ys, traj.dxs, traj.dys
+    g = [v - yc for v in y]
     out = []
-    for i in steps:
+    for i, (glo, gnext) in enumerate(zip(g, g[1:])):
+        if not glo * gnext < 0:
+            continue
         dt = t[i + 1] - t[i]
         lo, hi = 0.0, 1.0
-        glo = y[i] - yc
         for _ in range(60):
             mid = 0.5 * (lo + hi)
             gm = _hermite(mid, y[i], y[i + 1], dy[i], dy[i + 1], dt) - yc
@@ -186,8 +182,12 @@ def detect_limit_cycle(params: ModelParams, center: Equilibrium,
 
     Seeds on the horizontal half-line through the equilibrium; forward
     returns converging to a positive radius mean an attracting cycle,
-    backward returns a repelling one.
+    backward returns a repelling one.  ``probe_radius`` and ``t_max`` must
+    be finite and positive.
     """
+    if not (0 < probe_radius < math.inf and 0 < t_max < math.inf):
+        raise DomainError(f"probe_radius and t_max must be finite and positive, "
+                          f"got {probe_radius} and {t_max}")
     if center.kind != "Interior":
         raise DomainError("cycle probe needs an interior equilibrium as center")
     eig, _, _ = _spectrum(jet(params, center.x, center.y)[1])
@@ -204,13 +204,9 @@ def detect_limit_cycle(params: ModelParams, center: Equilibrium,
         k = _converged_radius(radii)
         if k is not None and radii[k] > 1e-6:
             period = abs(same[k][0] - same[k - 1][0])
-            diffs = [abs(radii[j] - radii[j - 1]) for j in range(1, k + 1)]
-            ratio = None
-            if len(diffs) >= 2 and diffs[-2] > 0:
-                ratio = diffs[-1] / diffs[-2]
-            return CycleProbe(True, period, label, ratio, tuple(radii[: k + 1]))
+            return CycleProbe(True, period, label, tuple(radii[: k + 1]))
         if k is not None:
             # spiraled into the equilibrium in this time direction: no cycle
             # between the seed and the focus on this side
             continue
-    return CycleProbe(False, None, "Inconclusive", None, ())
+    return CycleProbe(False, None, "Inconclusive", ())

@@ -291,11 +291,11 @@ def test_criterion_09_positivity_and_boundedness_envelopes():
             p = sets[int(rng.integers(len(sets)))]
             x0 = State(rng.uniform(0.01, 2.0), rng.uniform(0.01, 2.0))
             traj = integrate(p, x0, 200.0)
-            assert traj.states.min() > -1e-6
+            assert min(min(traj.xs), min(traj.ys)) > -1e-6
             M = max(x0.x, 1.0)
-            assert traj.states[:, 0].max() <= M + 1e-6
+            assert max(traj.xs) <= M + 1e-6
             ybound = max(x0.y, p.delta * (p.m + M) / p.eta)
-            assert traj.states[:, 1].max() <= ybound + 1e-6
+            assert max(traj.ys) <= ybound + 1e-6
 
 
 def test_criterion_10_hopf_transversality():

@@ -2,9 +2,10 @@
 scan.
 
 The 2x2 algebra of stability, Hopf and Bogdanov-Takens analysis runs on the
-float tuples of ``model.jet``; numpy is kept where arrays are the data
-(``sim``'s trajectories, the sign-scan oracle, ``model.jacobian``).  These
-checks read the source with ``ast``, so they hold without importing it.
+float tuples of ``model.jet``, and ``sim`` keeps a trajectory as the
+kernel's float lists.  numpy stays in ``src`` only in ``model.jacobian``
+and ``equilibria.interior_roots_oracle``.  These checks read the source
+with ``ast``, so they hold without importing it.
 """
 
 import ast
@@ -26,7 +27,7 @@ def _imports(tree):
             yield from (f"{node.module}.{alias.name}" for alias in node.names)
 
 
-@pytest.mark.parametrize("module", ["stability", "hopf", "bt", "cli"])
+@pytest.mark.parametrize("module", ["stability", "hopf", "bt", "sim", "cli"])
 def test_scalar_modules_do_not_import_numpy(module):
     tree = ast.parse((SRC / f"{module}.py").read_text())
     assert [name for name in _imports(tree) if name.split(".")[0] == "numpy"] == []

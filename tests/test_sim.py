@@ -9,6 +9,7 @@ import sys
 import sysconfig
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from predbif.equilibria import Equilibrium, interior_equilibria
 from predbif.errors import DomainError, StepFailure
 from predbif.model import ModelParams, State, jacobian
 from predbif.sim import (
+    BoundReport,
     Trajectory,
     _hermite,
     _section_crossings,
@@ -44,20 +46,20 @@ class TestIntegrate:
         # prey-extinction equilibrium is a stable node here (h > c)
         eq = State(0.0, BASE.delta * BASE.m / BASE.eta)
         traj = integrate(BASE, eq, 100.0)
-        assert np.max(np.abs(traj.states - [eq.x, eq.y])) < 1e-7
+        assert max(max(abs(x - eq.x), abs(y - eq.y)) for x, y in zip(traj.xs, traj.ys)) < 1e-7
 
     def test_axis_invariance_is_exact(self):
         traj = integrate(BASE, State(0.0, 0.7), 900.0)
-        assert np.all(traj.states[:, 0] == 0.0)
+        assert set(traj.xs) == {0.0}
         assert traj.final.y == pytest.approx(BASE.delta * BASE.m / BASE.eta, abs=1e-6)
 
     def test_prey_axis_invariance(self):
         traj = integrate(ALT, State(0.5, 0.0), 100.0)
-        assert np.all(traj.states[:, 1] == 0.0)
+        assert set(traj.ys) == {0.0}
 
     def test_times_strictly_increasing(self):
         traj = integrate(ALT, State(0.5, 0.5), 50.0)
-        assert np.all(np.diff(traj.times) > 0)
+        assert all(t1 > t0 for t0, t1 in zip(traj.times, traj.times[1:]))
 
     def test_positivity_of_random_seeds(self):
         rng = np.random.default_rng(31)
@@ -65,7 +67,7 @@ class TestIntegrate:
             for _ in range(50):
                 x0 = State(rng.uniform(0.01, 2.0), rng.uniform(0.01, 2.0))
                 traj = integrate(params, x0, 200.0)
-                assert traj.states.min() > -1e-9
+                assert min(min(traj.xs), min(traj.ys)) > -1e-9
 
     def test_theorem_envelope_random_seeds(self):
         rng = np.random.default_rng(32)
@@ -73,9 +75,15 @@ class TestIntegrate:
             x0 = State(rng.uniform(0.01, 2.0), rng.uniform(0.01, 2.0))
             traj = integrate(BASE, x0, 200.0)
             M = max(x0.x, 1.0)
-            assert traj.states[:, 0].max() <= max(x0.x, 1.0) + 1e-6
+            assert max(traj.xs) <= max(x0.x, 1.0) + 1e-6
             ybound = max(x0.y, BASE.delta * (BASE.m + M) / BASE.eta)
-            assert traj.states[:, 1].max() <= ybound + 1e-6
+            assert max(traj.ys) <= ybound + 1e-6
+
+    @pytest.mark.parametrize("t_end", [math.nan, math.inf, -math.inf])
+    def test_non_finite_t_end_is_a_domain_error(self, t_end):
+        # no end point to step to: the step-size floor scales with |t_end|
+        with pytest.raises(DomainError, match="t_end"):
+            integrate(ALT, State(0.5, 0.5), t_end)
 
     def test_tolerance_out_of_range(self):
         with pytest.raises(DomainError):
@@ -332,12 +340,12 @@ class TestBoundCheck:
         rep = bound_check(traj, BASE, x0)
         assert rep.ok
         # envelope implies x(t) <= x(0)
-        assert traj.states[:, 0].max() <= 2.0 + 1e-6
+        assert max(traj.xs) <= 2.0 + 1e-6
 
     def test_injected_violation_detected(self):
         traj = integrate(BASE, State(0.8, 0.3), 10.0)
-        bad = Trajectory(traj.times, traj.states.copy(), traj.derivs, traj.terminated)
-        bad.states[-1, 0] = 5.0
+        bad = Trajectory(traj.times, traj.xs[:-1] + [5.0], traj.ys, traj.dxs, traj.dys,
+                         traj.terminated)
         rep = bound_check(bad, BASE, State(0.8, 0.3))
         assert not rep.ok
         assert rep.x_violation > 1.0
@@ -348,6 +356,33 @@ class TestBoundCheck:
         assert rep.x_violation == 0.0
         assert rep.ok
 
+    def test_backward_trajectory_is_a_domain_error(self):
+        # the envelopes are a forward-time theorem; backward from (0.5, 0.3)
+        # the prey rises 0.095 above the forward envelope
+        x0 = State(0.5, 0.3)
+        with pytest.raises(DomainError, match="forward"):
+            bound_check(integrate(ALT, x0, -5.0), ALT, x0)
+
+    def test_float_envelope_equals_numpy(self):
+        # seeded forward runs of both families from x0 < 1, x0 > 1 and
+        # x0 = 0, each checked against both families' predator bounds so
+        # that both verdicts occur
+        rng = random.Random(41)
+        verdicts = set()
+        for params in (BASE, ALT):
+            for k in range(12):
+                x = (rng.uniform(0.05, 0.95), rng.uniform(1.05, 2.0), 0.0)[k % 3]
+                x0 = State(x, rng.uniform(0.05, 1.5))
+                traj = integrate(params, x0, rng.uniform(20.0, 100.0))
+                for check in (BASE, ALT):
+                    got = bound_check(traj, check, x0)
+                    want = _numpy_bound_check(_numpy_trajectory(traj), check, x0)
+                    assert got.ok == want.ok
+                    assert got.x_violation == pytest.approx(want.x_violation, rel=0, abs=1e-15)
+                    assert got.y_violation == pytest.approx(want.y_violation, rel=0, abs=1e-15)
+                    verdicts.add(got.ok)
+        assert verdicts == {True, False}
+
 
 class TestPhasePortrait:
     def test_single_seed_equals_integrate(self):
@@ -355,7 +390,7 @@ class TestPhasePortrait:
         port = phase_portrait(ALT, seeds, 50.0)
         direct = integrate(ALT, seeds[0], 50.0)
         assert len(port) == 1
-        assert np.array_equal(port[0].states, direct.states)
+        assert port[0] == direct
 
     def test_empty_grid_rejected(self):
         with pytest.raises(DomainError):
@@ -393,7 +428,6 @@ class TestCycleProbe:
         probe = detect_limit_cycle(p, _spiral_interior(p), probe_radius=1e-3, t_max=20000.0)
         assert probe.found
         assert type(probe.period) is float
-        assert type(probe.floquet_ratio) is float
         assert probe.radii and all(type(r) is float for r in probe.radii)
 
     def test_stable_spiral_without_cycle(self):
@@ -416,6 +450,49 @@ class TestCycleProbe:
     def test_non_interior_center_rejected(self):
         with pytest.raises(DomainError):
             detect_limit_cycle(BASE, Equilibrium(0.0, 0.0, "Origin"))
+
+    @pytest.mark.parametrize("t_max", [-20000.0, 0.0, math.nan, math.inf])
+    def test_t_max_must_be_finite_and_positive(self, t_max):
+        # the probe labels forward returns Attracting and backward ones
+        # Repelling, so a negative t_max would swap the labels
+        p = BASE.with_(h=BASE.h + 0.02, delta=BASE.delta - 0.01284449222)
+        with pytest.raises(DomainError, match="t_max"):
+            detect_limit_cycle(p, _spiral_interior(p), probe_radius=1e-3, t_max=t_max)
+
+    @pytest.mark.parametrize("probe_radius", [0.0, -1e-3, math.nan, math.inf])
+    def test_probe_radius_must_be_finite_and_positive(self, probe_radius):
+        # a zero radius seeds on the focus itself, which never returns
+        p = BASE.with_(h=BASE.h + 0.02, delta=BASE.delta - 0.01284449222)
+        with pytest.raises(DomainError, match="probe_radius"):
+            detect_limit_cycle(p, _spiral_interior(p), probe_radius=probe_radius)
+
+
+def _numpy_trajectory(traj):
+    """The trajectory's lists as the arrays the numpy oracles read:
+    times (N,), states (N, 2) and derivs (N, 2)."""
+    return SimpleNamespace(times=np.array(traj.times),
+                           states=np.column_stack([traj.xs, traj.ys]),
+                           derivs=np.column_stack([traj.dxs, traj.dys]))
+
+
+def _numpy_bound_check(traj, params, x0):
+    """sim.bound_check as it was written on numpy arrays, fed by
+    _numpy_trajectory."""
+    t = traj.times - traj.times[0]
+    x = traj.states[:, 0]
+    y = traj.states[:, 1]
+    if x0.x > 0:
+        C = 1.0 - 1.0 / x0.x
+        denom = 1.0 - C * np.exp(-t)
+        xb = np.where(denom > 0, 1.0 / np.where(denom > 0, denom, 1.0), np.inf)
+        x_violation = float(np.max(x - xb))
+    else:
+        x_violation = float(np.max(x))
+    M = max(x0.x, 1.0)
+    yb = max(x0.y, params.delta * (params.m + M) / params.eta)
+    y_violation = float(np.max(y - yb))
+    ok = x_violation <= 1e-6 and y_violation <= 1e-6
+    return BoundReport(x_violation, y_violation, ok)
 
 
 def _numpy_section_crossings(traj, xc, yc):
@@ -454,7 +531,7 @@ class TestSectionCrossings:
         center = _spiral_interior(p)
         traj = integrate(p, State(center.x + 1e-3, center.y), t_end, on_failure="keep")
         got = _section_crossings(traj, center.x, center.y)
-        want = _numpy_section_crossings(traj, center.x, center.y)
+        want = _numpy_section_crossings(_numpy_trajectory(traj), center.x, center.y)
         assert [(float(t).hex(), float(r).hex()) for t, r in want] == \
             [(t.hex(), r.hex()) for t, r in got]
         assert all(type(t) is float and type(r) is float for t, r in got)
