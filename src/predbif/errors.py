@@ -54,5 +54,7 @@ class DegenerateBT(PredbifError):
 
 
 class StepFailure(PredbifError):
-    """The adaptive integrator hit the minimum step size."""
+    """The adaptive integrator stopped short of t_end: it hit the minimum
+    step size or used up its ``max_steps`` step attempts (kernel status 1
+    covers both)."""
 

@@ -11,9 +11,9 @@ import math
 from dataclasses import dataclass
 
 from ._backend import integrate_kernel
-from .errors import DomainError, StepFailure
-from .model import ModelParams, State, jet, validate
-from .equilibria import Equilibrium
+from .errors import DomainError, NotAnEquilibrium, StepFailure
+from .model import EQUILIBRIUM_TOL, ModelParams, State, jet, validate
+from .equilibria import Equilibrium, predator_free_x
 from .stability import _spectrum
 
 #: default local error tolerance (absolute and relative)
@@ -24,6 +24,9 @@ TOL_RANGE = (1e-12, 1e-3)
 
 #: final ||rhs|| below this marks the trajectory as converged to a fixed point
 CONVERGED_TOL = 1e-10
+
+#: step budget of each first, capped run of ``detect_limit_cycle``
+_PROBE_STEPS = 500
 
 
 @dataclass(frozen=True)
@@ -68,8 +71,10 @@ def integrate(params: ModelParams, x0: State, t_end: float,
     Coordinates that start exactly at 0 are held at 0 (axis invariance).
     t_end < 0 integrates backward in time.  Raises DomainError for a start
     with x0.x < 0, where the field leaves its domain (x = -c divides by 0).
-    A StepFailure stop raises when ``on_failure`` is "raise" and is kept
-    in ``terminated`` when it is "keep".
+    A StepFailure stop, the minimum step or ``max_steps`` step attempts
+    used up before t_end, raises when ``on_failure`` is "raise" and is kept
+    in ``terminated`` when it is "keep".  The cap leaves the step sequence
+    alone: a capped run is a bit-exact prefix of the uncapped one.
     """
     validate(params)
     lo, hi = TOL_RANGE
@@ -98,7 +103,8 @@ def integrate(params: ModelParams, x0: State, t_end: float,
     traj = Trajectory(ts, xs, ys, dxs, dys, terminated)
     if status == 1 and on_failure == "raise":
         raise StepFailure(
-            f"minimum step reached at t={traj.times[-1]:.6g}, state={traj.final}"
+            f"minimum step or max_steps={max_steps} reached at t={traj.times[-1]:.6g}, "
+            f"state={traj.final}"
         )
     return traj
 
@@ -183,21 +189,41 @@ def detect_limit_cycle(params: ModelParams, center: Equilibrium,
     Seeds on the horizontal half-line through the equilibrium; forward
     returns converging to a positive radius mean an attracting cycle,
     backward returns a repelling one.  ``probe_radius`` and ``t_max`` must
-    be finite and positive.
+    be finite and positive; a center with max |rhs| >= EQUILIBRIUM_TOL
+    raises NotAnEquilibrium.
+
+    Each direction first runs at most _PROBE_STEPS steps, a bit-exact
+    prefix of the full run.  The forward run stops there when h > c and
+    its last state has 0 <= x < x-, the smaller predator-free abscissa,
+    and y >= 0.  For y >= 0, x' <= x f(x)/(c + x) with f(x) = -x^2 +
+    (1 - c)x + c - h, and f < 0 on [0, x-), so x never grows again; an
+    interior equilibrium has x^2 y/p = x f(x)/(c + x) > 0, so x_c > x-
+    and the orbit cannot return to the half-line x > x_c.  Otherwise the
+    direction runs again uncapped, so the result is that of the full runs.
     """
     if not (0 < probe_radius < math.inf and 0 < t_max < math.inf):
         raise DomainError(f"probe_radius and t_max must be finite and positive, "
                           f"got {probe_radius} and {t_max}")
     if center.kind != "Interior":
         raise DomainError("cycle probe needs an interior equilibrium as center")
-    eig, _, _ = _spectrum(jet(params, center.x, center.y)[1])
+    F, DF = jet(params, center.x, center.y)[:2]
+    residual = max(abs(F[0]), abs(F[1]))
+    if residual >= EQUILIBRIUM_TOL:
+        raise NotAnEquilibrium(f"rhs residual {residual:.3e} at ({center.x}, {center.y})")
+    eig, _, _ = _spectrum(DF)
     if abs(eig[0].imag) < 1e-12:
         raise DomainError("cycle probe needs a spiral-type equilibrium (complex eigenvalues)")
     xc, yc = center.x, center.y
     seed = State(xc + probe_radius, yc)
+    x_minus = predator_free_x(params, "minus") if params.h > params.c else None
 
     for direction, label in ((1.0, "Attracting"), (-1.0, "Repelling")):
-        traj = integrate(params, seed, direction * t_max, tol, on_failure="keep")
+        traj = integrate(params, seed, direction * t_max, tol, max_steps=_PROBE_STEPS,
+                         on_failure="keep")
+        x, y = traj.xs[-1], traj.ys[-1]
+        trapped = direction > 0 and x_minus is not None and 0.0 <= x < x_minus and y >= 0.0
+        if traj.terminated == "StepFailure" and not trapped:
+            traj = integrate(params, seed, direction * t_max, tol, on_failure="keep")
         # one crossing of the half-line per revolution
         same = _section_crossings(traj, xc, yc)
         radii = [r for _, r in same]

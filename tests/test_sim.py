@@ -15,19 +15,23 @@ import numpy as np
 import pytest
 
 import predbif
-from predbif import _rk_py
+from predbif import _rk_py, sim
 from predbif._rk_py import (
     ESCAPE_RADIUS,
     _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54,
     _A61, _A62, _A63, _A64, _A65, _B1, _B3, _B4, _B5, _B6,
     _E1, _E3, _E4, _E5, _E6, _E7,
 )
-from predbif.equilibria import Equilibrium, interior_equilibria
-from predbif.errors import DomainError, StepFailure
-from predbif.model import ModelParams, State, jacobian
+from predbif.equilibria import Equilibrium, interior_equilibria, predator_free_x
+from predbif.errors import DomainError, NotAnEquilibrium, StepFailure
+from predbif.hopf import hopf_scan
+from predbif.model import ModelParams, State, jacobian, rhs
 from predbif.sim import (
+    _PROBE_STEPS,
     BoundReport,
+    CycleProbe,
     Trajectory,
+    _converged_radius,
     _hermite,
     _section_crossings,
     bound_check,
@@ -35,10 +39,14 @@ from predbif.sim import (
     integrate,
     phase_portrait,
 )
+from predbif.stability import classify_generic
 
 BASE = ModelParams(a=2.0, b=-2.82, c=0.05, h=0.1715598183,
                    delta=0.03070149222, eta=0.1, m=0.8)
 ALT = ModelParams(a=1.0, b=2.0, c=0.2, h=0.1, delta=0.5, eta=0.1, m=1.0)
+#: configs/simulate_example.cfg, next to the Hopf point of hopf_example's branch
+SIMULATE = ModelParams(a=2.0, b=-2.82, c=0.05, h=0.1915598183,
+                       delta=0.01785700222, eta=0.1, m=0.8)
 
 
 class TestIntegrate:
@@ -305,6 +313,22 @@ class TestBackends:
             want = _bits(_rk_cy.integrate_kernel(*args))
             assert _bits(_rk_py.integrate_kernel(*args)) == want, args
 
+    @pytest.mark.parametrize("backend", ["python", "compiled"])
+    def test_capped_run_is_a_prefix_of_the_full_run(self, backend, tmp_path):
+        # max_steps keeps t_end, and with it the span and hmin: a capped run
+        # takes the full run's first steps bit for bit and stops with status 1
+        kernel = _rk_py if backend == "python" else _compiled_kernel(tmp_path)
+        for family in FAMILIES:
+            for t_end in (1000.0, -5.0):
+                args = (*family, 0.5, 0.5, 0.0, t_end, 1e-9, 1e-9)
+                full, _ = _bits(kernel.integrate_kernel(*args, 10_000_000))
+                for cap in (1, 7, 30):
+                    capped, status = _bits(kernel.integrate_kernel(*args, cap))
+                    n = len(capped[0])
+                    assert status == 1
+                    assert 1 < n <= cap + 1 < len(full[0])
+                    assert capped == [values[:n] for values in full]
+
     def test_python_kernel_equals_reference(self):
         for args in _kernel_cases():
             assert _bits(_rk_py.integrate_kernel(*args)) == _bits(_reference_kernel(*args)), args
@@ -408,6 +432,65 @@ def _spiral_interior(params):
     return None
 
 
+#: labels perfbench's trajectories workload probes around
+SPIRAL_LABELS = ("StableSpiral", "UnstableSpiral", "Center-candidate")
+
+
+def _hopf_delta(params):
+    """delta_H on the spiral branch of simulate_example's family."""
+    return hopf_scan(params, (0.0178, 0.01786), eq_branch=1)[0].delta_H
+
+
+def _probe_draws(n):
+    """n cycle probes drawn as perfbench's trajectories workload draws them:
+    SIMULATE with delta = delta_H + U(-3e-6, -1e-6) and delta_H +
+    U(-5e-7, 2.5e-6) in turn, about the interior equilibrium that
+    classify_generic labels a spiral, with t_max = 5000."""
+    rng = random.Random(19)
+    delta_h = _hopf_delta(SIMULATE)
+    draws = []
+    for k in range(n):
+        lo, hi = ((-3e-6, -1e-6), (-5e-7, 2.5e-6))[k % 2]
+        p = SIMULATE.with_(delta=delta_h + rng.uniform(lo, hi))
+        center = next(e for e in interior_equilibria(p)
+                      if classify_generic(p, e).label in SPIRAL_LABELS)
+        draws.append((p, center, 5000.0))
+    return draws
+
+
+def _reference_probe(params, center, probe_radius=1e-3, t_max=5000.0, tol=sim.DEFAULT_TOL):
+    """detect_limit_cycle's direction loop as it was written before the
+    step budget: each direction integrated uncapped to t_max."""
+    xc, yc = center.x, center.y
+    seed = State(xc + probe_radius, yc)
+    for direction, label in ((1.0, "Attracting"), (-1.0, "Repelling")):
+        traj = integrate(params, seed, direction * t_max, tol, on_failure="keep")
+        same = _section_crossings(traj, xc, yc)
+        radii = [r for _, r in same]
+        k = _converged_radius(radii)
+        if k is not None and radii[k] > 1e-6:
+            period = abs(same[k][0] - same[k - 1][0])
+            return CycleProbe(True, period, label, tuple(radii[: k + 1]))
+        if k is not None:
+            continue
+    return CycleProbe(False, None, "Inconclusive", ())
+
+
+def _record_kernel_calls(monkeypatch):
+    """Wraps sim.integrate_kernel; each call appends (t_end, max_steps,
+    accepted steps, status, last state) to the returned list."""
+    calls = []
+    kernel = sim.integrate_kernel
+
+    def recorded(*args):
+        out = kernel(*args)
+        calls.append((args[10], args[13], len(out[0]) - 1, out[5], State(out[1][-1], out[2][-1])))
+        return out
+
+    monkeypatch.setattr(sim, "integrate_kernel", recorded)
+    return calls
+
+
 class TestCycleProbe:
     def test_repelling_cycle_in_subcritical_regime(self):
         p = BASE.with_(h=BASE.h + 0.02, delta=BASE.delta - 0.01284449222)
@@ -465,6 +548,79 @@ class TestCycleProbe:
         p = BASE.with_(h=BASE.h + 0.02, delta=BASE.delta - 0.01284449222)
         with pytest.raises(DomainError, match="probe_radius"):
             detect_limit_cycle(p, _spiral_interior(p), probe_radius=probe_radius)
+
+    def test_center_off_the_equilibrium_rejected(self):
+        # complex eigenvalues, but the rhs residual is 2.1e-4; the trap rule
+        # rests on f(x_c) > 0, which holds only at an equilibrium
+        with pytest.raises(NotAnEquilibrium, match="residual"):
+            detect_limit_cycle(SIMULATE, Equilibrium(0.26, 0.19, "Interior"))
+
+    def test_probes_equal_the_uncapped_reference(self, monkeypatch):
+        cases = _probe_draws(40)
+        for offset, t_max in ((0.01284449222, 20000.0), (0.0132, 4000.0)):
+            p = BASE.with_(h=BASE.h + 0.02, delta=BASE.delta - offset)
+            cases.append((p, _spiral_interior(p), t_max))
+        calls = _record_kernel_calls(monkeypatch)
+        early_stops = reruns = 0
+        for p, center, t_max in cases:
+            want = _reference_probe(p, center, t_max=t_max)
+            calls.clear()
+            assert detect_limit_cycle(p, center, t_max=t_max) == want
+            x_minus = predator_free_x(p, "minus")
+            for sign in (1.0, -1.0):
+                runs = [call for call in calls if call[0] * sign > 0]
+                if not runs:
+                    continue  # the forward returns decided the probe
+                assert runs[0][1] == _PROBE_STEPS
+                if runs[0][3] != 1:
+                    assert len(runs) == 1
+                    continue
+                # the budget ran out: only the forward run in the trap stops there
+                last = runs[0][4]
+                trapped = (sign > 0 and p.h > p.c and x_minus is not None
+                           and 0.0 <= last.x < x_minus and last.y >= 0.0)
+                assert len(runs) == (1 if trapped else 2)
+                assert trapped or runs[1][1] > _PROBE_STEPS
+                early_stops += trapped
+                reruns += not trapped
+        assert early_stops >= 1
+        assert reruns >= 1
+
+    def test_forward_run_stays_within_the_step_budget(self, monkeypatch):
+        # just above delta_H the forward orbit falls into the prey-extinction
+        # trap by t ~ 500; run to t_max it took 4,031 steps (and 242 backward)
+        p = SIMULATE.with_(delta=_hopf_delta(SIMULATE) + 1e-6)
+        calls = _record_kernel_calls(monkeypatch)
+        probe = detect_limit_cycle(p, _spiral_interior(p), t_max=5000.0)
+        forward = [call[2] for call in calls if call[0] > 0]
+        assert len(forward) == 1 and forward[0] <= _PROBE_STEPS <= 1000
+        assert not probe.found
+
+
+class TestPreyExtinctionTrap:
+    def test_interior_equilibria_lie_right_of_the_trap(self):
+        # for h > c, x' <= x f(x)/(c + x) with f(x) = -x^2 + (1 - c)x + c - h,
+        # f < 0 on [0, x-): x falls there, and every interior x_c exceeds x-
+        rng = random.Random(23)
+        checked = 0
+        for _ in range(300):
+            a, c = rng.uniform(0.5, 3.0), rng.uniform(0.01, 0.3)
+            p = ModelParams(a=a, b=2.0 * math.sqrt(a) * rng.uniform(-0.99, 1.0), c=c,
+                            h=c + rng.uniform(1e-6, 1.0) * (1.0 - c) ** 2 / 4.0,
+                            delta=rng.uniform(0.002, 0.1), eta=rng.uniform(0.05, 0.3),
+                            m=rng.uniform(0.3, 1.5))
+            eqs = interior_equilibria(p)
+            if not eqs:
+                continue
+            x_minus = predator_free_x(p, "minus")
+            assert x_minus is not None
+            assert all(e.x > x_minus for e in eqs), p
+            for _ in range(20):
+                x = x_minus * rng.uniform(1e-9, 1.0 - 1e-9)
+                y = rng.choice((0.0, rng.uniform(0.0, 5.0)))
+                assert rhs(p, State(x, y))[0] < 0.0, (p, x, y)
+            checked += 1
+        assert checked >= 100
 
 
 def _numpy_trajectory(traj):
