@@ -5,7 +5,8 @@ the same ``integrate_kernel`` signature and produce bit-identical
 trajectories: every float expression has the same operands in the same
 order, and ``tests/test_sim.py`` compares the two bit for bit.
 
-Status codes: 0 = reached t_end, 1 = minimum step reached, 2 = escaped.
+Status codes: 0 = reached t_end, 1 = minimum step reached or ``max_steps``
+step attempts used up before t_end, 2 = escaped.
 """
 
 from __future__ import annotations

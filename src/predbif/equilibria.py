@@ -20,8 +20,6 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from . import polyroots
 from .errors import DomainError, SingularSolve
 from .model import EQUILIBRIUM_TOL, ModelParams, State, holling_denominator, jet, rhs, solve2
@@ -279,6 +277,8 @@ def interior_roots_oracle(
 
     Independent of the closed-form path; used by tests and diagnostics.
     """
+    import numpy as np
+
     a, b, c, h = params.a, params.b, params.c, params.h
     delta, eta, m = params.delta, params.eta, params.m
 

@@ -8,15 +8,14 @@ The scaled system in state (x, y) is
 
 All operations here are pure functions of their inputs.  ``jet`` is the one
 place that writes out the derivatives of the field; ``jacobian`` returns its
-first derivatives as an array.
+first derivatives as a numpy array, and imports numpy only when called, so
+loading this module (and ``predbif.cli``) does not load numpy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-
-import numpy as np
 
 from .errors import DomainError, NotAnEquilibrium, ParameterOutOfRange
 
@@ -156,6 +155,8 @@ def rhs(params: ModelParams, state: State) -> tuple[float, float]:
 
 def jacobian(params: ModelParams, state: State) -> np.ndarray:
     """Exact Jacobian of ``rhs`` at an admissible state: ``jet``'s DF."""
+    import numpy as np
+
     return np.array(jet(params, state.x, state.y)[1])
 
 

@@ -198,7 +198,9 @@ def detect_limit_cycle(params: ModelParams, center: Equilibrium,
     and y >= 0.  For y >= 0, x' <= x f(x)/(c + x) with f(x) = -x^2 +
     (1 - c)x + c - h, and f < 0 on [0, x-), so x never grows again; an
     interior equilibrium has x^2 y/p = x f(x)/(c + x) > 0, so x_c > x-
-    and the orbit cannot return to the half-line x > x_c.  Otherwise the
+    and the orbit cannot return to the half-line x > x_c.  A prefix whose
+    returns already converge decides its direction too: the full run
+    crosses the half-line at the same times first.  Otherwise the
     direction runs again uncapped, so the result is that of the full runs.
     """
     if not (0 < probe_radius < math.inf and 0 < t_max < math.inf):
@@ -220,14 +222,16 @@ def detect_limit_cycle(params: ModelParams, center: Equilibrium,
     for direction, label in ((1.0, "Attracting"), (-1.0, "Repelling")):
         traj = integrate(params, seed, direction * t_max, tol, max_steps=_PROBE_STEPS,
                          on_failure="keep")
-        x, y = traj.xs[-1], traj.ys[-1]
-        trapped = direction > 0 and x_minus is not None and 0.0 <= x < x_minus and y >= 0.0
-        if traj.terminated == "StepFailure" and not trapped:
-            traj = integrate(params, seed, direction * t_max, tol, on_failure="keep")
         # one crossing of the half-line per revolution
         same = _section_crossings(traj, xc, yc)
+        k = _converged_radius([r for _, r in same])
+        x, y = traj.xs[-1], traj.ys[-1]
+        trapped = direction > 0 and x_minus is not None and 0.0 <= x < x_minus and y >= 0.0
+        if k is None and traj.terminated == "StepFailure" and not trapped:
+            traj = integrate(params, seed, direction * t_max, tol, on_failure="keep")
+            same = _section_crossings(traj, xc, yc)
+            k = _converged_radius([r for _, r in same])
         radii = [r for _, r in same]
-        k = _converged_radius(radii)
         if k is not None and radii[k] > 1e-6:
             period = abs(same[k][0] - same[k - 1][0])
             return CycleProbe(True, period, label, tuple(radii[: k + 1]))

@@ -49,7 +49,9 @@ def classify_generic(params: ModelParams, eq: Equilibrium) -> StabilityReport:
     """Hyperbolic classification from trace/det; dispatches degenerate cases
     of the trivial equilibria to the theorem-specific routines."""
     # DF through ``jacobian`` rather than ``jet``: perfbench --trace 1 reports
-    # jacobian's per-call cost and stops when a workload never calls it
+    # jacobian's per-call cost and stops when a workload never calls it.
+    # jacobian returns an ndarray, so the first call here loads numpy
+    # (the only load in the ``stability`` and ``sweep`` commands)
     J = jacobian(params, eq.state).tolist()
     spectrum = _spectrum(J)
     eig, tr, det = spectrum

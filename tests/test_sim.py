@@ -561,12 +561,18 @@ class TestCycleProbe:
             p = BASE.with_(h=BASE.h + 0.02, delta=BASE.delta - offset)
             cases.append((p, _spiral_interior(p), t_max))
         calls = _record_kernel_calls(monkeypatch)
-        early_stops = reruns = 0
+        early_stops = decided_prefixes = reruns = 0
+        backward_runs = []
         for p, center, t_max in cases:
             want = _reference_probe(p, center, t_max=t_max)
+            seed = State(center.x + 1e-3, center.y)
+            prefix_k = {sign: _converged_radius([r for _, r in _section_crossings(
+                integrate(p, seed, sign * t_max, max_steps=_PROBE_STEPS, on_failure="keep"),
+                center.x, center.y)]) for sign in (1.0, -1.0)}
             calls.clear()
             assert detect_limit_cycle(p, center, t_max=t_max) == want
             x_minus = predator_free_x(p, "minus")
+            backward_runs.append(sum(call[0] < 0 for call in calls))
             for sign in (1.0, -1.0):
                 runs = [call for call in calls if call[0] * sign > 0]
                 if not runs:
@@ -575,16 +581,23 @@ class TestCycleProbe:
                 if runs[0][3] != 1:
                     assert len(runs) == 1
                     continue
-                # the budget ran out: only the forward run in the trap stops there
+                # the budget ran out: the forward run in the trap and a
+                # prefix whose returns converge stop there
                 last = runs[0][4]
                 trapped = (sign > 0 and p.h > p.c and x_minus is not None
                            and 0.0 <= last.x < x_minus and last.y >= 0.0)
-                assert len(runs) == (1 if trapped else 2)
-                assert trapped or runs[1][1] > _PROBE_STEPS
+                decided = prefix_k[sign] is not None
+                assert len(runs) == (1 if trapped or decided else 2)
+                assert trapped or decided or runs[1][1] > _PROBE_STEPS
                 early_stops += trapped
-                reruns += not trapped
+                decided_prefixes += decided and not trapped
+                reruns += len(runs) == 2
         assert early_stops >= 1
+        assert decided_prefixes >= 1
         assert reruns >= 1
+        # the subcritical case: its capped backward run reaches t = -7,534
+        # and already holds the returns that decide it
+        assert cases[40][2] == 20000.0 and backward_runs[40] == 1
 
     def test_forward_run_stays_within_the_step_budget(self, monkeypatch):
         # just above delta_H the forward orbit falls into the prey-extinction
