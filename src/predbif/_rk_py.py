@@ -1,9 +1,10 @@
 """Pure-Python adaptive Dormand-Prince 5(4) kernel for the scaled system.
 
-This is the fallback twin of the compiled kernel in ``_rk_cy``; both expose
-the same ``integrate_kernel`` signature and produce bit-identical
-trajectories: every float expression has the same operands in the same
-order, and ``tests/test_sim.py`` compares the two bit for bit.
+This is the fallback twin of the compiled kernel ``_rk_cy``, which is built
+from the hand-written C source ``_rk_cy.c``.  Both expose the same
+``integrate_kernel`` signature and produce bit-identical trajectories: every
+float expression has the same operands in the same order, and
+``tests/test_sim.py`` compares the two bit for bit.
 
 Status codes: 0 = reached t_end, 1 = minimum step reached or ``max_steps``
 step attempts used up before t_end, 2 = escaped.

@@ -44,13 +44,6 @@ class HopfData:
     det: float
 
 
-def frozen_trace(params: ModelParams, eq: Equilibrium, delta: float) -> float:
-    """Trace of the linearization as a function of delta with the point
-    frozen: alpha10(eq) - delta (beta01 reduces to -delta on the predator
-    isocline)."""
-    return jet(params, eq.x, eq.y)[1][0][0] - delta
-
-
 def transversality(params: ModelParams, eq: Equilibrium) -> float:
     """d(trace)/d(delta) at the frozen point; identically -1.
 
@@ -68,9 +61,12 @@ def transversality(params: ModelParams, eq: Equilibrium) -> float:
 
 
 def transversality_fd(params: ModelParams, eq: Equilibrium, step: float = 1e-6) -> float:
-    """Central finite difference of frozen_trace over delta +/- step."""
+    """Central finite difference over delta +/- step of the trace with the
+    point frozen, alpha10(eq) - delta (beta01 reduces to -delta on the
+    predator isocline)."""
+    alpha10 = jet(params, eq.x, eq.y)[1][0][0]
     d = params.delta
-    return (frozen_trace(params, eq, d + step) - frozen_trace(params, eq, d - step)) / (2.0 * step)
+    return ((alpha10 - (d + step)) - (alpha10 - (d - step))) / (2.0 * step)
 
 
 def _form(T, *vectors):

@@ -70,7 +70,8 @@ def integrate(params: ModelParams, x0: State, t_end: float,
 
     Coordinates that start exactly at 0 are held at 0 (axis invariance).
     t_end < 0 integrates backward in time.  Raises DomainError for a start
-    with x0.x < 0, where the field leaves its domain (x = -c divides by 0).
+    with x0.x < 0, where the field leaves its domain (x = -c divides by 0),
+    and for a ``max_steps`` that is not an int.
     A StepFailure stop, the minimum step or ``max_steps`` step attempts
     used up before t_end, raises when ``on_failure`` is "raise" and is kept
     in ``terminated`` when it is "keep".  The cap leaves the step sequence
@@ -86,6 +87,8 @@ def integrate(params: ModelParams, x0: State, t_end: float,
         raise DomainError(f"t_end must be finite, got {t_end}")
     if x0.x < 0:
         raise DomainError(f"initial prey density must be nonnegative, got x={x0.x}")
+    if isinstance(max_steps, bool) or not isinstance(max_steps, int):
+        raise DomainError(f"max_steps must be an int, got {max_steps!r}")
     if on_failure not in ("raise", "keep"):
         raise DomainError(f'on_failure must be "raise" or "keep", got {on_failure!r}')
     ts, xs, ys, dxs, dys, status = integrate_kernel(

@@ -21,8 +21,10 @@ from predbif.equilibria import (
     trivial_equilibria,
 )
 from predbif.hopf import hopf_scan, transversality_fd
-from predbif.model import ModelParams, State, jacobian, rhs, taylor_jet
+from predbif.model import ModelParams, State, jacobian, rhs
 from predbif.sim import detect_limit_cycle, integrate
+
+from paper_forms import taylor_jet
 
 GOLD_SEED = ModelParams(a=2.0, b=-2.82, c=0.05, h=0.17, delta=0.03, eta=0.1, m=0.8)
 GOLD = GOLD_SEED.with_(h=0.1715598183, delta=0.03070149222)

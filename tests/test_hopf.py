@@ -8,14 +8,10 @@ import pytest
 from predbif import hopf, sim
 from predbif.equilibria import Equilibrium, interior_equilibria, isocline_y
 from predbif.errors import BranchLost, DomainError, NoHopf
-from predbif.hopf import (
-    frozen_trace,
-    hopf_scan,
-    lyapunov_coefficient_l,
-    transversality,
-    transversality_fd,
-)
-from predbif.model import ModelParams, State, jacobian, rhs, taylor_jet
+from predbif.hopf import hopf_scan, lyapunov_coefficient_l, transversality, transversality_fd
+from predbif.model import ModelParams, State, jacobian, rhs
+
+from paper_forms import frozen_trace, taylor_jet
 
 BASE = ModelParams(a=2.0, b=-2.82, c=0.05, h=0.1715598183,
                    delta=0.03070149222, eta=0.1, m=0.8)

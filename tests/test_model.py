@@ -7,19 +7,9 @@ import pytest
 
 from predbif.equilibria import interior_equilibria
 from predbif.errors import DomainError, NotAnEquilibrium, ParameterOutOfRange
-from predbif.model import (
-    JetCoefficients,
-    ModelParams,
-    OriginalParams,
-    State,
-    jacobian,
-    jet,
-    linspace,
-    rescale_parameters,
-    rhs,
-    taylor_jet,
-    validate,
-)
+from predbif.model import ModelParams, State, jacobian, jet, linspace, rhs, validate
+
+from paper_forms import OriginalParams, rescale_parameters, taylor_jet
 
 GOLD = ModelParams(a=2.0, b=-2.82, c=0.05, h=0.1715598183,
                    delta=0.03070149222, eta=0.1, m=0.8)

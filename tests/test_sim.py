@@ -1,12 +1,13 @@
+import gc
 import importlib.util
+import inspect
 import math
 import random
-import re
-import shlex
 import shutil
 import subprocess
 import sys
 import sysconfig
+import tracemalloc
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -14,8 +15,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-import predbif
-from predbif import _rk_py, sim
+from predbif import _rk_py, cli, sim
 from predbif._rk_py import (
     ESCAPE_RADIUS,
     _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54,
@@ -101,6 +101,13 @@ class TestIntegrate:
         with pytest.raises(StepFailure):
             integrate(ALT, State(0.5, 0.5), 1000.0, max_steps=5)
 
+    @pytest.mark.parametrize("max_steps", [5.5, 5.0, "5", None, True])
+    def test_step_budget_that_is_not_an_int_is_a_domain_error(self, max_steps):
+        # the backends read 5.5 differently: the compiled kernel raises
+        # TypeError, and _rk_py takes a sixth step
+        with pytest.raises(DomainError, match="max_steps"):
+            integrate(ALT, State(0.5, 0.5), 1000.0, max_steps=max_steps)
+
     @pytest.mark.parametrize("on_failure", ["rasie", "Keep", ""])
     def test_unknown_on_failure_is_a_domain_error(self, on_failure):
         with pytest.raises(DomainError, match="on_failure"):
@@ -127,35 +134,38 @@ class TestIntegrate:
         assert errs[1] < errs[0] / 2.0
 
 
-#: holds _rk_cy.pyx, the Cython twin of _rk_py, and the C generated from it
-KERNEL_DIR = Path(predbif.__file__).parent
+#: the checkout, whose setup.py builds the compiled kernel
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = sorted((ROOT / "configs").glob("*.cfg"))
 
 
 def _compiled_kernel(tmp_path):
-    """predbif._rk_cy when it is built, else the shipped _rk_cy.c compiled
-    into tmp_path and loaded from there; skips without a C compiler or
-    Python.h."""
+    """predbif._rk_cy when it is built, else the extension that setup.py
+    builds from src/predbif/_rk_cy.c into tmp_path, with its own flags,
+    loaded from there; skips when no extension comes out (no C compiler or
+    no Python.h)."""
     try:
         from predbif import _rk_cy
         return _rk_cy
     except ImportError:
         pass
-    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
-    include = sysconfig.get_paths()["include"]
-    if shutil.which(cc[0]) is None:
-        pytest.skip("no C compiler")
-    if not Path(include, "Python.h").exists():
-        pytest.skip("no Python.h")
-    lib = tmp_path / ("_rk_cy" + sysconfig.get_config_var("EXT_SUFFIX"))
-    subprocess.run([*cc, "-O2", "-shared", "-fPIC", f"-I{include}",
-                    str(KERNEL_DIR / "_rk_cy.c"), "-o", str(lib)], check=True)
-    spec = importlib.util.spec_from_file_location("_rk_cy", lib)
+    build = subprocess.run([sys.executable, "setup.py", "build_ext", "--build-lib", str(tmp_path),
+                            "--build-temp", str(tmp_path)],
+                           cwd=ROOT, capture_output=True, text=True)
+    built = sorted(tmp_path.glob("predbif/_rk_cy*" + sysconfig.get_config_var("EXT_SUFFIX")))
+    if not built:
+        pytest.skip(f"setup.py built no kernel extension: {build.stderr[-500:]}")
+    spec = importlib.util.spec_from_file_location("predbif._rk_cy", built[0])
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    # the extension registers itself as predbif._rk_cy; the process keeps
-    # the backend it started with
+    # the process keeps the backend it started with
     sys.modules.pop("predbif._rk_cy", None)
     return module
+
+
+@pytest.fixture(scope="module")
+def compiled(tmp_path_factory):
+    return _compiled_kernel(tmp_path_factory.mktemp("kernel"))
 
 
 #: (a, b, c, h, delta, eta, m) of the two shipped families
@@ -207,8 +217,8 @@ def _reference_rhs(a, b, c, h, delta, eta, m, x, y, x_axis, y_axis):
 def _reference_kernel(a, b, c, h_par, delta, eta, m,
                       x0, y0, t0, t_end, rtol, atol, max_steps):
     """_rk_py.integrate_kernel as it was written with a field function
-    called at every stage, with the error norm squared by products as in
-    _rk_cy.pyx."""
+    called at every stage, the builtins abs, max and min, and the error
+    norm squared as (ex / scx) * (ex / scx)."""
     direction = 1.0 if t_end >= t0 else -1.0
     span = abs(t_end - t0)
     x_axis = x0 == 0.0
@@ -306,18 +316,17 @@ class TestBackends:
         assert any(args[8] == 0.0 for args in cases)
         assert any(args[10] < args[9] for args in cases)
 
-    def test_python_and_compiled_agree(self, tmp_path):
+    def test_python_and_compiled_agree(self, compiled):
         # every list element and the status, bit for bit
-        _rk_cy = _compiled_kernel(tmp_path)
         for args in _kernel_cases():
-            want = _bits(_rk_cy.integrate_kernel(*args))
+            want = _bits(compiled.integrate_kernel(*args))
             assert _bits(_rk_py.integrate_kernel(*args)) == want, args
 
     @pytest.mark.parametrize("backend", ["python", "compiled"])
-    def test_capped_run_is_a_prefix_of_the_full_run(self, backend, tmp_path):
+    def test_capped_run_is_a_prefix_of_the_full_run(self, backend, request):
         # max_steps keeps t_end, and with it the span and hmin: a capped run
         # takes the full run's first steps bit for bit and stops with status 1
-        kernel = _rk_py if backend == "python" else _compiled_kernel(tmp_path)
+        kernel = _rk_py if backend == "python" else request.getfixturevalue("compiled")
         for family in FAMILIES:
             for t_end in (1000.0, -5.0):
                 args = (*family, 0.5, 0.5, 0.0, t_end, 1e-9, 1e-9)
@@ -333,22 +342,123 @@ class TestBackends:
         for args in _kernel_cases():
             assert _bits(_rk_py.integrate_kernel(*args)) == _bits(_reference_kernel(*args)), args
 
-    def test_generated_c_quotes_its_pyx(self):
-        # every '/* "predbif/_rk_cy.pyx":N' block of the generated C marks
-        # the line it compiles with '# <<<'; a .pyx edited without
-        # regenerating the .c no longer matches
-        pyx = (KERNEL_DIR / "_rk_cy.pyx").read_text().splitlines()
-        c = (KERNEL_DIR / "_rk_cy.c").read_text().splitlines()
-        marker = re.compile(r'/\* "predbif/_rk_cy\.pyx":(\d+)$')
-        arrow = "# <<<<<<<<<<<<<<"
-        checked = 0
-        for i, line in enumerate(c):
-            if not (m := marker.search(line)):
-                continue
-            quoted = next(q for q in c[i + 1:] if q.endswith(arrow))
-            assert quoted[3:-len(arrow)].rstrip() == pyx[int(m.group(1)) - 1].rstrip(), line
-            checked += 1
-        assert checked > 0
+
+class TestCompiledKernel:
+    """What the hand-written extension can get wrong that bit parity does
+    not show: argument handling, result types, references and its name."""
+
+    def test_argument_count_is_a_type_error_on_both_backends(self, compiled):
+        args = _kernel_cases()[0]
+        for kernel in (_rk_py, compiled):
+            for wrong in (args[:13], (*args, 0)):
+                with pytest.raises(TypeError):
+                    kernel.integrate_kernel(*wrong)
+
+    def test_step_budget_must_be_an_integer(self, compiled):
+        args = _kernel_cases()[0][:13]
+        for max_steps in (5.5, "5", None):
+            with pytest.raises(TypeError):
+                compiled.integrate_kernel(*args, max_steps)
+        # past the step counter's range, a budget never runs out
+        assert _bits(compiled.integrate_kernel(*args, 2**70)) == \
+            _bits(_rk_py.integrate_kernel(*args, 2**70))
+
+    def test_ints_are_accepted_where_floats_are_expected(self, compiled):
+        # ALT's a, b and m, t0, and the special starts' x0 = 0, y0 = 0 and
+        # t_end are integral
+        cases = [args for args in _kernel_cases() if args[:7] == FAMILIES[1]][-15:]
+        for args in cases:
+            ints = tuple(int(v) if float(v).is_integer() else v for v in args)
+            assert sum(type(v) is int for v in ints) >= 6
+            assert _bits(compiled.integrate_kernel(*ints)) == \
+                _bits(compiled.integrate_kernel(*args)), args
+
+    def test_result_is_five_float_lists_and_an_int_status(self, compiled):
+        for args in _kernel_cases()[-15:]:
+            out = compiled.integrate_kernel(*args)
+            assert type(out) is tuple and len(out) == 6
+            assert all(type(values) is list for values in out[:5])
+            assert len({len(values) for values in out[:5]}) == 1
+            assert all(type(v) is float for values in out[:5] for v in values)
+            assert type(out[5]) is int
+
+    def test_dropped_results_leave_no_memory_behind(self, compiled):
+        # a 31-point run allocates about 4 kB: one lost reference per call
+        # would hold at least 48 kB after 2,000 calls
+        args = (*FAMILIES[0], 0.5, 0.5, 0.0, 1000.0, 1e-9, 1e-9, 30)
+        for _ in range(100):
+            compiled.integrate_kernel(*args)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(2000):
+                compiled.integrate_kernel(*args)
+            gc.collect()
+            growth = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert growth < 16_000
+
+    def test_registers_as_predbif_rk_cy(self, compiled):
+        # perfbench's tracer wraps builtins of the predbif._rk_cy module
+        assert compiled.integrate_kernel.__module__ == "predbif._rk_cy"
+        assert inspect.isbuiltin(compiled.integrate_kernel)
+
+
+class TestBackendsAboveTheKernel:
+    """The compiled kernel patched in as sim.integrate_kernel changes
+    nothing that the CLI writes or that perfbench's tracer counts."""
+
+    def test_simulate_reports_are_byte_identical(self, compiled, monkeypatch, tmp_path, capsys):
+        def outputs(kernel):
+            # the same paths on both runs: cli.run prints the files it writes
+            monkeypatch.setattr(sim, "integrate_kernel", kernel)
+            shutil.rmtree(tmp_path / "out", ignore_errors=True)
+            got = {}
+            for cfg in CONFIGS:
+                for fmt in ("json", "csv", "svg"):
+                    where = tmp_path / "out" / cfg.stem / fmt
+                    code = cli.run(["simulate", "--config", str(cfg), "--out", str(where),
+                                    "--format", fmt])
+                    files = {p.name: p.read_bytes() for p in sorted(where.iterdir())}
+                    got[cfg.stem, fmt] = code, capsys.readouterr(), files
+            return got
+
+        assert len(CONFIGS) == 4
+        want = outputs(_rk_py.integrate_kernel)
+        assert outputs(compiled.integrate_kernel) == want
+        assert {code for code, _, _ in want.values()} == {0}
+
+    def test_tracer_counts_the_compiled_kernel(self, compiled, monkeypatch, tmp_path):
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        from tracer import Spans, Tracer, layer_metrics
+        from workloads import make_block, prepare, run_op
+
+        def block_zero(kernel):
+            monkeypatch.setattr(sim, "integrate_kernel", kernel)
+            tracer, items = Tracer(), 0
+            tracer.install()
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    for slot, op in enumerate(make_block("trajectories", 1, 0)):
+                        prepare(op, tmp_path, slot)
+                        tracer.enabled = True
+                        root = tracer.begin(tracer.name_id(f"bench.{op['kind']}"))
+                        try:
+                            run_op(op)
+                        finally:
+                            tracer.finish(root)
+                            tracer.enabled = False
+                        items += op["items"]
+            finally:
+                tracer.uninstall()
+            return layer_metrics(Spans(tracer), tracer.counters, items, 0.0)
+
+        python = block_zero(_rk_py.integrate_kernel)
+        got = block_zero(compiled.integrate_kernel)
+        assert got["sim.steps_accepted_per_item"] == python["sim.steps_accepted_per_item"] > 0
+        assert got["share.sim.kernel"] > 0
 
 
 class TestBoundCheck:
