@@ -241,19 +241,16 @@ def interior_equilibria(params: ModelParams) -> list[Equilibrium]:
     """
     region = classify_region(params.h, params.c)
     q = quartic_coeffs(params)
-    candidates: list[tuple[float, str]] = []
     if region.tag == "K2":
         res = polyroots.solve_cubic_cardano(q.A, q.B, q.C)
         branch = "Delta>0" if res.Delta > 0 else ("Delta=0" if res.Delta == 0 else "Delta<0")
-        for x in res.real_roots:
-            candidates.append((x, f"K2-Cardano-{branch}"))
+        roots, source = res.real_roots, f"K2-Cardano-{branch}"
     else:
         dec = polyroots.solve_quartic_ferrari(q.A, q.B, q.C, q.D)
-        tag = f"{region.tag}-Ferrari" + ("-biquadratic" if dec.biquadratic else "")
-        for x in dec.real_roots:
-            candidates.append((x, tag))
+        roots = dec.real_roots
+        source = f"{region.tag}-Ferrari" + ("-biquadratic" if dec.biquadratic else "")
     out: list[Equilibrium] = []
-    for x, source in candidates:
+    for x in roots:
         if x <= POSITIVITY_TOL:
             continue
         eq = _polish_interior(params, x)

@@ -21,10 +21,6 @@ class DegenerateResolvent(PredbifError):
     """Ferrari's resolvent is degenerate (Q2 ~ 0); use the biquadratic path."""
 
 
-class NoConvergence(PredbifError):
-    """An iterative refinement failed to converge."""
-
-
 class NoHopf(PredbifError):
     """No self-consistent Hopf point exists in the searched interval."""
 

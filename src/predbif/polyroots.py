@@ -11,13 +11,16 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateResolvent, NoConvergence
+from .errors import DegenerateResolvent
 
 #: |Im| below this (relative) threshold classifies a root as real.
 REAL_TOL = 1e-9
 
 #: |Q2| below this routes the quartic to the biquadratic fallback.
 DEGENERATE_Q2_TOL = 1e-12
+
+#: Newton polish never moves an iterate farther than this from its start.
+MAX_MOVE = 1e-3
 
 
 @dataclass
@@ -53,13 +56,13 @@ def _classify_real(z: complex) -> bool:
     return abs(z.imag) < REAL_TOL * (1.0 + abs(z.real))
 
 
-def polish_root(coeffs: list[float], x0: complex, max_move: float = 1e-3) -> complex:
+def polish_root(coeffs: list[float], x0: complex) -> complex:
     """Newton-polish a root of the monic polynomial with the given
     coefficients ([A, B, C, ...] for x^n + A x^(n-1) + ...).
 
-    The iterate is never allowed to move more than ``max_move`` from ``x0``;
-    raises NoConvergence after 50 iterations without meeting the residual
-    target.
+    The iterate is never allowed to move more than ``MAX_MOVE`` from ``x0``;
+    when no iterate meets the residual target within 50 iterations, ``x0``
+    itself is returned.
     """
     mono = [1.0] + list(coeffs)
     n = len(mono) - 1
@@ -76,23 +79,14 @@ def polish_root(coeffs: list[float], x0: complex, max_move: float = 1e-3) -> com
         if dv == 0:
             break
         step = pv / dv
-        if abs(x + (-step) - x0) > max_move:
+        if abs(x + (-step) - x0) > MAX_MOVE:
             break
         x = x - step
     # accept best achievable if already close to a root
     pv = mono[0]
     for ck in mono[1:]:
         pv = pv * x + ck
-    if abs(pv) < 1e-8 * scale:
-        return x
-    raise NoConvergence(f"Newton polish failed from x0={x0} (residual {abs(pv):.3e})")
-
-
-def _polish_or_keep(coeffs: list[float], z: complex) -> complex:
-    try:
-        return polish_root(coeffs, z)
-    except NoConvergence:
-        return z
+    return x if abs(pv) < 1e-8 * scale else x0
 
 
 def solve_cubic_cardano(A: float, B: float, C: float) -> CubicResolution:
@@ -110,7 +104,7 @@ def solve_cubic_cardano(A: float, B: float, C: float) -> CubicResolution:
     if Delta > 0:
         sq = math.sqrt(Delta)
         t = _real_cbrt(-Q / 2.0 + sq) + _real_cbrt(-Q / 2.0 - sq)
-        x1 = _polish_or_keep(coeffs, t - shift)
+        x1 = polish_root(coeffs, t - shift)
         # remaining conjugate pair from the deflated quadratic
         # x^2 + (A + x1) x + (B + (A + x1) x1)
         p1 = A + x1.real
@@ -128,7 +122,7 @@ def solve_cubic_cardano(A: float, B: float, C: float) -> CubicResolution:
         t = _real_cbrt(-Q / 2.0)
         x1 = 2.0 * t - shift
         x2 = -t - shift
-        reals = [float(_polish_or_keep(coeffs, x1).real), float(x2), float(x2)]
+        reals = [float(polish_root(coeffs, x1).real), float(x2), float(x2)]
         return CubicResolution(Delta, sorted(reals), None)
     # Delta < 0: three distinct reals
     rho = math.sqrt(-((P / 3.0) ** 3))
@@ -138,7 +132,7 @@ def solve_cubic_cardano(A: float, B: float, C: float) -> CubicResolution:
     reals = []
     for k in range(3):
         xk = amp * math.cos((phi + 2.0 * math.pi * k) / 3.0) - shift
-        reals.append(float(_polish_or_keep(coeffs, xk).real))
+        reals.append(float(polish_root(coeffs, xk).real))
     return CubicResolution(Delta, sorted(reals), None)
 
 
@@ -160,22 +154,12 @@ def resolvent_positive_root(P2: float, Q2: float, r: float) -> float:
     if abs(Q2) < DEGENERATE_Q2_TOL:
         raise DegenerateResolvent(f"Q2 ~ 0 (Q2={Q2}); use the biquadratic fallback")
     res = solve_cubic_cardano(P2, (2.0 * P2 * P2 - 8.0 * r) / 8.0, -Q2 * Q2 / 8.0)
-    positive = [x for x in res.real_roots if x > 0]
-    if not positive:
+    u = max(res.real_roots)
+    if not u > 0:
         # constant term -Q2^2/8 < 0 guarantees a positive real root; any
-        # numerical miss is cancellation noise near zero
+        # numerical miss is cancellation noise near zero (or NaN roots)
         raise DegenerateResolvent(f"no positive resolvent root found (Q2={Q2})")
-    return max(positive)
-
-
-def _solve_biquadratic(P2: float, r: float) -> list[complex]:
-    disc = cmath.sqrt(complex(P2 * P2 - 4.0 * r))
-    roots = []
-    for s in (+1.0, -1.0):
-        z = (-P2 + s * disc) / 2.0
-        w = cmath.sqrt(z)
-        roots.extend([w, -w])
-    return roots
+    return u
 
 
 def solve_quartic_ferrari(A: float, B: float, C: float, D: float) -> FerrariDecomposition:
@@ -186,50 +170,30 @@ def solve_quartic_ferrari(A: float, B: float, C: float, D: float) -> FerrariDeco
     (conjugate pairs); ``real_roots`` collects the real ones.
     """
     P2, Q2, r = depress_quartic(A, B, C, D)
+    biquadratic = bool(abs(Q2) < DEGENERATE_Q2_TOL)
+    if biquadratic:
+        disc = cmath.sqrt(complex(P2 * P2 - 4.0 * r))
+        w1 = cmath.sqrt((-P2 + disc) / 2.0)
+        w2 = cmath.sqrt((-P2 - disc) / 2.0)
+        Xs = [w1, -w1, w2, -w2]
+    else:
+        u = resolvent_positive_root(P2, Q2, r)
+        s2u = math.sqrt(2.0 * u)
+        Delta1 = complex(-2.0 * u - 2.0 * P2 + 2.0 * Q2 / s2u)
+        Delta2 = complex(-2.0 * u - 2.0 * P2 - 2.0 * Q2 / s2u)
+        rt1 = cmath.sqrt(Delta1)
+        rt2 = cmath.sqrt(Delta2)
+        Xs = [
+            (-s2u + rt1) / 2.0,
+            (-s2u - rt1) / 2.0,
+            (s2u + rt2) / 2.0,
+            (s2u - rt2) / 2.0,
+        ]
+    # each construction emits complex roots as exact conjugate pairs, and the
+    # polish keeps them so: it commutes with conjugation bit for bit
     coeffs = [A, B, C, D]
     shift = A / 4.0
-
-    if abs(Q2) < DEGENERATE_Q2_TOL:
-        Xs = _solve_biquadratic(P2, r)
-        roots = [_polish_or_keep(coeffs, X - shift) for X in Xs]
-        reals = sorted(z.real for z in roots if _classify_real(z))
-        return FerrariDecomposition(roots, True, reals)
-
-    u = resolvent_positive_root(P2, Q2, r)
-    s2u = math.sqrt(2.0 * u)
-    Delta1 = complex(-2.0 * u - 2.0 * P2 + 2.0 * Q2 / s2u)
-    Delta2 = complex(-2.0 * u - 2.0 * P2 - 2.0 * Q2 / s2u)
-    rt1 = cmath.sqrt(Delta1)
-    rt2 = cmath.sqrt(Delta2)
-    Xs = [
-        (-s2u + rt1) / 2.0,
-        (-s2u - rt1) / 2.0,
-        (s2u + rt2) / 2.0,
-        (s2u - rt2) / 2.0,
-    ]
-    roots = [_polish_or_keep(coeffs, X - shift) for X in Xs]
-    # enforce exact conjugate symmetry on the complex pairs
-    cleaned: list[complex] = []
-    used = [False] * 4
-    for i, z in enumerate(roots):
-        if used[i]:
-            continue
-        if _classify_real(z):
-            cleaned.append(complex(z.real, 0.0))
-            used[i] = True
-            continue
-        best_j, best_d = None, math.inf
-        for j in range(i + 1, 4):
-            if not used[j] and not _classify_real(roots[j]):
-                d = abs(roots[j] - z.conjugate())
-                if d < best_d:
-                    best_j, best_d = j, d
-        if best_j is not None:
-            zc = (z + roots[best_j].conjugate()) / 2.0
-            cleaned.extend([zc, zc.conjugate()])
-            used[i] = used[best_j] = True
-        else:
-            cleaned.append(z)
-            used[i] = True
-    reals = sorted(z.real for z in cleaned if _classify_real(z))
-    return FerrariDecomposition(cleaned, False, reals)
+    roots = [polish_root(coeffs, X - shift) for X in Xs]
+    reals = sorted(z.real for z in roots if _classify_real(z))
+    roots = [complex(z.real, 0.0) if _classify_real(z) else z for z in roots]
+    return FerrariDecomposition(roots, biquadratic, reals)

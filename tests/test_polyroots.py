@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from predbif.errors import DegenerateResolvent, NoConvergence
+from predbif.errors import DegenerateResolvent
 from predbif.polyroots import (
     CubicResolution,
     depress_quartic,
@@ -69,6 +69,11 @@ class TestCardano:
         assert worst < 1e-8
 
 
+def bits(z):
+    """The exact bits of a complex number, so that -0.0 differs from 0.0."""
+    return z.real.hex(), z.imag.hex()
+
+
 class TestFerrari:
     def test_known_factorization(self):
         # (x-1)(x-2)(x-3)(x-5) = x^4 -11x^3 +41x^2 -61x +30
@@ -96,6 +101,25 @@ class TestFerrari:
         assert len(zs) == 4
         for z in zs:
             assert any(abs(w - z.conjugate()) < 1e-10 for w in zs)
+
+    def test_complex_roots_come_in_exact_conjugate_pairs(self):
+        rng = np.random.default_rng(99)
+        paths = set()
+        for i in range(4_000):
+            A, B, C, D = (float(v) for v in rng.uniform(-5, 5, size=4))
+            if i % 2:  # depressed form X^4 + B X^2 + D: Q2 ~ 0, the biquadratic path
+                P2, r = B, D
+                B = P2 + 3.0 * A * A / 8.0
+                C = A * B / 2.0 - A**3 / 8.0
+                D = r + 3.0 * A**4 / 256.0 - A * A * B / 16.0 + A * C / 4.0
+            dec = solve_quartic_ferrari(A, B, C, D)
+            paths.add(dec.biquadratic)
+            pool = [bits(z) for z in dec.roots]
+            for z in dec.roots:
+                if z.imag != 0:
+                    assert bits(z.conjugate()) in pool
+                    pool.remove(bits(z.conjugate()))
+        assert paths == {True, False}
 
     def test_random_against_companion_oracle(self):
         rng = np.random.default_rng(1234)
@@ -133,5 +157,17 @@ class TestPolish:
 
     def test_never_jumps_far(self):
         # starting far from any root must not silently converge elsewhere
-        with pytest.raises(NoConvergence):
-            polish_root([-10.0, 35.0, -50.0, 24.0], 100.0, max_move=1e-3)
+        assert polish_root([-10.0, 35.0, -50.0, 24.0], 100.0) == 100.0
+
+    def test_commutes_with_conjugation(self):
+        # starts within 1e-4 of a root, so that the polish iterates
+        rng = np.random.default_rng(77)
+        moved = 0
+        for _ in range(2_000):
+            coeffs = [float(v) for v in rng.uniform(-5, 5, size=4)]
+            for root in companion_roots(coeffs):
+                z = complex(root) + complex(*rng.uniform(-1e-4, 1e-4, size=2))
+                polished = polish_root(coeffs, z)
+                moved += polished != z
+                assert bits(polish_root(coeffs, z.conjugate())) == bits(polished.conjugate())
+        assert moved > 7_000
