@@ -340,7 +340,7 @@ def cmd_sweep(params, *, h_min, h_max, c_min, c_max, n_h, n_c):
                 eqs = equilibria.interior_equilibria(p)
                 labels = [stability.classify_generic(p, e).label for e in eqs]
                 rows.append([hv, cv, region, len(eqs), ";".join(labels)])
-            except PredbifError as exc:
+            except (PredbifError, ArithmeticError) as exc:
                 rows.append([hv, cv, region, -1, f"error:{type(exc).__name__}"])
     return None, (["h", "c", "region", "n_interior", "labels"], rows), None
 
@@ -407,7 +407,8 @@ def run(argv: list[str]) -> int:
             warnings.simplefilter("always")
             results, table, plot = COMMANDS[args.command](params, **opts, **flags)
         diags = sorted({str(w.message) for w in caught})
-    except PredbifError as exc:
+    except (PredbifError, ArithmeticError) as exc:
+        # an admissible but extreme parameter can overflow a float operation
         print(f"predbif: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     reports = []

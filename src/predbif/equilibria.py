@@ -104,16 +104,22 @@ def predator_free_x(params: ModelParams, which: str) -> float | None:
 
 def quartic_coeffs(params: ModelParams) -> QuarticCoeffs:
     """Monic quartic whose positive real roots are the interior abscissas:
-    delta*x*(c+x)*(m+x) - eta*p(x)*f(x) = 0 expanded and divided by a*eta."""
+    delta*x*(c+x)*(m+x) - eta*p(x)*f(x) = 0 expanded and divided by a*eta.
+
+    Raises OverflowError when a coefficient is not finite: an admissible
+    but extreme parameter took a product past the float range."""
     a, b, c, h = params.a, params.b, params.c, params.h
     delta, eta, m = params.delta, params.eta, params.m
     ae = a * eta
-    return QuarticCoeffs(
+    q = QuarticCoeffs(
         A=(delta - eta * (a * (1.0 - c) - b)) / ae,
         B=(delta * (c + m) - eta * (a * (c - h) + b * (1.0 - c) - 1.0)) / ae,
         C=(delta * c * m - eta * (b * (c - h) + 1.0 - c)) / ae,
         D=(h - c) / a,
     )
+    if not all(map(math.isfinite, (q.A, q.B, q.C, q.D))):
+        raise OverflowError(f"the interior quartic's coefficients overflow: {q}")
+    return q
 
 
 def isocline_y(params: ModelParams, x: float) -> float:

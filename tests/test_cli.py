@@ -87,6 +87,33 @@ class TestExitCodes:
         assert code == 1
         assert "BranchLost" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["equilibria", "stability", "hopf", "bt-locate",
+                                         "bt-normal-form", "bt-curves", "sweep"])
+    def test_float_overflow_is_no_traceback(self, command, tmp_path, capsys):
+        # m = 1e200 is admissible, but the quartic's float powers overflow
+        cfg = tmp_path / "huge_m.cfg"
+        cfg.write_text(BT_SEED_KV.replace("params.m = 0.8", "params.m = 1e200"))
+        code = run([command, "--config", str(cfg), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        if command == "sweep":
+            assert code == 0 and err == ""
+            rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+            assert rows and all(row.endswith(",-1,error:OverflowError") for row in rows)
+        else:
+            assert code == 1
+            assert err.startswith("predbif: OverflowError: ") and err.count("\n") == 1
+
+    def test_infinite_quartic_coefficient_is_an_error_row(self, tmp_path, capsys):
+        # delta = 1e81 and m = 8e298 take the quartic's B and C to inf; on the
+        # sweep's h = c points Cardano took the square root of -inf
+        cfg = tmp_path / "inf_quartic.cfg"
+        cfg.write_text(BT_SEED_KV.replace("params.m = 0.8", "params.m = 8e298")
+                       .replace("params.delta = 0.03", "params.delta = 1e81"))
+        assert run(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+        rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+        assert len(rows) == 100 and all(row.endswith(",-1,error:OverflowError") for row in rows)
+
     def test_success_is_exit_zero(self, gold_cfg, tmp_path):
         assert run(["equilibria", "--config", gold_cfg, "--out", str(tmp_path)]) == 0
 
