@@ -48,8 +48,9 @@ def integrate_kernel(a, b, c, h_par, delta, eta, m,
     A coordinate that starts exactly at 0 is held at 0 (the axes are
     invariant sets).  Integration direction follows sign(t_end - t0).
 
-    Returns (ts, xs, ys, dxs, dys, status) as plain lists.
+    Returns (ts, xs, ys, dxs, dys, status): five lists of floats and an int.
     """
+    x0, y0, t0 = float(x0), float(y0), float(t0)
     direction = 1.0 if t_end >= t0 else -1.0
     span = abs(t_end - t0)
     x_axis = x0 == 0.0

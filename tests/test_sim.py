@@ -374,13 +374,17 @@ class TestCompiledKernel:
                 _bits(compiled.integrate_kernel(*args)), args
 
     def test_result_is_five_float_lists_and_an_int_status(self, compiled):
+        # on both kernels, also for the integral x0 = 0, y0 = 0 and t0 of the
+        # special starts
         for args in _kernel_cases()[-15:]:
-            out = compiled.integrate_kernel(*args)
-            assert type(out) is tuple and len(out) == 6
-            assert all(type(values) is list for values in out[:5])
-            assert len({len(values) for values in out[:5]}) == 1
-            assert all(type(v) is float for values in out[:5] for v in values)
-            assert type(out[5]) is int
+            ints = tuple(int(v) if float(v).is_integer() else v for v in args)
+            for out in (kernel.integrate_kernel(*given) for kernel in (_rk_py, compiled)
+                        for given in (args, ints)):
+                assert type(out) is tuple and len(out) == 6
+                assert all(type(values) is list for values in out[:5])
+                assert len({len(values) for values in out[:5]}) == 1
+                assert all(type(v) is float for values in out[:5] for v in values)
+                assert type(out[5]) is int
 
     def test_dropped_results_leave_no_memory_behind(self, compiled):
         # a 31-point run allocates about 4 kB: one lost reference per call
