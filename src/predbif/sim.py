@@ -235,11 +235,9 @@ def detect_limit_cycle(params: ModelParams, center: Equilibrium,
             same = _section_crossings(traj, xc, yc)
             k = _converged_radius([r for _, r in same])
         radii = [r for _, r in same]
+        # a radius that converged to 1e-6 or less spiraled into the focus: no
+        # cycle between the seed and the focus in this time direction
         if k is not None and radii[k] > 1e-6:
             period = abs(same[k][0] - same[k - 1][0])
             return CycleProbe(True, period, label, tuple(radii[: k + 1]))
-        if k is not None:
-            # spiraled into the equilibrium in this time direction: no cycle
-            # between the seed and the focus on this side
-            continue
     return CycleProbe(False, None, "Inconclusive", ())
