@@ -18,11 +18,11 @@ Bifurcation Theory, section 8.4); the normal form gives P's offset from H.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .equilibria import fold_curve_point, hopf_curve_point
 from .errors import DegenerateBT, DomainError, NoCandidate, SingularSolve
-from .model import ModelParams, jet, linspace, validate
+from .model import ModelParams, field, jet, linspace, validate
 
 BT_RESIDUAL_TOL = 1e-8
 
@@ -57,7 +57,7 @@ class BTNormalForm:
     B0: float
     s: int
     beta_jacobian: tuple  # d(beta1, beta2)/d(lambda1, lambda2) at 0, as float rows
-    nondegeneracy: dict = field(default_factory=dict)  # BT.1/BT.2/BT.3 -> bool
+    nondegeneracy: dict  # BT.1/BT.2/BT.3 -> bool
 
 
 @dataclass
@@ -112,7 +112,7 @@ def bt_locate(params: ModelParams) -> list[BTPoint]:
         h, delta, y = hopf_curve_point(params, x)
         if h <= 0 or delta <= 0:
             continue
-        f, ((fx, fy), (gx, gy)) = jet(replace(params, h=h, delta=delta), x, y)[:2]
+        f, ((fx, fy), (gx, gy)) = field(replace(params, h=h, delta=delta), x, y)
         tr, det = fx + gy, fx * gy - fy * gx
         if max(abs(f[0]), abs(f[1])) >= BT_RESIDUAL_TOL or abs(tr) >= BT_RESIDUAL_TOL \
                 or abs(det) >= BT_RESIDUAL_TOL:

@@ -331,11 +331,14 @@ def cmd_simulate(params, *, x0, y0, t_end, tol):
 
 def cmd_sweep(params, *, h_min, h_max, c_min, c_max, n_h, n_c):
     rows = []
+    a, b, delta, eta, m = params.a, params.b, params.delta, params.eta, params.m
     c_grid = linspace(c_min, c_max, n_c)
     for hv in linspace(h_min, h_max, n_h):
         for cv in c_grid:
-            p = params.with_(h=hv, c=cv)
-            region = equilibria.classify_region(p.h, p.c).tag
+            # command_options bounded the grid to finite positive h and c, so
+            # every point is admissible without another validate
+            p = ModelParams(a, b, cv, hv, delta, eta, m)
+            region = equilibria.classify_region(hv, cv).tag
             try:
                 eqs = equilibria.interior_equilibria(p)
                 labels = [stability.classify_generic(p, e).label for e in eqs]

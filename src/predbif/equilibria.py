@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 from . import polyroots
 from .errors import DomainError, SingularSolve
-from .model import EQUILIBRIUM_TOL, ModelParams, State, holling_denominator, jet, rhs, solve2
+from .model import EQUILIBRIUM_TOL, ModelParams, State, field, holling_denominator, jet, solve2
 
 #: |h - c| below this (relative) threshold counts as the K2 diagonal.
 K2_EQUALITY_TOL = 1e-10
@@ -139,23 +139,21 @@ def isocline_y(params: ModelParams, x: float) -> float:
 class _CurvePoint(NamedTuple):
     """The interior equilibrium with abscissa x: y on the prey isocline,
     delta such that the predator isocline passes through (x, y), and the
-    trace, det and ``model.jet`` of the field there."""
+    trace and det of the field there."""
 
     x: float
     y: float
     delta: float
     trace: float
     det: float
-    jet: tuple
 
 
 def _on_curve(params: ModelParams, x: float) -> _CurvePoint:
     """The equilibrium-curve point at abscissa x for the h of ``params``."""
     y = isocline_y(params, x)
     delta = params.eta * y / (params.m + x)
-    tensors = jet(params, x, y, ddelta=delta - params.delta)
-    (a, b), (c, d) = tensors[1]
-    return _CurvePoint(x, y, delta, a + d, a * d - b * c, tensors)
+    (a, b), (c, d) = field(params, x, y, ddelta=delta - params.delta)[1]
+    return _CurvePoint(x, y, delta, a + d, a * d - b * c)
 
 
 def _zero_on_curve(params: ModelParams, lo: _CurvePoint, hi: _CurvePoint, test) -> _CurvePoint:
@@ -210,18 +208,18 @@ def fold_curve_point(params: ModelParams, x: float) -> tuple[float, float, float
 
 
 def _polish_interior(params: ModelParams, x: float) -> Equilibrium | None:
-    """2-D Newton polish of (x, delta*(m+x)/eta) on the rhs; None if the
-    residual target cannot be met."""
-    y = params.delta * (params.m + x) / params.eta
-    xi, yi = x, y
-    for _ in range(30):
+    """2-D Newton polish of (x, delta*(m+x)/eta) on the rhs, at most 30
+    steps; one ``field`` evaluation gives each residual and step.  None if
+    the residual target cannot be met."""
+    xi, yi = x, params.delta * (params.m + x) / params.eta
+    for step in range(31):
         try:
-            f = rhs(params, State(xi, yi))
+            f, ((a, b), (c, d)) = field(params, xi, yi)
         except DomainError:
             return None
-        if max(abs(f[0]), abs(f[1])) < 1e-13:
+        residual = max(abs(f[0]), abs(f[1]))
+        if residual < 1e-13 or step == 30:
             break
-        (a, b), (c, d) = jet(params, xi, yi)[1]
         try:
             dx, dy = solve2(a, b, c, d, (-f[0], -f[1]))
         except ZeroDivisionError:
@@ -230,10 +228,7 @@ def _polish_interior(params: ModelParams, x: float) -> Equilibrium | None:
             break
         xi += dx
         yi += dy
-    if xi <= POSITIVITY_TOL or yi <= 0:
-        return None
-    f = rhs(params, State(xi, yi))
-    if max(abs(f[0]), abs(f[1])) >= EQUILIBRIUM_TOL:
+    if xi <= POSITIVITY_TOL or yi <= 0 or residual >= EQUILIBRIUM_TOL:
         return None
     return Equilibrium(xi, yi, "Interior")
 

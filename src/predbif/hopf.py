@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from .equilibria import (Equilibrium, _CurvePoint, _on_curve, _zero_on_curve,
                          interior_equilibria, predator_free_x)
 from .errors import BranchLost, DomainError, NoHopf
-from .model import ModelParams, State, jet, rhs, solve2
+from .model import ModelParams, State, field, jet, rhs, solve2
 
 #: |trace| at a reported Hopf point must fall below this
 TRACE_TOL = 1e-8
@@ -64,7 +64,7 @@ def transversality_fd(params: ModelParams, eq: Equilibrium, step: float = 1e-6) 
     """Central finite difference over delta +/- step of the trace with the
     point frozen, alpha10(eq) - delta (beta01 reduces to -delta on the
     predator isocline)."""
-    alpha10 = jet(params, eq.x, eq.y)[1][0][0]
+    alpha10 = field(params, eq.x, eq.y)[1][0][0]
     d = params.delta
     return ((alpha10 - (d + step)) - (alpha10 - (d - step))) / (2.0 * step)
 
@@ -115,8 +115,8 @@ def _hopf_data(params: ModelParams, pt: _CurvePoint) -> HopfData:
     # along the curve y' = -f_x/f_y and delta' = det/(f_y y), and the trace
     # f_x - delta changes at f_xx + f_xy y' - delta'; per unit of delta that
     # is the frozen -1 plus (f_xx + f_xy y') / delta'
-    (fx, fy), _ = pt.jet[1]
-    fxx, fxy = pt.jet[2][0][0]
+    _, ((fx, fy), _), D2F, _, _, _ = jet(params, pt.x, pt.y, ddelta=pt.delta - params.delta)
+    fxx, fxy = D2F[0][0]
     speed = (fxx - fxy * fx / fy) * fy * pt.y / pt.det - 1.0
     l1 = lyapunov_coefficient_l(p, eq)
     return HopfData(

@@ -6,10 +6,12 @@ The scaled system in state (x, y) is
     x' = x(1 - x) - x^2 y / (a x^2 + b x + 1) - h x / (c + x)
     y' = y (delta - eta y / (m + x))
 
-All operations here are pure functions of their inputs.  ``jet`` is the one
-place that writes out the derivatives of the field; ``jacobian`` returns its
-first derivatives as a numpy array, and imports numpy only when called, so
-loading this module (and ``predbif.cli``) does not load numpy.
+All operations here are pure functions of their inputs.  ``field`` writes
+out F and its first derivatives DF, and ``jet`` adds the higher derivatives
+and the h/delta partials to them, so each derivative is written once.
+Callers that read only F or DF take ``field``; ``jacobian`` returns its DF as
+a numpy array, and imports numpy only when called, so loading this module
+(and ``predbif.cli``) does not load numpy.
 """
 
 from __future__ import annotations
@@ -68,8 +70,22 @@ def holling_denominator(params: ModelParams, x: float) -> float:
     return params.a * x * x + params.b * x + 1.0
 
 
-def _check_domain(params: ModelParams, x: float, y: float) -> float:
-    """The Holling denominator at x, after checking that (x, y) is admissible."""
+def rhs(params: ModelParams, state: State) -> tuple[float, float]:
+    """Right-hand side (dx/dt, dy/dt) of the scaled system: ``field``'s F."""
+    return field(params, state.x, state.y)[0]
+
+
+def jacobian(params: ModelParams, state: State) -> np.ndarray:
+    """Exact Jacobian of ``rhs`` at an admissible state: ``field``'s DF."""
+    import numpy as np
+
+    return np.array(field(params, state.x, state.y)[1])
+
+
+def field(params: ModelParams, x: float, y: float, dh: float = 0.0, ddelta: float = 0.0):
+    """The field F and its first derivatives DF at an admissible (x, y), for
+    h + dh and delta + ddelta, as ``(F, DF)`` with DF indexed [component][d/dx
+    or d/dy].  Raises DomainError when (x, y) is not admissible."""
     if x < 0:
         raise DomainError(f"x must be nonnegative, got {x}")
     if params.m == 0.0 and x == 0.0:
@@ -77,60 +93,50 @@ def _check_domain(params: ModelParams, x: float, y: float) -> float:
     p = holling_denominator(params, x)
     if p <= 0:
         raise DomainError(f"a*x^2 + b*x + 1 <= 0 at x={x}")
-    return p
-
-
-def rhs(params: ModelParams, state: State) -> tuple[float, float]:
-    """Right-hand side (dx/dt, dy/dt) of the scaled system."""
-    x, y = state.x, state.y
-    p = _check_domain(params, x, y)
-    dx = x * (1.0 - x) - x * x * y / p - params.h * x / (params.c + x)
-    dy = y * (params.delta - params.eta * y / (params.m + x))
-    return dx, dy
-
-
-def jacobian(params: ModelParams, state: State) -> np.ndarray:
-    """Exact Jacobian of ``rhs`` at an admissible state: ``jet``'s DF."""
-    import numpy as np
-
-    return np.array(jet(params, state.x, state.y)[1])
+    c, eta = params.c, params.eta
+    h = params.h + dh
+    delta = params.delta + ddelta
+    cx, mx = c + x, params.m + x
+    ey = eta * y
+    return (
+        (x * (1.0 - x) - x * x * y / p - h * x / cx, y * (delta - eta * y / mx)),
+        ((1.0 - 2.0 * x - x * y * (params.b * x + 2.0) / p**2 - h * c / cx**2, -x * x / p),
+         (ey * y / mx**2, delta - 2.0 * ey / mx)),
+    )
 
 
 def jet(params: ModelParams, x: float, y: float, dh: float = 0.0, ddelta: float = 0.0):
     """Derivatives of the field at an admissible (x, y), for h + dh and
     delta + ddelta, as nested tuples of floats indexed [component][d/dx or
-    d/dy]...: ``(F, DF, D2F, D3F, by_h, by_delta)``, where ``by_h`` and
-    ``by_delta`` are the exact partials of (F, DF, D2F), the field being
-    affine in h and delta.  F keeps the floating-point form of ``rhs``, so
-    the two agree bit for bit."""
+    d/dy]...: ``(F, DF, D2F, D3F, by_h, by_delta)``, where ``(F, DF)`` is
+    ``field``'s and ``by_h`` and ``by_delta`` are the exact partials of (F,
+    DF, D2F), the field being affine in h and delta."""
+    F, DF = field(params, x, y, dh, ddelta)
     a, b, c = params.a, params.b, params.c
-    eta, m = params.eta, params.m
+    eta = params.eta
     h = params.h + dh
-    delta = params.delta + ddelta
-    p = _check_domain(params, x, y)
     axx = a * x * x
-    cx, mx = c + x, m + x
+    p = axx + b * x + 1.0  # the Holling denominator, checked by field
+    cx, mx = c + x, params.m + x
     p2, p3 = p**2, p**3
     cx2, cx3 = cx**2, cx**3
-    mx2, mx3 = mx**2, mx**3
-    bx2 = b * x + 2.0
+    mx3 = mx**3
     hc = h * c
     ey = eta * y
     # the Holling term is y*phi(x) with phi = x^2/p; poly = -p^3 phi''/2
     poly = a * b * x**3 + 3.0 * a * x**2 - 1.0
-    f_xy = -x * bx2 / p2
+    f_xy = -x * (b * x + 2.0) / p2
     f_xxy = 2.0 * poly / p3
     g_xx = -2.0 * ey * y / mx3
-    g_xy = 2.0 * ey / mx2
+    g_xy = 2.0 * ey / mx**2
     g_yy = -2.0 * eta / mx
     g_xxy = -2.0 * g_xy / mx
     g_xyy = -g_yy / mx
     f_xy_ = (f_xxy, 0.0)  # d/dx and d/dy of f_xy
     g_xy_ = (g_xxy, g_xyy)
     return (
-        (x * (1.0 - x) - x * x * y / p - h * x / cx, y * (delta - eta * y / mx)),
-        ((1.0 - 2.0 * x - x * y * bx2 / p2 - hc / cx2, -x * x / p),
-         (ey * y / mx2, delta - 2.0 * ey / mx)),
+        F,
+        DF,
         (((-2.0 + 2.0 * y * poly / p3 + 2.0 * hc / cx3, f_xy), (f_xy, 0.0)),
          ((g_xx, g_xy), (g_xy, g_yy))),
         ((((-6.0 * y * (axx - 1.0) * (b * axx + 4.0 * a * x + b) / (p2 * p2)

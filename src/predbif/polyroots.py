@@ -62,12 +62,15 @@ def polish_root(coeffs: list[float], x0: complex) -> complex:
 
     The iterate is never allowed to move more than ``MAX_MOVE`` from ``x0``;
     when no iterate meets the residual target within 50 iterations, ``x0``
-    itself is returned.
+    itself is returned.  A real start (a float, or a complex with imaginary
+    part 0.0) iterates on floats: with zero imaginary parts, complex +, *, /
+    and abs round exactly like the float operations, so only the speed
+    differs, and the polished root carries imaginary part +0.0.
     """
     mono = [1.0] + list(coeffs)
     n = len(mono) - 1
     scale = max(1.0, abs(x0)) ** n
-    x = complex(x0)
+    x = x0.real if x0.imag == 0.0 else complex(x0)
     for _ in range(50):
         pv = mono[0]
         dv = 0.0
@@ -75,7 +78,7 @@ def polish_root(coeffs: list[float], x0: complex) -> complex:
             dv = dv * x + pv
             pv = pv * x + ck
         if abs(pv) < 1e-12 * scale:
-            return x
+            return complex(x)
         if dv == 0:
             break
         step = pv / dv
@@ -86,7 +89,7 @@ def polish_root(coeffs: list[float], x0: complex) -> complex:
     pv = mono[0]
     for ck in mono[1:]:
         pv = pv * x + ck
-    return x if abs(pv) < 1e-8 * scale else x0
+    return complex(x) if abs(pv) < 1e-8 * scale else x0
 
 
 def solve_cubic_cardano(A: float, B: float, C: float) -> CubicResolution:
@@ -149,17 +152,27 @@ def resolvent_positive_root(P2: float, Q2: float, r: float) -> float:
     """Positive root u of the resolvent 8u^3 + 8 P2 u^2 + (2 P2^2 - 8 r) u - Q2^2 = 0.
 
     When the resolvent has several positive roots the largest is taken.
-    Raises DegenerateResolvent when Q2 ~ 0 (biquadratic case).
+    The constant term -Q2^2/8 < 0 guarantees one.  When Cardano loses it to
+    cancellation (a root of order Q2^2 next to a double root), it is
+    bisected on (0, 1 + |P2| + |B| + |C|], where the monic resolvent
+    u^3 + P2 u^2 + B u + C is positive.  Raises DegenerateResolvent when
+    Q2 ~ 0 (biquadratic case) or a coefficient is NaN.
     """
     if abs(Q2) < DEGENERATE_Q2_TOL:
         raise DegenerateResolvent(f"Q2 ~ 0 (Q2={Q2}); use the biquadratic fallback")
-    res = solve_cubic_cardano(P2, (2.0 * P2 * P2 - 8.0 * r) / 8.0, -Q2 * Q2 / 8.0)
-    u = max(res.real_roots)
-    if not u > 0:
-        # constant term -Q2^2/8 < 0 guarantees a positive real root; any
-        # numerical miss is cancellation noise near zero (or NaN roots)
+    B, C = (2.0 * P2 * P2 - 8.0 * r) / 8.0, -Q2 * Q2 / 8.0
+    u = max(solve_cubic_cardano(P2, B, C).real_roots)
+    if u > 0:
+        return u
+    lo, hi = 0.0, 1.0 + abs(P2) + abs(B) + abs(C)
+    if not hi < math.inf:
         raise DegenerateResolvent(f"no positive resolvent root found (Q2={Q2})")
-    return u
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if ((mid + P2) * mid + B) * mid + C > 0:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def solve_quartic_ferrari(A: float, B: float, C: float, D: float) -> FerrariDecomposition:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from ._backend import integrate_kernel
 from .errors import DomainError, NotAnEquilibrium, StepFailure
-from .model import EQUILIBRIUM_TOL, ModelParams, State, jet, validate
+from .model import EQUILIBRIUM_TOL, ModelParams, State, field, validate
 from .equilibria import Equilibrium, predator_free_x
 from .stability import _spectrum
 
@@ -211,7 +211,7 @@ def detect_limit_cycle(params: ModelParams, center: Equilibrium,
                           f"got {probe_radius} and {t_max}")
     if center.kind != "Interior":
         raise DomainError("cycle probe needs an interior equilibrium as center")
-    F, DF = jet(params, center.x, center.y)[:2]
+    F, DF = field(params, center.x, center.y)
     residual = max(abs(F[0]), abs(F[1]))
     if residual >= EQUILIBRIUM_TOL:
         raise NotAnEquilibrium(f"rhs residual {residual:.3e} at ({center.x}, {center.y})")

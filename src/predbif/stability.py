@@ -48,10 +48,10 @@ def _report(spectrum: tuple, label: str, branch: str,
 def classify_generic(params: ModelParams, eq: Equilibrium) -> StabilityReport:
     """Hyperbolic classification from trace/det; dispatches degenerate cases
     of the trivial equilibria to the theorem-specific routines."""
-    # DF through ``jacobian`` rather than ``jet``: perfbench --trace 1 reports
-    # jacobian's per-call cost and stops when a workload never calls it.
-    # jacobian returns an ndarray, so the first call here loads numpy
-    # (the only load in the ``stability`` and ``sweep`` commands)
+    # DF through ``jacobian``, which wraps ``model.field``'s DF in an ndarray,
+    # rather than from ``field`` itself: perfbench --trace 1 reports jacobian's
+    # per-call cost and stops when a workload never calls it.  The first call
+    # here loads numpy (the only load in the ``stability`` and ``sweep`` commands)
     J = jacobian(params, eq.state).tolist()
     spectrum = _spectrum(J)
     eig, tr, det = spectrum

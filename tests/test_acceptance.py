@@ -25,6 +25,7 @@ from predbif.model import ModelParams, State, jacobian, rhs
 from predbif.sim import detect_limit_cycle, integrate
 
 from paper_forms import taylor_jet
+from root_count import sturm_count
 
 GOLD_SEED = ModelParams(a=2.0, b=-2.82, c=0.05, h=0.17, delta=0.03, eta=0.1, m=0.8)
 GOLD = GOLD_SEED.with_(h=0.1715598183, delta=0.03070149222)
@@ -211,6 +212,7 @@ def test_criterion_07_interior_equilibria_vs_sign_scan_oracle():
                                                            n_grid=400_000)
                           if x > 1e-6]
                 assert len(xs) == len(oracle), (region, p)
+                assert len(xs) == sturm_count(p), (region, p)
                 for xe, xo in zip(xs, oracle):
                     assert xe == pytest.approx(xo, abs=1e-7)
 

@@ -1,12 +1,15 @@
 import json
+import random
 import shlex
 from pathlib import Path
 
 import pytest
 
-from predbif.cli import build_parser, parse_config, params_from_config, run, to_json
-from predbif.equilibria import isocline_y
+from predbif.cli import build_parser, cmd_sweep, parse_config, params_from_config, run, to_json
+from predbif.equilibria import classify_region, interior_equilibria, isocline_y
+from predbif.errors import PredbifError
 from predbif.model import ModelParams
+from predbif.stability import classify_generic
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "configs"
@@ -397,6 +400,36 @@ class TestReports:
         assert lines[0] == "curve,lambda1,lambda2,beta1,beta2"
         names = {line.split(",")[0] for line in lines[1:]}
         assert names == {"T", "H", "P"}
+
+    @pytest.mark.parametrize("family", ["bt_example", "sweep_regions"])
+    def test_sweep_rows_equal_the_per_point_path(self, family):
+        # cmd_sweep builds each grid point without validating it again; every
+        # row must be the one the public, validating path gives
+        params = params_from_config(parse_config(CONFIGS / f"{family}.cfg"))
+        rng = random.Random(family)
+        grids = []
+        for _ in range(3):
+            h0, c0 = rng.uniform(0.01, 0.6), rng.uniform(0.01, 0.6)
+            grids.append((h0, h0 + rng.uniform(0.05, 0.6), c0, c0 + rng.uniform(0.05, 0.6)))
+        lo, hi = sorted((rng.uniform(0.01, 0.9), rng.uniform(0.01, 0.9)))
+        grids.append((lo, hi, lo, hi))  # coinciding axes: the diagonal is exactly h = c
+        grids.append((lo, lo + 4e-6, lo + 1e-6, lo + 5e-6))  # within 5e-6 of h = c
+        on_diagonal = near_diagonal = 0
+        for h_min, h_max, c_min, c_max in grids:
+            _, (_, rows), _ = cmd_sweep(params, h_min=h_min, h_max=h_max, c_min=c_min,
+                                        c_max=c_max, n_h=7, n_c=7)
+            assert len(rows) == 49
+            for hv, cv, *rest in rows:
+                p = params.with_(h=hv, c=cv)
+                try:
+                    eqs = interior_equilibria(p)
+                    want = [len(eqs), ";".join(classify_generic(p, e).label for e in eqs)]
+                except (PredbifError, ArithmeticError) as exc:
+                    want = [-1, f"error:{type(exc).__name__}"]
+                assert rest == [classify_region(hv, cv).tag, *want], (family, hv, cv)
+                on_diagonal += hv == cv
+                near_diagonal += 0 < abs(hv - cv) <= 5e-6
+        assert on_diagonal >= 7 and near_diagonal >= 40
 
     def test_sweep_region_raster(self, gold_cfg, tmp_path):
         cfg = tmp_path / "w.cfg"

@@ -21,6 +21,8 @@ from predbif.equilibria import (
 from predbif.errors import DomainError
 from predbif.model import ModelParams, State, rhs
 
+from root_count import positive_root_count, sturm_count
+
 GOLD = ModelParams(a=2.0, b=-2.82, c=0.05, h=0.1715598183,
                    delta=0.03070149222, eta=0.1, m=0.8)
 
@@ -163,6 +165,7 @@ def test_interior_matches_sign_scan_oracle(region):
         xs = [e.x for e in eqs]
         # drop near-tangent oracle roots that sit within dedup distance
         assert len(xs) == len(oracle), (p, xs, oracle)
+        assert len(xs) == sturm_count(p), (p, xs)
         for xe, xo in zip(sorted(xs), oracle):
             assert xe == pytest.approx(xo, abs=1e-7)
 
@@ -211,7 +214,7 @@ class TestInterior:
         q = quartic_coeffs(p)
         np_roots = sorted(r.real for r in np.roots([1.0, q.A, q.B, q.C, q.D])
                           if r.imag == 0.0 and r.real > 0.0)
-        assert len(eqs) == len(oracle) == len(np_roots) == 2
+        assert len(eqs) == len(oracle) == len(np_roots) == sturm_count(p) == 2
         for e, xo, xn in zip(eqs, oracle, np_roots):
             assert e.x == pytest.approx(xo, rel=1e-9)
             assert e.x == pytest.approx(xn, rel=1e-9)
@@ -226,6 +229,19 @@ class TestInterior:
             warnings.simplefilter("error")
             allp = all_equilibria(GOLD)
             assert len(allp) == len(trivial_equilibria(GOLD)) + len(interior_equilibria(GOLD))
+
+
+class TestSturmCount:
+    def test_counts_distinct_roots_on_the_open_half_line(self):
+        # (x - 1)^2 (x - 2)(x + 3): the double root counts once
+        assert positive_root_count([1, -1, -7, 13, -6]) == 2
+        # x^2 (x - 1)(x - 2): the double root at 0 is not counted
+        assert positive_root_count([1, -3, 2, 0, 0]) == 2
+        assert positive_root_count([1, 0, 1]) == 0
+
+    def test_agrees_with_the_sign_scan_where_it_resolves_every_root(self):
+        for p in (GOLD, GOLD.with_(h=0.3), GOLD.with_(h=0.02)):
+            assert sturm_count(p) == len(interior_roots_oracle(p, 1.2, 400_000))
 
 
 class TestIsocline:

@@ -7,7 +7,7 @@ import pytest
 
 from predbif.equilibria import interior_equilibria
 from predbif.errors import DomainError, NotAnEquilibrium, ParameterOutOfRange
-from predbif.model import ModelParams, State, jacobian, jet, linspace, rhs, validate
+from predbif.model import ModelParams, State, field, jacobian, jet, linspace, rhs, validate
 
 from paper_forms import OriginalParams, rescale_parameters, taylor_jet
 
@@ -194,6 +194,12 @@ def _jet_points():
 JET_POINTS = _jet_points()
 
 
+def _bits(t):
+    """The float.hex of every entry of a nested tuple of floats, so that -0.0
+    differs from 0.0."""
+    return tuple(map(_bits, t)) if isinstance(t, tuple) else t.hex()
+
+
 class TestJet:
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_derivatives_match_finite_differences(self, order):
@@ -227,9 +233,18 @@ class TestJet:
                         got = _entry(partials[order][k], index)
                         assert got == pytest.approx(want, rel=1e-5, abs=1e-5), (name, k, index)
 
+    def test_field_is_the_first_order_part(self):
+        rng = np.random.default_rng(37)
+        for p, x, y in JET_POINTS:
+            dh, dd = (float(v) for v in rng.uniform(-0.04, 0.04, size=2))
+            assert _bits(field(p, x, y, dh, dd)) == _bits(jet(p, x, y, dh, dd)[:2])
+            assert _bits(field(p, x, y)[0]) == _bits(rhs(p, State(x, y)))
+
     def test_first_derivatives_equal_jacobian(self):
         for p, x, y in JET_POINTS:
-            assert jet(p, x, y)[1] == tuple(map(tuple, jacobian(p, State(x, y)).tolist()))
+            DF = field(p, x, y)[1]
+            assert _bits(jet(p, x, y)[1]) == _bits(DF)
+            assert _bits(tuple(map(tuple, jacobian(p, State(x, y)).tolist()))) == _bits(DF)
 
     def test_offsets_agree_with_shifted_params(self):
         rng = np.random.default_rng(31)

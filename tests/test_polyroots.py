@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -149,6 +150,43 @@ class TestResolvent:
         with pytest.raises(DegenerateResolvent):
             resolvent_positive_root(-5.0, 0.0, 4.0)
 
+    def test_nan_coefficients_raise(self):
+        with pytest.raises(DegenerateResolvent):
+            resolvent_positive_root(math.nan, 1.0, math.nan)
+
+    def test_root_lost_by_cardano_is_bisected(self):
+        # two conjugate pairs 1e-4 apart: the resolvent's positive root is of
+        # order Q2^2, and Cardano's discriminant is rounding noise that hides it
+        A, B, C, D = (-2.9497587547790722, 13.398945402578935, -16.553568578829164,
+                      31.492726960025838)
+        P2, Q2, r = depress_quartic(A, B, C, D)
+        resolvent = [1.0, P2, (2.0 * P2 * P2 - 8.0 * r) / 8.0, -Q2 * Q2 / 8.0]
+        assert max(solve_cubic_cardano(*resolvent[1:]).real_roots) <= 0
+        u = resolvent_positive_root(P2, Q2, r)
+        positive = [z.real for z in np.roots(resolvent) if z.real > 0]
+        assert len(positive) == 1 and u == pytest.approx(positive[0], rel=1e-6)
+        dec = solve_quartic_ferrari(A, B, C, D)
+        assert dec.real_roots == []
+        assert match_multisets(dec.roots, companion_roots([A, B, C, D]), 1e-10) < 1e-10
+
+    def test_near_equal_conjugate_pairs_never_raise(self):
+        rng = random.Random(5)
+        bisected = 0
+        for _ in range(5_000):
+            z1 = complex(rng.uniform(-3, 3), rng.uniform(0.1, 3))
+            z2 = z1 + complex(rng.uniform(-1e-4, 1e-4), rng.uniform(-1e-4, 1e-4))
+            (p1, q1), (p2, q2) = ((-2.0 * z.real, abs(z) ** 2) for z in (z1, z2))
+            coeffs = [p1 + p2, q1 + q2 + p1 * p2, p1 * q2 + p2 * q1, q1 * q2]
+            dec = solve_quartic_ferrari(*coeffs)
+            assert dec.real_roots == [], coeffs
+            P2, Q2, r = depress_quartic(*coeffs)
+            if dec.biquadratic or max(solve_cubic_cardano(
+                    P2, (2.0 * P2 * P2 - 8.0 * r) / 8.0, -Q2 * Q2 / 8.0).real_roots) > 0:
+                continue
+            bisected += 1
+            assert match_multisets(dec.roots, companion_roots(coeffs), 1e-7) < 1e-7, coeffs
+        assert bisected > 1_000
+
 
 class TestPolish:
     def test_improves_perturbed_root(self):
@@ -158,6 +196,25 @@ class TestPolish:
     def test_never_jumps_far(self):
         # starting far from any root must not silently converge elsewhere
         assert polish_root([-10.0, 35.0, -50.0, 24.0], 100.0) == 100.0
+
+    def test_real_start_iterates_like_its_complex_form(self):
+        # the float iteration of a real start gives the bits of the complex
+        # iteration; starts within 1e-4 of a real root make the polish move,
+        # starts 1e3 away return unchanged
+        rng = np.random.default_rng(78)
+        moved = far = 0
+        for degree in (3, 4) * 1_000:
+            coeffs = [float(v) for v in rng.uniform(-5, 5, size=degree)]
+            for root in companion_roots(coeffs):
+                if root.imag != 0.0:
+                    continue
+                for start in (float(root.real) + float(rng.uniform(-1e-4, 1e-4)),
+                              float(root.real) + 1e3):
+                    polished = polish_root(coeffs, start)
+                    assert bits(polished) == bits(polish_root(coeffs, complex(start)))
+                    moved += polished != start
+                    far += polished == start
+        assert moved > 3_000 and far > 3_000
 
     def test_commutes_with_conjugation(self):
         # starts within 1e-4 of a root, so that the polish iterates
