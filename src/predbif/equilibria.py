@@ -233,15 +233,74 @@ def _polish_interior(params: ModelParams, x: float) -> Equilibrium | None:
     return Equilibrium(xi, yi, "Interior")
 
 
+def _no_interior_root(params: ModelParams, q: QuarticCoeffs) -> bool:
+    """True when ``q`` or the existence condition proves that there is no
+    interior equilibrium, without solving.
+
+    Descartes: with A, B, C >= 0 and D > 0 the float quartic, the one the
+    solver would be handed, is positive on x >= 0 and has no positive root.
+
+    Existence: an interior equilibrium has f(x) = x*y*(c + x)/p(x) > 0, so
+    g(x) = eta*p*f - delta*x*(c + x)*(m + x) < 0 wherever f <= 0 (p > 0 by
+    admissibility), and g is the quartic times -a*eta.  For x > 0 and
+    h >= c, f < 0 when c >= 1, and f <= disc/4 with disc = (1 - c)^2 -
+    4(h - c).  Otherwise f > 0 only on (x-, x+), where p <= max(p(x-), p(x+))
+    since p is convex (a > 0), and delta*x*(c + x)*(m + x) >= its value at
+    x-; g < 0 throughout when eta*max(p(x-), p(x+))*disc/4 stays below that.
+
+    Rounding, with u = 2^-53: the float disc is within
+    4u*(1 - c)^2 + 2u*|disc| of the true one, so disc <= -16u*(1 - c)^2
+    proves disc < 0, and above that ``disc_hi`` = disc + 16u*(1 - c)^2
+    bounds it from above.  x- is taken as 2(h - c)/((1 - c) + sqrt(disc_hi)),
+    free of cancellation and so at most a few u above x-; x+ as
+    ((1 - c) + sqrt(disc_hi))/2.  max(p(x-), p(x+)) is raised by
+    2^-48*(a*x+^2 + |b|*x+ + 1), which covers the rounding of p, that can
+    cancel when b < 0, and the few-u moves of the ends.  What remains are
+    products and quotients of positive floats, each a few u off, far inside
+    the factor 1.01.  Requiring delta, c, m and x- above 2^-255 keeps every
+    partial product of the right side normal, so no underflow hides an
+    error; an overflow only rounds up to inf, which cannot pass for the
+    left side and is right for the right side.
+    """
+    if q.D > 0.0 and q.A >= 0.0 and q.B >= 0.0 and q.C >= 0.0:
+        return True
+    a, b, c, h = params.a, params.b, params.c, params.h
+    if h < c:
+        return False
+    if c >= 1.0:
+        return True
+    s, k = 1.0 - c, h - c
+    err = 2.0**-49 * s * s
+    disc = s * s - 4.0 * k
+    if disc <= -err:
+        return True
+    disc_hi = disc + err
+    root = math.sqrt(disc_hi)
+    x_lo, x_hi = 2.0 * k / (s + root), 0.5 * (s + root)
+    delta, m = params.delta, params.m
+    if not min(x_lo, delta, c, m) > 2.0**-255:
+        return False
+    p_max = (max((a * x_lo + b) * x_lo, (a * x_hi + b) * x_hi) + 1.0
+             + 2.0**-48 * ((a * x_hi + abs(b)) * x_hi + 1.0))
+    return 1.01 * params.eta * p_max * disc_hi * 0.25 < delta * x_lo * (c + x_lo) * (m + x_lo)
+
+
 def interior_equilibria(params: ModelParams) -> list[Equilibrium]:
     """Interior equilibria via the region-appropriate closed-form solver.
 
-    K2 uses the Cardano branch of the degenerate cubic; K1/K3 (and
-    off-region parameters, defensively) use the Ferrari branch.  Only
-    positive real roots that pass the rhs residual test survive.
+    Points where ``_no_interior_root`` proves that none exists, through
+    Descartes' rule on the quartic or the existence condition f(x) > 0 of
+    the paper, return [] without solving.  On the rest K2 uses the Cardano
+    branch of the degenerate cubic and every other tag the Ferrari branch;
+    the check decides on h >= c in floats, not on the tag, since the K2
+    tolerance tags points with c >= 1 and h just below c None though they
+    can hold an interior equilibrium.  Only positive real roots that pass
+    the rhs residual test survive.
     """
     region = classify_region(params.h, params.c)
     q = quartic_coeffs(params)
+    if _no_interior_root(params, q):
+        return []
     if region.tag == "K2":
         res = polyroots.solve_cubic_cardano(q.A, q.B, q.C)
         branch = "Delta>0" if res.Delta > 0 else ("Delta=0" if res.Delta == 0 else "Delta<0")

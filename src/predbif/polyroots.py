@@ -67,14 +67,12 @@ def polish_root(coeffs: list[float], x0: complex) -> complex:
     and abs round exactly like the float operations, so only the speed
     differs, and the polished root carries imaginary part +0.0.
     """
-    mono = [1.0] + list(coeffs)
-    n = len(mono) - 1
-    scale = max(1.0, abs(x0)) ** n
+    scale = max(1.0, abs(x0)) ** len(coeffs)
     x = x0.real if x0.imag == 0.0 else complex(x0)
     for _ in range(50):
-        pv = mono[0]
+        pv = 1.0
         dv = 0.0
-        for ck in mono[1:]:
+        for ck in coeffs:
             dv = dv * x + pv
             pv = pv * x + ck
         if abs(pv) < 1e-12 * scale:
@@ -86,8 +84,8 @@ def polish_root(coeffs: list[float], x0: complex) -> complex:
             break
         x = x - step
     # accept best achievable if already close to a root
-    pv = mono[0]
-    for ck in mono[1:]:
+    pv = 1.0
+    for ck in coeffs:
         pv = pv * x + ck
     return complex(x) if abs(pv) < 1e-8 * scale else x0
 
@@ -152,17 +150,22 @@ def resolvent_positive_root(P2: float, Q2: float, r: float) -> float:
     """Positive root u of the resolvent 8u^3 + 8 P2 u^2 + (2 P2^2 - 8 r) u - Q2^2 = 0.
 
     When the resolvent has several positive roots the largest is taken.
-    The constant term -Q2^2/8 < 0 guarantees one.  When Cardano loses it to
-    cancellation (a root of order Q2^2 next to a double root), it is
-    bisected on (0, 1 + |P2| + |B| + |C|], where the monic resolvent
-    u^3 + P2 u^2 + B u + C is positive.  Raises DegenerateResolvent when
-    Q2 ~ 0 (biquadratic case) or a coefficient is NaN.
+    The constant term -Q2^2/8 < 0 guarantees one.  Ferrari divides Q2 by
+    sqrt(2u), so u needs a small relative error, not a small residual.
+    Cardano's root has one unless u is small, of order Q2^2 next to a double
+    root: there cancellation can lose u altogether, or leave it off by a
+    factor while the monic resolvent u^3 + P2 u^2 + B u + C stays within
+    ``polish_root``'s absolute residual target.  So a root at or below
+    1e-8 * (1 + |P2| + |B|) is bisected afresh on (0, 1 + |P2| + |B| + |C|],
+    where the resolvent goes from C < 0 to positive, down to adjacent
+    floats.  Raises DegenerateResolvent when Q2 ~ 0 (biquadratic case) or a
+    coefficient is NaN.
     """
     if abs(Q2) < DEGENERATE_Q2_TOL:
         raise DegenerateResolvent(f"Q2 ~ 0 (Q2={Q2}); use the biquadratic fallback")
     B, C = (2.0 * P2 * P2 - 8.0 * r) / 8.0, -Q2 * Q2 / 8.0
     u = max(solve_cubic_cardano(P2, B, C).real_roots)
-    if u > 0:
+    if u > 1e-8 * (1.0 + abs(P2) + abs(B)):
         return u
     lo, hi = 0.0, 1.0 + abs(P2) + abs(B) + abs(C)
     if not hi < math.inf:
@@ -207,6 +210,7 @@ def solve_quartic_ferrari(A: float, B: float, C: float, D: float) -> FerrariDeco
     coeffs = [A, B, C, D]
     shift = A / 4.0
     roots = [polish_root(coeffs, X - shift) for X in Xs]
-    reals = sorted(z.real for z in roots if _classify_real(z))
+    # a root tagged real gets imaginary part 0.0; a complex one keeps |Im| >= REAL_TOL
     roots = [complex(z.real, 0.0) if _classify_real(z) else z for z in roots]
+    reals = sorted(z.real for z in roots if z.imag == 0.0)
     return FerrariDecomposition(roots, biquadratic, reals)

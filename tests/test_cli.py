@@ -93,9 +93,13 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", ["equilibria", "stability", "hopf", "bt-locate",
                                          "bt-normal-form", "bt-curves", "sweep"])
     def test_float_overflow_is_no_traceback(self, command, tmp_path, capsys):
-        # m = 1e200 is admissible, but the quartic's float powers overflow
+        # m = 1e200 is admissible, but the quartic's float powers overflow;
+        # h < c everywhere, so no existence check settles a point first
         cfg = tmp_path / "huge_m.cfg"
-        cfg.write_text(BT_SEED_KV.replace("params.m = 0.8", "params.m = 1e200"))
+        cfg.write_text(BT_SEED_KV.replace("params.m = 0.8", "params.m = 1e200")
+                       .replace("params.h = 0.17", "params.h = 0.03")
+                       + "sweep.h_min = 0.01\nsweep.h_max = 0.04\n"
+                       + "sweep.c_min = 0.05\nsweep.c_max = 0.95\n")
         code = run([command, "--config", str(cfg), "--out", str(tmp_path)])
         err = capsys.readouterr().err
         if command == "sweep":
@@ -105,6 +109,23 @@ class TestExitCodes:
         else:
             assert code == 1
             assert err.startswith("predbif: OverflowError: ") and err.count("\n") == 1
+
+    def test_huge_m_above_the_diagonal_has_no_interior_equilibrium(self, tmp_path, capsys):
+        # h = 0.17 > c = 0.05 with m = 1e200: the existence interval bound
+        # settles the point before the quartic's powers can overflow
+        cfg = tmp_path / "huge_m.cfg"
+        cfg.write_text(BT_SEED_KV.replace("params.m = 0.8", "params.m = 1e200"))
+        out = str(tmp_path)
+        assert run(["equilibria", "--config", str(cfg), "--out", out]) == 0
+        kinds = [e["kind"] for e in json.loads((tmp_path / "equilibria.json").read_text())
+                 ["results"]["equilibria"]]
+        assert "Interior" not in kinds
+        assert run(["hopf", "--config", str(cfg), "--out", out]) == 1
+        assert capsys.readouterr().err.startswith("predbif: NoHopf: ")
+        assert run(["sweep", "--config", str(cfg), "--out", out]) == 0
+        rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+        assert sum(row.endswith(",0,") for row in rows) == 45
+        assert sum(row.endswith(",-1,error:OverflowError") for row in rows) == 55
 
     def test_infinite_quartic_coefficient_is_an_error_row(self, tmp_path, capsys):
         # delta = 1e81 and m = 8e298 take the quartic's B and C to inf; on the

@@ -1,13 +1,16 @@
 import math
+import random
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from predbif.cli import params_from_config, parse_config
+from predbif import equilibria, polyroots
+from predbif.cli import cmd_sweep, params_from_config, parse_config
 from predbif.equilibria import (
     QuarticCoeffs,
+    _no_interior_root,
     _polish_interior,
     all_equilibria,
     classify_region,
@@ -224,11 +227,87 @@ class TestInterior:
         assert 9.8e-7 < eqs[0].x < 9.9e-7
         assert 0.3693 < eqs[1].x < 0.3694
 
+    def test_small_resolvent_root_keeps_the_equilibrium(self):
+        # Q2 = -4.6e-6: Cardano's resolvent root 2.99538e-13 is 1.4e-3 off
+        # the true 2.99134e-13 yet meets the polish's absolute residual
+        # target, and Ferrari's root then lands beyond MAX_MOVE of x ~ 0.280862
+        p = ModelParams(0.5374646048490557, -1.2621191055165737, 0.6514171082871856,
+                        0.19579582270674523, 0.5713023036929946, 0.33485923514244215,
+                        0.45003718176097285)
+        eqs = interior_equilibria(p)
+        assert len(eqs) == sturm_count(p) == 1
+        assert eqs[0].x == pytest.approx(0.280862, abs=1e-6)
+
     def test_all_equilibria_is_union(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             allp = all_equilibria(GOLD)
             assert len(allp) == len(trivial_equilibria(GOLD)) + len(interior_equilibria(GOLD))
+
+
+class TestNoInteriorRoot:
+    def test_settled_points_have_no_interior_root(self):
+        # draws cycle through h ~ c, h ~ (1 + c)^2/4, c >= 1, tiny delta and
+        # plain ones; the exact count must be 0 wherever the check settles
+        rng = random.Random(24)
+        settled = [0] * 5
+        for i in range(2_000):
+            kind = i % 5
+            a = rng.uniform(0.05, 4.0)
+            c = rng.uniform(1.0, 2.0) if kind == 2 else rng.uniform(0.01, 1.0)
+            h = rng.uniform(0.01, 2.0)
+            if kind == 0:
+                h = c * (1.0 + rng.uniform(-1e-9, 1e-9))
+            elif kind == 1:
+                h = (1.0 + c) ** 2 / 4.0 + rng.uniform(-1e-6, 1e-6)
+            delta = 10.0 ** rng.uniform(-14, -6) if kind == 3 else rng.uniform(0.01, 1.5)
+            p = ModelParams(a, rng.uniform(-1.99 * math.sqrt(a), 4.0), c, h, delta,
+                            rng.uniform(0.01, 1.5), 10.0 ** rng.uniform(-3, 2))
+            if _no_interior_root(p, quartic_coeffs(p)):
+                settled[kind] += 1
+                assert sturm_count(p) == 0, p
+        assert min(settled) >= 40, settled
+
+    def test_sweep_block_zero_reaches_every_path(self, monkeypatch):
+        # block 0 of the benchmark's region-sweep: the interval bound,
+        # Descartes' rule and Ferrari each decide some grid points
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        from workloads import make_block
+
+        paths = {"interval": 0, "descartes": 0, "ferrari": 0}
+        check, ferrari = equilibria._no_interior_root, polyroots.solve_quartic_ferrari
+
+        def traced_check(p, q):
+            settled = check(p, q)
+            if settled and q.D > 0 and min(q.A, q.B, q.C) >= 0:
+                paths["descartes"] += 1
+            elif settled and p.c < 1.0 and (1.0 - p.c) ** 2 > 4.0 * (p.h - p.c):
+                paths["interval"] += 1
+            return settled
+
+        def traced_ferrari(*coeffs):
+            paths["ferrari"] += 1
+            return ferrari(*coeffs)
+
+        monkeypatch.setattr(equilibria, "_no_interior_root", traced_check)
+        monkeypatch.setattr(polyroots, "solve_quartic_ferrari", traced_ferrari)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for op in make_block("region-sweep", 1, 0):
+                cmd_sweep(ModelParams(**op["config"]["params"]), **op["config"]["sweep"])
+        assert min(paths.values()) > 0, paths
+
+    def test_tolerance_sliver_below_the_diagonal_is_solved(self):
+        # c >= 1 and h just below c: K2's tolerance tags the point None, but
+        # h < c, so the check leaves it to Ferrari, which finds the root
+        p = ModelParams(1.861547188805832, 0.8274898869805187, 1.0174938345511504,
+                        1.0174938345140232, 0.7077795780232038, 1.041987986948265,
+                        0.034877350903953226)
+        assert classify_region(p.h, p.c).tag == "None"
+        assert not _no_interior_root(p, quartic_coeffs(p))
+        eqs = interior_equilibria(p)
+        assert len(eqs) == sturm_count(p) == 1
+        assert 8.9e-10 < eqs[0].x < 9e-10
 
 
 class TestSturmCount:

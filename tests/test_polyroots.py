@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -188,6 +189,24 @@ class TestResolvent:
         assert bisected > 1_000
 
 
+    def test_small_cardano_root_is_refined(self):
+        # two nearly equal conjugate pairs: Cardano gives u = 1.70e-12 for the
+        # resolvent root 2.05e-9, with a residual of the size of the constant
+        # term -Q2^2/8 = -1.95e-17, and the roots came out 1.08e-3 off
+        coeffs = [-2.072470164335889, 6.282606404061028, -5.397565384819808, 6.782959928231735]
+        P2, Q2, r = depress_quartic(*coeffs)
+        resolvent = [P2, (2.0 * P2 * P2 - 8.0 * r) / 8.0, -Q2 * Q2 / 8.0]
+        cardano = max(solve_cubic_cardano(*resolvent).real_roots)
+        u = resolvent_positive_root(P2, Q2, r)
+        positive = [z.real for z in np.roots([1.0, *resolvent]) if z.real > 0]
+        assert len(positive) == 1
+        assert cardano != pytest.approx(positive[0], rel=0.5)
+        assert u == pytest.approx(positive[0], rel=1e-9)
+        dec = solve_quartic_ferrari(*coeffs)
+        assert dec.real_roots == []
+        assert match_multisets(dec.roots, companion_roots(coeffs), 1e-8) < 1e-8
+
+
 class TestPolish:
     def test_improves_perturbed_root(self):
         z = polish_root([-10.0, 35.0, -50.0, 24.0], 3.0 + 1e-5)
@@ -228,3 +247,30 @@ class TestPolish:
                 moved += polished != z
                 assert bits(polish_root(coeffs, z.conjugate())) == bits(polished.conjugate())
         assert moved > 7_000
+
+    def test_bits_are_pinned(self):
+        # float.hex of every result over seeded real and complex starts near
+        # the roots of real polynomials, and real starts 1e3 away
+        rng = random.Random(2024)
+        digest = hashlib.sha256()
+        moved = 0
+        for degree in (3, 4) * 500:
+            roots = []
+            while len(roots) < degree:
+                z = complex(rng.uniform(-3, 3), rng.uniform(0.01, 3))
+                pair = len(roots) + 2 <= degree and rng.random() < 0.5
+                roots += [z, z.conjugate()] if pair else [z.real]
+            poly = [1.0]
+            for root in roots:
+                poly = [u - root * v for u, v in zip(poly + [0.0], [0.0] + poly)]
+            coeffs = [complex(v).real for v in poly[1:]]
+            for root in roots:
+                for start in (complex(root).real + rng.uniform(-1e-4, 1e-4),
+                              root + complex(rng.uniform(-1e-4, 1e-4), rng.uniform(-1e-4, 1e-4)),
+                              complex(root).real + 1e3):
+                    z = polish_root(coeffs, start)
+                    moved += z != start
+                    digest.update(f"{z.real.hex()} {z.imag.hex()};".encode())
+        assert moved == 5_148
+        assert digest.hexdigest() == (
+            "11fb7b1bedab79b10e33f8ecb98744de6eb57a20d33909ed4ce9b8675fc6116e")
