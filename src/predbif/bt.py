@@ -65,7 +65,6 @@ class CurveSet:
     T: list[tuple[float, float]]
     H: list[tuple[float, float]]
     P: list[tuple[float, float]]
-    box: tuple[float, float, float, float]  # l1_min, l1_max, l2_min, l2_max
     beta: dict[str, list[tuple[float, float]]]  # (beta1, beta2) of each sample, by curve
 
 
@@ -126,15 +125,12 @@ def bt_locate(params: ModelParams) -> list[BTPoint]:
 # normal form
 
 
-_COEFF_KEYS = (("a00", "a10", "a01", "a20", "a11", "a02"),
-               ("b00", "b10", "b01", "b20", "b11", "b02"))
-
-
-def _project(basis, F, DF, D2F) -> dict:
+def _project(basis, F, DF, D2F):
     """Eigenbasis projections of a field's jet, in the convention with 1/2 on
-    the pure-square terms: w.F, w.(DF v) and w.(v^T H_k u) for w = w0 (a_ij)
-    and w = w1 (b_ij), each written out as a two-term sum on floats."""
-    (v0x, v0y), (v1x, v1y), w0, w1 = basis
+    the pure-square terms: w.F, w.(DF v) and w.(v^T H_k u) for w = w0,
+    (a00, a10, a01, a20, a11, a02), and w = w1, (b00, ..., b02), each
+    written out as a two-term sum on floats."""
+    (v0x, v0y), (v1x, v1y), (w0x, w0y), (w1x, w1y) = basis
     # per field component k: F_k, DF_k v0, DF_k v1, v0'H_k v0, v0'H_k v1, v1'H_k v1
     comps = []
     for val, (dx, dy), ((hxx, hxy), (hyx, hyy)) in zip(F, DF, D2F):
@@ -142,21 +138,20 @@ def _project(basis, F, DF, D2F) -> dict:
         r1x, r1y = v1x * hxx + v1y * hyx, v1x * hxy + v1y * hyy  # v1' H_k
         comps.append((val, dx * v0x + dy * v0y, dx * v1x + dy * v1y,
                       r0x * v0x + r0y * v0y, r0x * v1x + r0y * v1y, r1x * v1x + r1y * v1y))
-    f, g = comps
-    out = {}
-    for keys, (wx, wy) in zip(_COEFF_KEYS, (w0, w1)):
-        for key, fk, gk in zip(keys, f, g):
-            out[key] = wx * fk + wy * gk
-    return out
+    (f00, f10, f01, f20, f11, f02), (g00, g10, g01, g20, g11, g02) = comps
+    return ((w0x * f00 + w0y * g00, w0x * f10 + w0y * g10, w0x * f01 + w0y * g01,
+             w0x * f20 + w0y * g20, w0x * f11 + w0y * g11, w0x * f02 + w0y * g02),
+            (w1x * f00 + w1y * g00, w1x * f10 + w1y * g10, w1x * f01 + w1y * g01,
+             w1x * f20 + w1y * g20, w1x * f11 + w1y * g11, w1x * f02 + w1y * g02))
 
 
-def _ab_coeffs(params_bt: ModelParams, pt: BTPoint, basis, lam: tuple[float, float]) -> dict:
-    """Taylor coefficients a_ij(lambda), b_ij(lambda) of the projected field at
-    h + lambda1, delta + lambda2, with a01 relative to the Jordan block's 1."""
-    F, DF, D2F, _, _, _ = jet(params_bt, pt.x, pt.y, lam[0], lam[1])
-    out = _project(basis, F, DF, D2F)
-    out["a01"] -= 1.0
-    return out
+def _chain(a, b):
+    """(g00, g10, g01, g20, g11, g02) of the coefficient chain from the
+    projections ``a`` and ``b``; a01 does not enter."""
+    a00, a10, _, a20, a11, a02 = a
+    b00, b10, b01, b20, b11, b02 = b
+    return (b00, b10 + a11 * b00 - b11 * a00, b01 + a10 + a02 * b00 - (a11 + b02) * a00,
+            b20, a20 + b11, b02 + 2.0 * a11)
 
 
 def _basis(delta: float, eta: float):
@@ -184,14 +179,15 @@ def normal_form(params: ModelParams, bt_point: BTPoint) -> BTNormalForm:
     basis = _basis(bt_point.delta_bt, params.eta)
     v0, v1, w0, w1 = basis
 
-    c0 = _ab_coeffs(pbt, bt_point, basis, (0.0, 0.0))
-    g20_0 = c0["b20"]
-    g11_0 = c0["a20"] + c0["b11"]
-    g02_0 = c0["b02"] + 2.0 * c0["a11"]
+    F, DF, D2F, _, by_h, by_delta = jet(pbt, bt_point.x, bt_point.y)
+    a, b = _project(basis, F, DF, D2F)
+    _, _, _, g20_0, g11_0, g02_0 = _chain(a, b)
+    _, _, _, a20, a11, a02 = a
+    _, _, _, b20, b11, b02 = b
     A0 = 0.5 * g20_0
     B0 = g11_0
 
-    scale0 = max(abs(c0[k]) for k in ("a20", "b11", "b20"))
+    scale0 = max(abs(a20), abs(b11), abs(b20))
     bt1 = abs(g11_0) > NONDEGENERACY_TOL * (1.0 + scale0)
     bt2 = abs(g20_0) > NONDEGENERACY_TOL * (1.0 + scale0)
     if not bt1:
@@ -201,17 +197,16 @@ def normal_form(params: ModelParams, bt_point: BTPoint) -> BTNormalForm:
 
     # exact lambda-partials of the coefficients: projections of the jet's
     # h- and delta-partials, one per lambda component
-    by_h, by_delta = jet(pbt, bt_point.x, bt_point.y)[4:]
-    ph, pd = _project(basis, *by_h), _project(basis, *by_delta)
     k1 = B0**4 / A0**3
     k2 = B0**2 / A0**2
     columns = []
-    for d in (ph, pd):
-        dg10 = d["b10"] + c0["a11"] * d["b00"] - c0["b11"] * d["a00"]
-        dg01 = d["b01"] + d["a10"] + c0["a02"] * d["b00"] - (c0["a11"] + c0["b02"]) * d["a00"]
+    for (da00, da10, _, _, _, _), (db00, db10, db01, _, _, _) in (
+            _project(basis, *by_h), _project(basis, *by_delta)):
+        dg10 = db10 + a11 * db00 - b11 * da00
+        dg01 = db01 + da10 + a02 * db00 - (a11 + b02) * da00
         dh10 = dg10 - (g20_0 / g11_0) * dg01
         # d(mu1) = d(g00) = d(b00); d(mu2) = d(h10) - h02/2 d(h00)
-        columns.append((k1 * d["b00"], k2 * (dh10 - 0.5 * g02_0 * d["b00"])))
+        columns.append((k1 * db00, k2 * (dh10 - 0.5 * g02_0 * db00)))
     (j00, j01), (j10, j11) = beta_jac = tuple(zip(*columns))
     det_bj = j00 * j11 - j01 * j10
     bt3 = abs(det_bj) > NONDEGENERACY_TOL
@@ -232,16 +227,15 @@ def normal_form(params: ModelParams, bt_point: BTPoint) -> BTNormalForm:
 
 def beta_map(nf: BTNormalForm, lambda1: float, lambda2: float) -> tuple[float, float]:
     """(beta1, beta2) of the normal form at a small parameter offset: the
-    coefficient chain on ``_ab_coeffs`` at (lambda1, lambda2), the raw
+    coefficient chain on the projected jet at (lambda1, lambda2), the raw
     coefficients first order in lambda and the chain's products kept."""
-    c = _ab_coeffs(nf.params, nf.point, (nf.v0, nf.v1, nf.w0, nf.w1), (lambda1, lambda2))
-    g10 = c["b10"] + c["a11"] * c["b00"] - c["b11"] * c["a00"]
-    g01 = c["b01"] + c["a10"] + c["a02"] * c["b00"] - (c["a11"] + c["b02"]) * c["a00"]
-    g20, g11, g02 = c["b20"], c["a20"] + c["b11"], c["b02"] + 2.0 * c["a11"]
+    a, b = _project((nf.v0, nf.v1, nf.w0, nf.w1),
+                    *jet(nf.params, nf.point.x, nf.point.y, lambda1, lambda2)[:3])
+    g00, g10, g01, g20, g11, g02 = _chain(a, b)
     if g11 == 0:
         raise DegenerateBT("g11(lambda) = 0 in the parameter shift", condition="BT.1")
     shift = -g01 / g11
-    mu1 = c["b00"] + g10 * shift + 0.5 * g20 * shift**2
+    mu1 = g00 + g10 * shift + 0.5 * g20 * shift**2
     h10 = g10 + g20 * shift
     A = 0.5 * (g20 - h10 * g02)
     if abs(A) < 1e-14 * (1.0 + abs(nf.A0)):
@@ -272,7 +266,7 @@ def bifurcation_curves(nf: BTNormalForm, lambda_box, n: int = 50) -> CurveSet:
     b2_tol = 16.0 * math.ulp(max(abs(v) for row in nf.beta_jacobian for v in row)
                              * max(abs(v) for v in lambda_box))
     gap = -(6.0 / 25.0) / nf.beta_jacobian[0][1]
-    cs = CurveSet([], [], [], tuple(lambda_box), {"T": [], "H": [], "P": []})
+    cs = CurveSet([], [], [], {"T": [], "H": [], "P": []})
 
     def report(curve, l1, l2, b):
         getattr(cs, curve).append((l1, l2))

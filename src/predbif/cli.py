@@ -192,10 +192,9 @@ def _svg_polyline(pts, xmin, xmax, ymin, ymax, w, h, color):
     return f'<polyline fill="none" stroke="{color}" stroke-width="1" points="{coords}"/>'
 
 
-def _render_svg(series: list[tuple[str, list]], labels: tuple[str, str],
-                size=(640, 480)) -> str:
-    """Minimal line plot: one polyline per (color, points) series."""
-    w, h = size
+def _render_svg(series: list[tuple[str, list]], labels: tuple[str, str]) -> str:
+    """Minimal 640x480 line plot: one polyline per (color, points) series."""
+    w, h = 640, 480
     all_pts = [p for _, pts in series for p in pts]
     if not all_pts:
         xmin = ymin = 0.0
@@ -238,7 +237,7 @@ def _bt_point_dict(p: bt.BTPoint) -> dict:
 def cmd_equilibria(params):
     region = equilibria.classify_region(params.h, params.c)
     eqs = equilibria.all_equilibria(params)
-    return {"region": region.tag, "equilibria": [_eq_dict(e) for e in eqs]}, None, None
+    return {"region": region, "equilibria": [_eq_dict(e) for e in eqs]}, None, None
 
 
 def cmd_stability(params):
@@ -338,7 +337,7 @@ def cmd_sweep(params, *, h_min, h_max, c_min, c_max, n_h, n_c):
             # command_options bounded the grid to finite positive h and c, so
             # every point is admissible without another validate
             p = ModelParams(a, b, cv, hv, delta, eta, m)
-            region = equilibria.classify_region(hv, cv).tag
+            region = equilibria.classify_region(hv, cv)
             try:
                 eqs = equilibria.interior_equilibria(p)
                 labels = [stability.classify_generic(p, e).label for e in eqs]

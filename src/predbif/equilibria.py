@@ -43,30 +43,19 @@ class Equilibrium:
         return State(self.x, self.y)
 
 
-@dataclass(frozen=True)
-class QuarticCoeffs:
-    A: float
-    B: float
-    C: float
-    D: float
-
-
-@dataclass(frozen=True)
-class Region:
-    tag: str  # K1 | K2 | K3 | None
-
-
-def classify_region(h: float, c: float) -> Region:
-    """Tag the (h, c) point with the interior-equilibrium existence region."""
+def classify_region(h: float, c: float) -> str:
+    """Tag the (h, c) point with the interior-equilibrium existence region:
+    K1, K2, K3 or None.  The K2 tolerance band applies only for c < 1; with
+    c >= 1 a point just below the diagonal is K3, on or above it None."""
     if h <= 0 or c <= 0:
         raise DomainError(f"h, c must be positive, got h={h}, c={c}")
-    if abs(h - c) <= K2_EQUALITY_TOL * max(h, c, 1.0):
-        return Region("K2" if c < 1.0 else "None")
+    if c < 1.0 and abs(h - c) <= K2_EQUALITY_TOL * max(h, c, 1.0):
+        return "K2"
     if h < c:
-        return Region("K3")
+        return "K3"
     if c < 1.0 and h < (c + 1.0) ** 2 / 4.0:
-        return Region("K1")
-    return Region("None")
+        return "K1"
+    return "None"
 
 
 def trivial_equilibria(params: ModelParams) -> list[Equilibrium]:
@@ -102,22 +91,21 @@ def predator_free_x(params: ModelParams, which: str) -> float | None:
     return x if x > POSITIVITY_TOL else None
 
 
-def quartic_coeffs(params: ModelParams) -> QuarticCoeffs:
-    """Monic quartic whose positive real roots are the interior abscissas:
-    delta*x*(c+x)*(m+x) - eta*p(x)*f(x) = 0 expanded and divided by a*eta.
+def quartic_coeffs(params: ModelParams) -> tuple[float, float, float, float]:
+    """(A, B, C, D) of the monic quartic x^4 + A x^3 + B x^2 + C x + D whose
+    positive real roots are the interior abscissas: delta*x*(c+x)*(m+x) -
+    eta*p(x)*f(x) = 0 expanded and divided by a*eta.
 
     Raises OverflowError when a coefficient is not finite: an admissible
     but extreme parameter took a product past the float range."""
     a, b, c, h = params.a, params.b, params.c, params.h
     delta, eta, m = params.delta, params.eta, params.m
     ae = a * eta
-    q = QuarticCoeffs(
-        A=(delta - eta * (a * (1.0 - c) - b)) / ae,
-        B=(delta * (c + m) - eta * (a * (c - h) + b * (1.0 - c) - 1.0)) / ae,
-        C=(delta * c * m - eta * (b * (c - h) + 1.0 - c)) / ae,
-        D=(h - c) / a,
-    )
-    if not all(map(math.isfinite, (q.A, q.B, q.C, q.D))):
+    q = ((delta - eta * (a * (1.0 - c) - b)) / ae,
+         (delta * (c + m) - eta * (a * (c - h) + b * (1.0 - c) - 1.0)) / ae,
+         (delta * c * m - eta * (b * (c - h) + 1.0 - c)) / ae,
+         (h - c) / a)
+    if not all(map(math.isfinite, q)):
         raise OverflowError(f"the interior quartic's coefficients overflow: {q}")
     return q
 
@@ -207,10 +195,10 @@ def fold_curve_point(params: ModelParams, x: float) -> tuple[float, float, float
     return h, delta, delta * dy
 
 
-def _polish_interior(params: ModelParams, x: float) -> Equilibrium | None:
-    """2-D Newton polish of (x, delta*(m+x)/eta) on the rhs, at most 30
-    steps; one ``field`` evaluation gives each residual and step.  None if
-    the residual target cannot be met."""
+def _polish_interior(params: ModelParams, x: float) -> tuple[float, float] | None:
+    """(x, y) by 2-D Newton polish of (x, delta*(m+x)/eta) on the rhs, at
+    most 30 steps; one ``field`` evaluation gives each residual and step.
+    None if the residual target cannot be met."""
     xi, yi = x, params.delta * (params.m + x) / params.eta
     for step in range(31):
         try:
@@ -230,12 +218,12 @@ def _polish_interior(params: ModelParams, x: float) -> Equilibrium | None:
         yi += dy
     if xi <= POSITIVITY_TOL or yi <= 0 or residual >= EQUILIBRIUM_TOL:
         return None
-    return Equilibrium(xi, yi, "Interior")
+    return xi, yi
 
 
-def _no_interior_root(params: ModelParams, q: QuarticCoeffs) -> bool:
-    """True when ``q`` or the existence condition proves that there is no
-    interior equilibrium, without solving.
+def _no_interior_root(params: ModelParams, q: tuple[float, float, float, float]) -> bool:
+    """True when the quartic's ``q`` = (A, B, C, D) or the existence
+    condition proves that there is no interior equilibrium, without solving.
 
     Descartes: with A, B, C >= 0 and D > 0 the float quartic, the one the
     solver would be handed, is positive on x >= 0 and has no positive root.
@@ -262,7 +250,8 @@ def _no_interior_root(params: ModelParams, q: QuarticCoeffs) -> bool:
     error; an overflow only rounds up to inf, which cannot pass for the
     left side and is right for the right side.
     """
-    if q.D > 0.0 and q.A >= 0.0 and q.B >= 0.0 and q.C >= 0.0:
+    A, B, C, D = q
+    if D > 0.0 and A >= 0.0 and B >= 0.0 and C >= 0.0:
         return True
     a, b, c, h = params.a, params.b, params.c, params.h
     if h < c:
@@ -291,34 +280,33 @@ def interior_equilibria(params: ModelParams) -> list[Equilibrium]:
     Points where ``_no_interior_root`` proves that none exists, through
     Descartes' rule on the quartic or the existence condition f(x) > 0 of
     the paper, return [] without solving.  On the rest K2 uses the Cardano
-    branch of the degenerate cubic and every other tag the Ferrari branch;
-    the check decides on h >= c in floats, not on the tag, since the K2
-    tolerance tags points with c >= 1 and h just below c None though they
-    can hold an interior equilibrium.  Only positive real roots that pass
-    the rhs residual test survive.
+    branch of the degenerate cubic and every other tag the Ferrari branch.
+    Only positive real roots that pass the rhs residual test survive.
     """
     region = classify_region(params.h, params.c)
     q = quartic_coeffs(params)
     if _no_interior_root(params, q):
         return []
-    if region.tag == "K2":
-        res = polyroots.solve_cubic_cardano(q.A, q.B, q.C)
+    A, B, C, D = q
+    if region == "K2":
+        res = polyroots.solve_cubic_cardano(A, B, C)
         branch = "Delta>0" if res.Delta > 0 else ("Delta=0" if res.Delta == 0 else "Delta<0")
         roots, source = res.real_roots, f"K2-Cardano-{branch}"
     else:
-        dec = polyroots.solve_quartic_ferrari(q.A, q.B, q.C, q.D)
+        dec = polyroots.solve_quartic_ferrari(A, B, C, D)
         roots = dec.real_roots
-        source = f"{region.tag}-Ferrari" + ("-biquadratic" if dec.biquadratic else "")
+        source = f"{region}-Ferrari" + ("-biquadratic" if dec.biquadratic else "")
     out: list[Equilibrium] = []
     for x in roots:
         if x <= POSITIVITY_TOL:
             continue
-        eq = _polish_interior(params, x)
-        if eq is None:
+        xy = _polish_interior(params, x)
+        if xy is None:
             continue
-        if any(abs(eq.x - other.x) < 1e-7 * (1.0 + abs(eq.x)) for other in out):
+        xi, yi = xy
+        if any(abs(xi - other.x) < 1e-7 * (1.0 + abs(xi)) for other in out):
             continue
-        out.append(Equilibrium(eq.x, eq.y, "Interior", source))
+        out.append(Equilibrium(xi, yi, "Interior", source))
     out.sort(key=lambda e: e.x)
     return out
 

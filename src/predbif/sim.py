@@ -176,10 +176,10 @@ def _section_crossings(traj: Trajectory, xc: float, yc: float):
     return out
 
 
-def _converged_radius(radii, rel_tol=1e-7):
-    """Index of first radius where two consecutive returns agree, or None."""
+def _converged_radius(radii):
+    """Index of the first radius within a relative 1e-7 of the one before, or None."""
     for k in range(1, len(radii)):
-        if abs(radii[k] - radii[k - 1]) < rel_tol * (1.0 + radii[k]):
+        if abs(radii[k] - radii[k - 1]) < 1e-7 * (1.0 + radii[k]):
             return k
     return None
 

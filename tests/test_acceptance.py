@@ -84,9 +84,9 @@ def test_criterion_04_k2_degeneracy_crossings():
         base = ModelParams(a=1.0, b=20.0, c=0.3, h=0.3, delta=1.0, eta=0.1, m=1.0)
 
         def disc(delta):
-            q = quartic_coeffs(base.with_(delta=delta))
-            assert abs(q.D) < 1e-12  # h = c collapses the quartic to x * cubic
-            return polyroots.solve_cubic_cardano(q.A, q.B, q.C).Delta
+            A, B, C, D = quartic_coeffs(base.with_(delta=delta))
+            assert abs(D) < 1e-12  # h = c collapses the quartic to x * cubic
+            return polyroots.solve_cubic_cardano(A, B, C).Delta
 
         def bisect(lo, hi):
             flo = disc(lo)
@@ -195,7 +195,7 @@ def _draw_in_region(rng, region):
         p = ModelParams(a=a, b=rng.uniform(-1.9 * math.sqrt(a), 3.0), c=c, h=h,
                         delta=rng.uniform(0.05, 1.0), eta=rng.uniform(0.05, 1.0),
                         m=rng.uniform(0.1, 2.0))
-        if classify_region(p.h, p.c).tag == region:
+        if classify_region(p.h, p.c) == region:
             return p
 
 

@@ -8,7 +8,6 @@ import pytest
 
 from predbif import bt, equilibria, sim
 from predbif.bt import (
-    _ab_coeffs,
     _basis,
     _project,
     beta_map,
@@ -228,6 +227,20 @@ class TestNormalForm:
     def test_nondegeneracy_flags(self, nf):
         assert nf.nondegeneracy == {"BT.1": True, "BT.2": True, "BT.3": True}
 
+    def test_one_jet_per_normal_form(self, bt_point, monkeypatch):
+        # the projections at lambda = 0 and their lambda-partials come from
+        # the same jet
+        calls = []
+        exact = bt.jet
+
+        def counted(*args):
+            calls.append(args)
+            return exact(*args)
+
+        monkeypatch.setattr(bt, "jet", counted)
+        normal_form(BASE, bt_point)
+        assert len(calls) == 1
+
     def test_ab_from_an_independent_basis(self, nf):
         # Kuznetsov's BT coefficients a = <p1, B(q0,q0)>/2 and
         # b = <p0, B(q0,q0)> + <p1, B(q0,q1)>, with A q0 = 0, A q1 = q0,
@@ -299,6 +312,10 @@ def _seeded_bt_points(rng, n, unit_product):
     return out
 
 
+#: names of the projections ``_project`` returns, in order: the a's, then the b's
+PROJECTIONS = tuple(w + ij for w in "ab" for ij in ("00", "10", "01", "20", "11", "02"))
+
+
 class TestTranscriptions:
     def test_unit_product_pair_matches_locate(self):
         points = _seeded_bt_points(np.random.default_rng(41), 200, unit_product=True)
@@ -316,30 +333,27 @@ class TestTranscriptions:
         for params, pt in points:
             basis = _basis(pt.delta_bt, params.eta)
             by_h, by_delta = jet(pt.params(params), pt.x, pt.y)[4:]
-            ph, pd = _project(basis, *by_h), _project(basis, *by_delta)
+            (ha, hb), (da, db) = _project(basis, *by_h), _project(basis, *by_delta)
+            partials = dict(zip(PROJECTIONS, zip(ha + hb, da + db)))
             for key, printed in printed_lambda_partials(params, pt).items():
-                computed = (ph[key], pd[key])
+                computed = partials[key]
                 scale = 1.0 + max(map(abs, computed))
                 assert abs(printed[0] - computed[0]) <= 1e-13 * scale, (key, params)
                 assert abs(printed[1] - computed[1]) <= 1e-13 * scale, (key, params)
 
 
-def _ab_coeffs_matrix_form(nf, lam, op=np.asarray):
-    """Reference projections in numpy matrix form.  With ``op=np.abs`` every
-    term enters with its magnitude, which bounds the rounding error of the
-    sums."""
+def _projections_matrix_form(nf, lam, op=np.asarray):
+    """Reference projections in numpy matrix form, positional as
+    ``_project``'s.  With ``op=np.abs`` every term enters with its
+    magnitude, which bounds the rounding error of the sums."""
     vals, grads, hess = (op(np.array(t)) for t in
                          jet(nf.params, nf.point.x, nf.point.y, *lam)[:3])
     v0, v1 = op(nf.v0), op(nf.v1)
-    out = {}
-    for name, w in (("a", op(nf.w0)), ("b", op(nf.w1))):
-        out[name + "00"] = w @ vals
-        out[name + "10"] = w @ (grads @ v0)
-        out[name + "01"] = w @ (grads @ v1) + (op(-1.0) if name == "a" else 0.0)
-        out[name + "20"] = w @ np.array([v0 @ hess[k] @ v0 for k in (0, 1)])
-        out[name + "11"] = w @ np.array([v0 @ hess[k] @ v1 for k in (0, 1)])
-        out[name + "02"] = w @ np.array([v1 @ hess[k] @ v1 for k in (0, 1)])
-    return out
+    return tuple((w @ vals, w @ (grads @ v0), w @ (grads @ v1),
+                  w @ np.array([v0 @ hess[k] @ v0 for k in (0, 1)]),
+                  w @ np.array([v0 @ hess[k] @ v1 for k in (0, 1)]),
+                  w @ np.array([v1 @ hess[k] @ v1 for k in (0, 1)]))
+                 for w in (op(nf.w0), op(nf.w1)))
 
 
 class TestCoefficientChain:
@@ -349,15 +363,16 @@ class TestCoefficientChain:
                                for _ in range(8)]
         basis = (nf.v0, nf.v1, nf.w0, nf.w1)
         for lam in lams:
-            want = _ab_coeffs_matrix_form(nf, lam)
-            size = _ab_coeffs_matrix_form(nf, lam, op=np.abs)
-            got = _ab_coeffs(nf.params, nf.point, basis, lam)
-            assert got.keys() == want.keys()
-            for key, value in want.items():
-                assert type(got[key]) is float, key
+            want = _projections_matrix_form(nf, lam)
+            size = _projections_matrix_form(nf, lam, op=np.abs)
+            got = _project(basis, *jet(nf.params, nf.point.x, nf.point.y, *lam)[:3])
+            assert [len(t) for t in got] == [6, 6]
+            for key, g, value, bound in zip(PROJECTIONS, got[0] + got[1], want[0] + want[1],
+                                            size[0] + size[1]):
+                assert type(g) is float, key
                 # a10 and b10 cancel to ~0 at lambda = 0 (J v0 = 0), so the
                 # error is relative to the size of the summed terms
-                assert abs(got[key] - value) <= 1e-12 * size[key], (key, lam)
+                assert abs(g - value) <= 1e-12 * bound, (key, lam)
 
     def test_beta_map_is_numpy_free_on_floats(self, nf):
         b1, b2 = beta_map(nf, 3e-5, -2e-5)
@@ -507,11 +522,12 @@ def _chain_mu(a00, a10, a20, a11, a02, b00, b10, b01, b20, b11, b02):
 
 
 def _reference_beta(nf, lambda1, lambda2):
-    """beta through the full jet: ``_ab_coeffs``, the coefficient chain
+    """beta through the full jet: ``_project``, the coefficient chain
     and the beta formula of ``beta_map``."""
-    coeffs = _ab_coeffs(nf.params, nf.point, (nf.v0, nf.v1, nf.w0, nf.w1), (lambda1, lambda2))
-    del coeffs["a01"]
-    mu1, mu2, A, B = _chain_mu(**coeffs)
+    a, b = _project((nf.v0, nf.v1, nf.w0, nf.w1),
+                    *jet(nf.params, nf.point.x, nf.point.y, lambda1, lambda2)[:3])
+    a00, a10, _, a20, a11, a02 = a
+    mu1, mu2, A, B = _chain_mu(a00, a10, a20, a11, a02, *b)
     return B**4 / A**3 * mu1, B**2 / A**2 * mu2
 
 

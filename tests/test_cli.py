@@ -447,7 +447,7 @@ class TestReports:
                     want = [len(eqs), ";".join(classify_generic(p, e).label for e in eqs)]
                 except (PredbifError, ArithmeticError) as exc:
                     want = [-1, f"error:{type(exc).__name__}"]
-                assert rest == [classify_region(hv, cv).tag, *want], (family, hv, cv)
+                assert rest == [classify_region(hv, cv), *want], (family, hv, cv)
                 on_diagonal += hv == cv
                 near_diagonal += 0 < abs(hv - cv) <= 5e-6
         assert on_diagonal >= 7 and near_diagonal >= 40

@@ -9,7 +9,6 @@ import pytest
 from predbif import equilibria, polyroots
 from predbif.cli import cmd_sweep, params_from_config, parse_config
 from predbif.equilibria import (
-    QuarticCoeffs,
     _no_interior_root,
     _polish_interior,
     all_equilibria,
@@ -29,38 +28,48 @@ from root_count import positive_root_count, sturm_count
 GOLD = ModelParams(a=2.0, b=-2.82, c=0.05, h=0.1715598183,
                    delta=0.03070149222, eta=0.1, m=0.8)
 
+# c >= 1 and h within K2_EQUALITY_TOL below c, with one interior equilibrium
+SLIVER = ModelParams(1.861547188805832, 0.8274898869805187, 1.0174938345511504,
+                     1.0174938345140232, 0.7077795780232038, 1.041987986948265,
+                     0.034877350903953226)
 
-def printed_quartic(params: ModelParams) -> QuarticCoeffs:
+
+def printed_quartic(params: ModelParams) -> tuple[float, float, float, float]:
     """Transcription of the paper's coefficient table for the interior
-    quartic x^4 + A x^3 + B x^2 + C x + D; its A carries delta/eta where the
-    cleared-denominator expansion (``quartic_coeffs``) gives delta/(a*eta)."""
+    quartic x^4 + A x^3 + B x^2 + C x + D, as (A, B, C, D); its A carries
+    delta/eta where the cleared-denominator expansion (``quartic_coeffs``)
+    gives delta/(a*eta)."""
     a, b, c, h = params.a, params.b, params.c, params.h
     delta, eta, m = params.delta, params.eta, params.m
-    return QuarticCoeffs(
-        A=(c - 1.0) + b / a + delta / eta,
-        B=(h - c) + (b / a) * (c - 1.0) + delta * (c + m) / (a * eta) + 1.0 / a,
-        C=(b / a) * (h - c) + (c - 1.0) / a + c * delta * m / (a * eta),
-        D=(h - c) / a,
-    )
+    return ((c - 1.0) + b / a + delta / eta,
+            (h - c) + (b / a) * (c - 1.0) + delta * (c + m) / (a * eta) + 1.0 / a,
+            (b / a) * (h - c) + (c - 1.0) / a + c * delta * m / (a * eta),
+            (h - c) / a)
 
 
 class TestRegion:
     def test_diagonal_below_one_is_k2(self):
-        assert classify_region(0.3, 0.3).tag == "K2"
+        assert classify_region(0.3, 0.3) == "K2"
 
     def test_diagonal_above_one_is_none(self):
-        assert classify_region(1.2, 1.2).tag == "None"
+        assert classify_region(1.2, 1.2) == "None"
 
     def test_below_diagonal_is_k3(self):
-        assert classify_region(0.1, 0.5).tag == "K3"
+        assert classify_region(0.1, 0.5) == "K3"
 
     def test_between_diagonal_and_parabola_is_k1(self):
         c = 0.3
         h = 0.35  # c < h < (c+1)^2/4 = 0.4225
-        assert classify_region(h, c).tag == "K1"
+        assert classify_region(h, c) == "K1"
 
     def test_above_parabola_is_none(self):
-        assert classify_region(0.5, 0.3).tag == "None"
+        assert classify_region(0.5, 0.3) == "None"
+
+    def test_no_tolerance_band_above_one(self):
+        # with c >= 1 there is no K2: just below the diagonal is K3, on it None
+        c = 1.2
+        assert classify_region(c * (1.0 - 1e-12), c) == "K3"
+        assert classify_region(c * (1.0 + 1e-12), c) == "None"
 
     def test_nonpositive_rejected(self):
         with pytest.raises(DomainError):
@@ -106,18 +115,18 @@ class TestTrivial:
 
 class TestQuarticCoeffs:
     def test_roots_satisfy_isocline_equation(self):
-        q = quartic_coeffs(GOLD)
+        A, B, C, D = quartic_coeffs(GOLD)
         # derived quartic must vanish on the isocline intersection
         for x in interior_roots_oracle(GOLD, n_grid=200_000):
-            v = x**4 + q.A * x**3 + q.B * x**2 + q.C * x + q.D
+            v = x**4 + A * x**3 + B * x**2 + C * x + D
             assert abs(v) < 1e-8
 
     def test_printed_a_differs_by_the_factor_a(self):
         # the printed A is off by delta/eta - delta/(a*eta), far above rounding
-        derived, printed = quartic_coeffs(GOLD), printed_quartic(GOLD)
+        derived, printed = quartic_coeffs(GOLD)[0], printed_quartic(GOLD)[0]
         gap = GOLD.delta / GOLD.eta * (1.0 - 1.0 / GOLD.a)
-        assert abs(printed.A - derived.A) > 1e-7 * (1.0 + abs(derived.A))
-        assert printed.A - derived.A == pytest.approx(gap, rel=1e-12)
+        assert abs(printed - derived) > 1e-7 * (1.0 + abs(derived))
+        assert printed - derived == pytest.approx(gap, rel=1e-12)
 
     def test_printed_b_c_d_agree(self):
         rng = np.random.default_rng(3)
@@ -127,10 +136,10 @@ class TestQuarticCoeffs:
                             c=rng.uniform(0.05, 1.5), h=rng.uniform(0.05, 1.5),
                             delta=rng.uniform(0.05, 1.5), eta=rng.uniform(0.05, 1.5),
                             m=rng.uniform(0.1, 2.0))
-            d, pr = quartic_coeffs(p), printed_quartic(p)
-            assert pr.B == pytest.approx(d.B, rel=1e-10)
-            assert pr.C == pytest.approx(d.C, rel=1e-10)
-            assert pr.D == pytest.approx(d.D, rel=1e-10)
+            (_, B, C, D), (_, pB, pC, pD) = quartic_coeffs(p), printed_quartic(p)
+            assert pB == pytest.approx(B, rel=1e-10)
+            assert pC == pytest.approx(C, rel=1e-10)
+            assert pD == pytest.approx(D, rel=1e-10)
 
 
 def _draw_in_region(rng, region):
@@ -151,7 +160,7 @@ def _draw_in_region(rng, region):
         p = ModelParams(a=a, b=rng.uniform(-1.9 * math.sqrt(a), 3.0), c=c, h=h,
                         delta=rng.uniform(0.05, 1.0), eta=rng.uniform(0.05, 1.0),
                         m=rng.uniform(0.1, 2.0))
-        if classify_region(p.h, p.c).tag == region:
+        if classify_region(p.h, p.c) == region:
             return p
 
 
@@ -201,9 +210,9 @@ class TestInterior:
         assert eqs
         for e in eqs:
             for offset in (1e-6, -1e-6):
-                got = _polish_interior(p, e.x + offset)
-                assert abs(got.x - e.x) <= 1e-14 * (1.0 + e.x), (e, offset)
-                assert abs(got.y - e.y) <= 1e-14 * (1.0 + e.y), (e, offset)
+                x, y = _polish_interior(p, e.x + offset)
+                assert abs(x - e.x) <= 1e-14 * (1.0 + e.x), (e, offset)
+                assert abs(y - e.y) <= 1e-14 * (1.0 + e.y), (e, offset)
 
     def test_root_just_above_zero_near_the_diagonal(self):
         # |h - c| ~ 9e-7: the quartic's smallest positive root, x ~ 9.84e-7,
@@ -214,8 +223,7 @@ class TestInterior:
                         m=0.8437472618082063)
         eqs = interior_equilibria(p)
         oracle = interior_roots_oracle(p, 1.2, 400_000)
-        q = quartic_coeffs(p)
-        np_roots = sorted(r.real for r in np.roots([1.0, q.A, q.B, q.C, q.D])
+        np_roots = sorted(r.real for r in np.roots([1.0, *quartic_coeffs(p)])
                           if r.imag == 0.0 and r.real > 0.0)
         assert len(eqs) == len(oracle) == len(np_roots) == sturm_count(p) == 2
         for e, xo, xn in zip(eqs, oracle, np_roots):
@@ -279,7 +287,8 @@ class TestNoInteriorRoot:
 
         def traced_check(p, q):
             settled = check(p, q)
-            if settled and q.D > 0 and min(q.A, q.B, q.C) >= 0:
+            A, B, C, D = q
+            if settled and D > 0 and min(A, B, C) >= 0:
                 paths["descartes"] += 1
             elif settled and p.c < 1.0 and (1.0 - p.c) ** 2 > 4.0 * (p.h - p.c):
                 paths["interval"] += 1
@@ -298,16 +307,22 @@ class TestNoInteriorRoot:
         assert min(paths.values()) > 0, paths
 
     def test_tolerance_sliver_below_the_diagonal_is_solved(self):
-        # c >= 1 and h just below c: K2's tolerance tags the point None, but
-        # h < c, so the check leaves it to Ferrari, which finds the root
-        p = ModelParams(1.861547188805832, 0.8274898869805187, 1.0174938345511504,
-                        1.0174938345140232, 0.7077795780232038, 1.041987986948265,
-                        0.034877350903953226)
-        assert classify_region(p.h, p.c).tag == "None"
+        # c >= 1 and h just below c: no K2 band there, so the point is K3,
+        # and h < c, so the check leaves it to Ferrari, which finds the root
+        p = SLIVER
+        assert classify_region(p.h, p.c) == "K3"
         assert not _no_interior_root(p, quartic_coeffs(p))
         eqs = interior_equilibria(p)
         assert len(eqs) == sturm_count(p) == 1
         assert 8.9e-10 < eqs[0].x < 9e-10
+        assert eqs[0].source == "K3-Ferrari"
+
+    def test_sweep_row_of_the_sliver_is_k3(self):
+        # the row's tag and count agree: one interior equilibrium, in K3
+        p = SLIVER
+        _, (_, rows), _ = cmd_sweep(p, h_min=p.h, h_max=p.h, c_min=p.c, c_max=p.c,
+                                    n_h=1, n_c=1)
+        assert [row[:4] for row in rows] == [[p.h, p.c, "K3", 1]]
 
 
 class TestSturmCount:
