@@ -5,8 +5,9 @@ in the (h, delta) plane, reduction to the two-parameter normal form
 
 and the fold (T), Hopf (H) and homoclinic (P) bifurcation curves.
 
-The coefficient chain projects ``model.jet`` at the BT point, with (h,
-delta) shifted by lambda, onto the generalized eigenbasis; the
+The coefficient chain projects the field's second-order jet
+(``model.jet2``) at the BT point, with (h, delta) shifted by lambda, onto
+the generalized eigenbasis; the
 lambda-partials of the coefficients project the jet's exact h- and
 delta-partials.  The paper's printed closed forms for those partials and
 for the a*eta = 1 point live in ``tests/test_bt.py`` as transcriptions,
@@ -22,7 +23,7 @@ from dataclasses import dataclass, replace
 
 from .equilibria import fold_curve_point, hopf_curve_point
 from .errors import DegenerateBT, DomainError, NoCandidate, SingularSolve
-from .model import ModelParams, field, jet, linspace, validate
+from .model import ModelParams, field, jet, jet2, linspace, validate
 
 BT_RESIDUAL_TOL = 1e-8
 
@@ -227,10 +228,11 @@ def normal_form(params: ModelParams, bt_point: BTPoint) -> BTNormalForm:
 
 def beta_map(nf: BTNormalForm, lambda1: float, lambda2: float) -> tuple[float, float]:
     """(beta1, beta2) of the normal form at a small parameter offset: the
-    coefficient chain on the projected jet at (lambda1, lambda2), the raw
-    coefficients first order in lambda and the chain's products kept."""
+    coefficient chain on the projected second-order jet at (lambda1,
+    lambda2), the raw coefficients first order in lambda and the chain's
+    products kept."""
     a, b = _project((nf.v0, nf.v1, nf.w0, nf.w1),
-                    *jet(nf.params, nf.point.x, nf.point.y, lambda1, lambda2)[:3])
+                    *jet2(nf.params, nf.point.x, nf.point.y, lambda1, lambda2))
     g00, g10, g01, g20, g11, g02 = _chain(a, b)
     if g11 == 0:
         raise DegenerateBT("g11(lambda) = 0 in the parameter shift", condition="BT.1")

@@ -279,26 +279,34 @@ def interior_equilibria(params: ModelParams) -> list[Equilibrium]:
 
     Points where ``_no_interior_root`` proves that none exists, through
     Descartes' rule on the quartic or the existence condition f(x) > 0 of
-    the paper, return [] without solving.  On the rest K2 uses the Cardano
-    branch of the degenerate cubic and every other tag the Ferrari branch.
-    Only positive real roots that pass the rhs residual test survive.
+    the paper, return [] without solving or tagging.  On the rest K2 uses
+    the Cardano branch of the degenerate cubic and every other tag the
+    Ferrari branch.  An interior abscissa has f(x) > 0, so it lies in
+    (x-, x+), inside (0, 1) for h > 0: Ferrari polishes only the candidates
+    that can end there (its ``window``), and real roots at or beyond 1 +
+    MAX_MOVE, where those it left unpolished lie, are dropped with the
+    nonpositive ones.  Only positive real roots that pass the rhs residual
+    test survive.
     """
-    region = classify_region(params.h, params.c)
+    h, c = params.h, params.c
+    if h <= 0 or c <= 0:
+        raise DomainError(f"h, c must be positive, got h={h}, c={c}")
     q = quartic_coeffs(params)
     if _no_interior_root(params, q):
         return []
+    region = classify_region(h, c)
     A, B, C, D = q
     if region == "K2":
         res = polyroots.solve_cubic_cardano(A, B, C)
         branch = "Delta>0" if res.Delta > 0 else ("Delta=0" if res.Delta == 0 else "Delta<0")
-        roots, source = res.real_roots, f"K2-Cardano-{branch}"
+        roots, source, upper = res.real_roots, f"K2-Cardano-{branch}", math.inf
     else:
-        dec = polyroots.solve_quartic_ferrari(A, B, C, D)
-        roots = dec.real_roots
+        dec = polyroots.solve_quartic_ferrari(A, B, C, D, window=(0.0, 1.0))
+        roots, upper = dec.real_roots, 1.0 + polyroots.MAX_MOVE
         source = f"{region}-Ferrari" + ("-biquadratic" if dec.biquadratic else "")
     out: list[Equilibrium] = []
     for x in roots:
-        if x <= POSITIVITY_TOL:
+        if x <= POSITIVITY_TOL or x >= upper:
             continue
         xy = _polish_interior(params, x)
         if xy is None:

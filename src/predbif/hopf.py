@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from .equilibria import (Equilibrium, _CurvePoint, _on_curve, _zero_on_curve,
                          interior_equilibria, predator_free_x)
 from .errors import BranchLost, DomainError, NoHopf
-from .model import ModelParams, State, field, jet, rhs, solve2
+from .model import ModelParams, State, field, jet, jet2, rhs, solve2
 
 #: |trace| at a reported Hopf point must fall below this
 TRACE_TOL = 1e-8
@@ -115,7 +115,7 @@ def _hopf_data(params: ModelParams, pt: _CurvePoint) -> HopfData:
     # along the curve y' = -f_x/f_y and delta' = det/(f_y y), and the trace
     # f_x - delta changes at f_xx + f_xy y' - delta'; per unit of delta that
     # is the frozen -1 plus (f_xx + f_xy y') / delta'
-    _, ((fx, fy), _), D2F, _, _, _ = jet(params, pt.x, pt.y, ddelta=pt.delta - params.delta)
+    _, ((fx, fy), _), D2F = jet2(params, pt.x, pt.y, ddelta=pt.delta - params.delta)
     fxx, fxy = D2F[0][0]
     speed = (fxx - fxy * fx / fy) * fy * pt.y / pt.det - 1.0
     l1 = lyapunov_coefficient_l(p, eq)

@@ -7,11 +7,12 @@ The scaled system in state (x, y) is
     y' = y (delta - eta y / (m + x))
 
 All operations here are pure functions of their inputs.  ``field`` writes
-out F and its first derivatives DF, and ``jet`` adds the higher derivatives
-and the h/delta partials to them, so each derivative is written once.
-Callers that read only F or DF take ``field``; ``jacobian`` returns its DF as
-a numpy array, and imports numpy only when called, so loading this module
-(and ``predbif.cli``) does not load numpy.
+out F and its first derivatives DF, ``jet2`` adds the second derivatives
+D2F, and ``jet`` adds the third derivatives and the h/delta partials to
+those, so each derivative is written once.  Callers that read only F or DF
+take ``field``, and those that read no more than D2F take ``jet2``;
+``jacobian`` returns its DF as a numpy array, and imports numpy only when
+called, so loading this module (and ``predbif.cli``) does not load numpy.
 """
 
 from __future__ import annotations
@@ -76,7 +77,8 @@ def rhs(params: ModelParams, state: State) -> tuple[float, float]:
 
 
 def jacobian(params: ModelParams, state: State) -> np.ndarray:
-    """Exact Jacobian of ``rhs`` at an admissible state: ``field``'s DF."""
+    """Exact Jacobian of ``rhs`` at an admissible state, any object with x
+    and y: ``field``'s DF."""
     import numpy as np
 
     return np.array(field(params, state.x, state.y)[1])
@@ -105,40 +107,53 @@ def field(params: ModelParams, x: float, y: float, dh: float = 0.0, ddelta: floa
     )
 
 
-def jet(params: ModelParams, x: float, y: float, dh: float = 0.0, ddelta: float = 0.0):
-    """Derivatives of the field at an admissible (x, y), for h + dh and
-    delta + ddelta, as nested tuples of floats indexed [component][d/dx or
-    d/dy]...: ``(F, DF, D2F, D3F, by_h, by_delta)``, where ``(F, DF)`` is
-    ``field``'s and ``by_h`` and ``by_delta`` are the exact partials of (F,
-    DF, D2F), the field being affine in h and delta."""
+def jet2(params: ModelParams, x: float, y: float, dh: float = 0.0, ddelta: float = 0.0):
+    """The field's jet to second order at an admissible (x, y), for h + dh
+    and delta + ddelta: ``(F, DF, D2F)``, where ``(F, DF)`` is ``field``'s and
+    D2F is indexed [component][d/dx or d/dy][d/dx or d/dy]."""
     F, DF = field(params, x, y, dh, ddelta)
     a, b, c = params.a, params.b, params.c
     eta = params.eta
-    h = params.h + dh
-    axx = a * x * x
-    p = axx + b * x + 1.0  # the Holling denominator, checked by field
-    cx, mx = c + x, params.m + x
-    p2, p3 = p**2, p**3
-    cx2, cx3 = cx**2, cx**3
-    mx3 = mx**3
-    hc = h * c
+    p = a * x * x + b * x + 1.0  # the Holling denominator, checked by field
+    mx = params.m + x
     ey = eta * y
     # the Holling term is y*phi(x) with phi = x^2/p; poly = -p^3 phi''/2
     poly = a * b * x**3 + 3.0 * a * x**2 - 1.0
-    f_xy = -x * (b * x + 2.0) / p2
-    f_xxy = 2.0 * poly / p3
-    g_xx = -2.0 * ey * y / mx3
+    f_xy = -x * (b * x + 2.0) / p**2
     g_xy = 2.0 * ey / mx**2
-    g_yy = -2.0 * eta / mx
+    return (
+        F,
+        DF,
+        (((-2.0 + 2.0 * y * poly / p**3 + 2.0 * ((params.h + dh) * c) / (c + x)**3, f_xy),
+          (f_xy, 0.0)),
+         ((-2.0 * ey * y / mx**3, g_xy), (g_xy, -2.0 * eta / mx))),
+    )
+
+
+def jet(params: ModelParams, x: float, y: float, dh: float = 0.0, ddelta: float = 0.0):
+    """Derivatives of the field at an admissible (x, y), for h + dh and
+    delta + ddelta, as nested tuples of floats indexed [component][d/dx or
+    d/dy]...: ``(F, DF, D2F, D3F, by_h, by_delta)``, where ``(F, DF, D2F)``
+    is ``jet2``'s and ``by_h`` and ``by_delta`` are the exact partials of (F,
+    DF, D2F), the field being affine in h and delta."""
+    F, DF, D2F = jet2(params, x, y, dh, ddelta)
+    ((_, f_xy), _), ((g_xx, g_xy), (_, g_yy)) = D2F
+    a, b, c = params.a, params.b, params.c
+    axx = a * x * x
+    p = axx + b * x + 1.0
+    p2 = p**2
+    cx, mx = c + x, params.m + x
+    cx2, cx3 = cx**2, cx**3
+    hc = (params.h + dh) * c
+    f_xxy = 2.0 * (a * b * x**3 + 3.0 * a * x**2 - 1.0) / p**3  # d/dx of f_xy
     g_xxy = -2.0 * g_xy / mx
     g_xyy = -g_yy / mx
-    f_xy_ = (f_xxy, 0.0)  # d/dx and d/dy of f_xy
+    f_xy_ = (f_xxy, 0.0)
     g_xy_ = (g_xxy, g_xyy)
     return (
         F,
         DF,
-        (((-2.0 + 2.0 * y * poly / p3 + 2.0 * hc / cx3, f_xy), (f_xy, 0.0)),
-         ((g_xx, g_xy), (g_xy, g_yy))),
+        D2F,
         ((((-6.0 * y * (axx - 1.0) * (b * axx + 4.0 * a * x + b) / (p2 * p2)
             - 6.0 * hc / (cx2 * cx2), f_xxy), f_xy_), (f_xy_, (0.0, 0.0))),
          (((-3.0 * g_xx / mx, g_xxy), g_xy_), (g_xy_, (g_xyy, 0.0)))),

@@ -1,8 +1,12 @@
 """Closed-form cubic (Cardano) and quartic (Ferrari) solvers.
 
 The solvers follow the classical depressed-form constructions; every root is
-Newton-polished against the original polynomial before being returned.  Tests
-cross-check the closed forms against a companion-matrix eigenvalue oracle.
+Newton-polished against the original polynomial before being returned.  The
+quartic solver also takes a ``window`` on the real axis: then it polishes
+only the candidates that can end within it or near it, and returns the
+others as constructed; ``equilibria.interior_equilibria`` passes (0, 1),
+which holds every interior abscissa.  Tests cross-check the closed forms
+against a companion-matrix eigenvalue oracle.
 """
 
 from __future__ import annotations
@@ -178,12 +182,13 @@ def resolvent_positive_root(P2: float, Q2: float, r: float) -> float:
     return hi
 
 
-def solve_quartic_ferrari(A: float, B: float, C: float, D: float) -> FerrariDecomposition:
-    """Solve the monic quartic x^4 + A x^3 + B x^2 + C x + D = 0.
+def _ferrari_candidates(A: float, B: float, C: float, D: float) -> tuple[list[complex], bool]:
+    """The four roots of x^4 + A x^3 + B x^2 + C x + D as the closed form
+    constructs them, unpolished, and whether the biquadratic path built them.
 
     Ferrari's resolvent split is used when Q2 != 0; the biquadratic is
-    solved directly otherwise.  Complex roots are returned tagged complex
-    (conjugate pairs); ``real_roots`` collects the real ones.
+    solved directly otherwise.  Either construction emits complex roots as
+    exact conjugate pairs.
     """
     P2, Q2, r = depress_quartic(A, B, C, D)
     biquadratic = bool(abs(Q2) < DEGENERATE_Q2_TOL)
@@ -205,11 +210,35 @@ def solve_quartic_ferrari(A: float, B: float, C: float, D: float) -> FerrariDeco
             (s2u + rt2) / 2.0,
             (s2u - rt2) / 2.0,
         ]
-    # each construction emits complex roots as exact conjugate pairs, and the
-    # polish keeps them so: it commutes with conjugation bit for bit
-    coeffs = [A, B, C, D]
     shift = A / 4.0
-    roots = [polish_root(coeffs, X - shift) for X in Xs]
+    return [X - shift for X in Xs], biquadratic
+
+
+def solve_quartic_ferrari(A: float, B: float, C: float, D: float, *,
+                          window: tuple[float, float] | None = None) -> FerrariDecomposition:
+    """Solve the monic quartic x^4 + A x^3 + B x^2 + C x + D = 0.
+
+    The closed-form candidates (``_ferrari_candidates``) are Newton-polished
+    and then real-classified.  Complex roots are returned tagged complex
+    (conjugate pairs); ``real_roots`` collects the real ones.
+
+    With ``window=(lo, hi)`` only a candidate z0 with lo - MAX_MOVE < Re z0
+    < hi + MAX_MOVE and |Im z0| <= 2*MAX_MOVE is polished, and every other
+    one is real-classified as constructed.  The polish moves no root farther
+    than MAX_MOVE, so no skipped candidate could have been polished into a
+    real root in (lo, hi): it would end outside the interval or, for |lo|,
+    |hi| <= 1, with |Im| > MAX_MOVE, far above the real threshold.
+    """
+    candidates, biquadratic = _ferrari_candidates(A, B, C, D)
+    # the polish commutes with conjugation bit for bit, and the window treats
+    # both members of a pair alike, so the pairs stay exact
+    coeffs = [A, B, C, D]
+    if window is None:
+        roots = [polish_root(coeffs, z) for z in candidates]
+    else:
+        lo, hi = window[0] - MAX_MOVE, window[1] + MAX_MOVE
+        roots = [polish_root(coeffs, z) if lo < z.real < hi and abs(z.imag) <= 2.0 * MAX_MOVE
+                 else z for z in candidates]
     # a root tagged real gets imaginary part 0.0; a complex one keeps |Im| >= REAL_TOL
     roots = [complex(z.real, 0.0) if _classify_real(z) else z for z in roots]
     reals = sorted(z.real for z in roots if z.imag == 0.0)

@@ -50,9 +50,10 @@ def classify_generic(params: ModelParams, eq: Equilibrium) -> StabilityReport:
     of the trivial equilibria to the theorem-specific routines."""
     # DF through ``jacobian``, which wraps ``model.field``'s DF in an ndarray,
     # rather than from ``field`` itself: perfbench --trace 1 reports jacobian's
-    # per-call cost and stops when a workload never calls it.  The first call
-    # here loads numpy (the only load in the ``stability`` and ``sweep`` commands)
-    J = jacobian(params, eq.state).tolist()
+    # per-call cost and stops when a workload never calls it.  ``eq`` serves as
+    # the state, having x and y.  The first call here loads numpy (the only
+    # load in the ``stability`` and ``sweep`` commands)
+    J = jacobian(params, eq).tolist()
     spectrum = _spectrum(J)
     eig, tr, det = spectrum
     scale = 1.0 + max(map(abs, J[0] + J[1]))

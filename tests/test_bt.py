@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from predbif import bt, equilibria, sim
+from predbif import bt, equilibria, model, sim
 from predbif.bt import (
     _basis,
     _project,
@@ -417,6 +417,18 @@ class TestBetaMap:
                 assert [v.hex() for v in beta_map(nf_k, *lam)] == want, lam
                 checked += 1
         assert checked >= 1000
+
+    def test_reads_only_the_second_order_jet(self, nf, monkeypatch):
+        # beta_map projects F, DF and D2F; the third derivatives and the h/delta
+        # partials of the full jet are never needed
+        want = beta_map(nf, 1e-5, -2e-5)
+
+        def full_jet(*args, **kw):
+            raise AssertionError("beta_map built the full jet")
+
+        monkeypatch.setattr(model, "jet", full_jet)
+        monkeypatch.setattr(bt, "jet", full_jet)
+        assert beta_map(nf, 1e-5, -2e-5) == want
 
 
 class TestCurves:

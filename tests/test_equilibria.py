@@ -9,6 +9,7 @@ import pytest
 from predbif import equilibria, polyroots
 from predbif.cli import cmd_sweep, params_from_config, parse_config
 from predbif.equilibria import (
+    POSITIVITY_TOL,
     _no_interior_root,
     _polish_interior,
     all_equilibria,
@@ -21,7 +22,7 @@ from predbif.equilibria import (
     trivial_equilibria,
 )
 from predbif.errors import DomainError
-from predbif.model import ModelParams, State, rhs
+from predbif.model import ModelParams, State, linspace, rhs
 
 from root_count import positive_root_count, sturm_count
 
@@ -294,9 +295,9 @@ class TestNoInteriorRoot:
                 paths["interval"] += 1
             return settled
 
-        def traced_ferrari(*coeffs):
+        def traced_ferrari(*coeffs, **kw):
             paths["ferrari"] += 1
-            return ferrari(*coeffs)
+            return ferrari(*coeffs, **kw)
 
         monkeypatch.setattr(equilibria, "_no_interior_root", traced_check)
         monkeypatch.setattr(polyroots, "solve_quartic_ferrari", traced_ferrari)
@@ -323,6 +324,124 @@ class TestNoInteriorRoot:
         _, (_, rows), _ = cmd_sweep(p, h_min=p.h, h_max=p.h, c_min=p.c, c_max=p.c,
                                     n_h=1, n_c=1)
         assert [row[:4] for row in rows] == [[p.h, p.c, "K3", 1]]
+
+
+def _unwindowed_interior(p: ModelParams) -> list[tuple[float, float, str]]:
+    """``interior_equilibria``'s steps as (x, y, source), with the public
+    Ferrari solver called without a window, so that it polishes all four
+    candidates, and every positive real root handed to the 2-D polish."""
+    q = quartic_coeffs(p)
+    if _no_interior_root(p, q):
+        return []
+    region = classify_region(p.h, p.c)
+    if region == "K2":  # the Cardano path takes no window
+        return [(e.x, e.y, e.source) for e in interior_equilibria(p)]
+    dec = polyroots.solve_quartic_ferrari(*q)
+    source = f"{region}-Ferrari" + ("-biquadratic" if dec.biquadratic else "")
+    out = []
+    for x in dec.real_roots:
+        if x <= POSITIVITY_TOL:
+            continue
+        xy = _polish_interior(p, x)
+        if xy is None or any(abs(xy[0] - o[0]) < 1e-7 * (1.0 + abs(xy[0])) for o in out):
+            continue
+        out.append((*xy, source))
+    return sorted(out)
+
+
+def _sweep_points(seed: int, blocks: int):
+    """The grid points of the benchmark's region-sweep blocks, as ``cmd_sweep``
+    builds them."""
+    from workloads import make_block
+
+    for k in range(blocks):
+        for op in make_block("region-sweep", seed, k):
+            P, s = op["config"]["params"], op["config"]["sweep"]
+            for h in linspace(s["h_min"], s["h_max"], s["n_h"]):
+                for c in linspace(s["c_min"], s["c_max"], s["n_c"]):
+                    yield ModelParams(P["a"], P["b"], c, h, P["delta"], P["eta"], P["m"])
+
+
+def _edge_draws(n: int):
+    """Seeded admissible draws cycling through h -> 0 (with delta down to
+    1e-6, so that roots approach x+ -> 1), c -> 1, |h - c| <= 1e-6, tiny
+    delta and plain ones."""
+    rng = random.Random(26)
+    for i in range(n):
+        kind = i % 5
+        a = rng.uniform(0.05, 4.0)
+        c = rng.uniform(0.01, 1.0)
+        h = rng.uniform(0.01, (1.0 + c) ** 2 / 4.0)
+        delta = rng.uniform(0.01, 1.5)
+        if kind == 0:
+            h, delta = 10.0 ** rng.uniform(-9, -3), 10.0 ** rng.uniform(-6, 0)
+        elif kind == 1:
+            c, h = 1.0 - 10.0 ** rng.uniform(-9, -1), rng.uniform(0.01, 1.0)
+        elif kind == 2:
+            h = c + rng.uniform(-1e-6, 1e-6)
+        elif kind == 3:
+            delta = 10.0 ** rng.uniform(-6, -1)
+        yield ModelParams(a, rng.uniform(-1.99 * math.sqrt(a), 4.0), c, h, delta,
+                          rng.uniform(0.01, 1.5), 10.0 ** rng.uniform(-3, 2))
+
+
+class TestFerrariWindow:
+    def test_interior_polishes_only_the_candidates_in_the_window(self, monkeypatch):
+        # GOLD (K1): real candidates at 0.2188 and 0.2188, a pair at
+        # 0.884 +- 0.698i; at h = 0.02 (K3): 0.371, -0.031 and a pair at
+        # 0.933 +- 0.668i.  Only the real ones in (0, 1) can be abscissas
+        polish, starts = polyroots.polish_root, []
+
+        def counted(coeffs, x0):
+            if len(coeffs) == 4:  # the quartic's polish, not the resolvent's
+                starts.append(x0)
+            return polish(coeffs, x0)
+
+        monkeypatch.setattr(polyroots, "polish_root", counted)
+        move = polyroots.MAX_MOVE
+        for p, n_interior in ((GOLD, 2), (GOLD.with_(h=0.02), 1)):
+            starts.clear()
+            polyroots.solve_quartic_ferrari(*quartic_coeffs(p))
+            assert len(starts) == 4  # no window: every candidate is polished
+            in_window = [z for z in starts
+                         if -move < z.real < 1.0 + move and abs(z.imag) <= 2.0 * move]
+            assert len(in_window) == n_interior
+            starts.clear()
+            assert len(interior_equilibria(p)) == n_interior
+            assert starts == in_window
+
+    def test_root_next_to_the_upper_edge_is_kept(self):
+        # h and delta ~ 0: the one interior root sits 1.3e-14 below x+ < 1
+        p = ModelParams(1.0, 0.5, 0.3, 1e-15, 1e-14, 0.5, 0.5)
+        eqs = interior_equilibria(p)
+        assert len(eqs) == sturm_count(p) == 1
+        assert 1.0 - 1e-13 < eqs[0].x < 1.0
+        assert [(e.x, e.y, e.source) for e in eqs] == _unwindowed_interior(p)
+
+    def test_agrees_with_the_unwindowed_solver(self, monkeypatch):
+        # region-sweep seed 1, blocks 0-19 (15,360 grid points), and edge
+        # draws: same count, source and bits as polishing every candidate,
+        # and the count of every third solved draw equals the exact one
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        solved = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for i, p in enumerate([*_sweep_points(1, 20), *_edge_draws(5_000)]):
+                got = [(e.x.hex(), e.y.hex(), e.source) for e in interior_equilibria(p)]
+                want = [(x.hex(), y.hex(), s) for x, y, s in _unwindowed_interior(p)]
+                assert got == want, p
+                if i >= 15_360 and i % 3 == 0 and not _no_interior_root(p, quartic_coeffs(p)):
+                    assert len(got) == sturm_count(p), p
+                    solved += 1
+        assert solved > 1_500
+
+    @pytest.mark.parametrize("h, c", [(5.0, 0.0), (0.0, 0.3)])
+    def test_nonpositive_h_or_c_raises_before_the_existence_check(self, h, c):
+        # unvalidated parameters: with c = 0 and h = 5 the existence check
+        # alone would settle the point and return []
+        p = ModelParams(GOLD.a, GOLD.b, c, h, GOLD.delta, GOLD.eta, GOLD.m)
+        with pytest.raises(DomainError):
+            interior_equilibria(p)
 
 
 class TestSturmCount:
