@@ -2,7 +2,10 @@
 and deterministic JSON/CSV/SVG report emission.
 
 Reports never contain timestamps or other run-dependent metadata, so a
-rerun with the same config is byte-identical.
+rerun with the same config is byte-identical.  Floats are written with 17
+significant digits, and NaN and +-inf as ``NaN``, ``Infinity`` and
+``-Infinity``, the spellings Python's json reads back.  Each emitter writes
+its report in one pass over the values.
 """
 
 from __future__ import annotations
@@ -11,8 +14,10 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 import warnings
+from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 
 from . import __version__, bt, equilibria, hopf, stability
@@ -22,6 +27,12 @@ from .errors import ParameterOutOfRange, PredbifError
 from .model import ModelParams, State, linspace, validate
 
 PARAM_NAMES = ("a", "b", "c", "h", "delta", "eta", "m")
+
+#: step attempts `simulate` allows the integrator, far above any shipped report
+SIMULATE_MAX_STEPS = 100_000
+
+#: a config value of the JSON number grammar, with its fraction and exponent
+_JSON_NUMBER = re.compile(r"-?(?:0|[1-9][0-9]*)(\.[0-9]+)?([eE][-+]?[0-9]+)?")
 
 
 # ---------------------------------------------------------------------------
@@ -45,10 +56,13 @@ def parse_config(path: str | Path) -> dict:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected key = value, got {raw!r}")
         key, val = (s.strip() for s in line.split("=", 1))
-        try:
-            parsed = json.loads(val)
-        except json.JSONDecodeError:
-            parsed = val
+        if number := _JSON_NUMBER.fullmatch(val):  # json.loads's int or float
+            parsed = float(val) if number.lastindex else int(val)
+        else:
+            try:
+                parsed = json.loads(val)
+            except json.JSONDecodeError:
+                parsed = val
         node = cfg
         parts = key.split(".")
         for part in parts[:-1]:
@@ -143,52 +157,60 @@ def command_options(command: str, cfg: dict) -> dict:
 def _fmt(x: float) -> str:
     if x != x:
         return "NaN"
+    if x in (math.inf, -math.inf):
+        return "Infinity" if x > 0 else "-Infinity"
     return format(x, ".17g")
 
 
 def to_json(obj, indent: int = 0) -> str:
     """Deterministic JSON: sorted keys, floats at 17 significant digits."""
-    pad = "  " * indent
-    pad2 = "  " * (indent + 1)
+    out = []
+    _json_into(out, obj, "\n" + "  " * indent)
+    return "".join(out)
+
+
+def _json_into(out: list, obj, nl: str) -> None:
+    """Append ``obj``'s JSON to ``out``; ``nl`` starts a line at its indent."""
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [
-            f"{pad2}{json.dumps(str(k))}: {to_json(v, indent + 1)}"
-            for k, v in sorted(obj.items())
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [f"{pad2}{to_json(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, float):
-        return _fmt(obj)
-    if isinstance(obj, int):
-        return str(obj)
-    if obj is None:
-        return "null"
-    return json.dumps(str(obj))
+        for i, (k, v) in enumerate(sorted(obj.items())):
+            out.append(f"{',' if i else '{'}{nl}  {_json_str(str(k))}: ")
+            _json_into(out, v, nl + "  ")
+        out.append(nl + "}" if obj else "{}")
+    elif isinstance(obj, (list, tuple)):
+        for i, v in enumerate(obj):
+            out.append(f"{',' if i else '['}{nl}  ")
+            _json_into(out, v, nl + "  ")
+        out.append(nl + "]" if obj else "[]")
+    elif isinstance(obj, bool):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, float):
+        out.append(_fmt(obj))
+    elif isinstance(obj, int):
+        out.append(str(obj))
+    else:  # None, then the bytes of json.dumps(str(obj))
+        out.append("null" if obj is None else _json_str(str(obj)))
 
 
-def _render_csv(header: list[str], rows: list[list]) -> str:
+def _render_csv(header: list[str], rows) -> str:
+    """CSV of ``rows``, any iterable of sequences, one format operation per row."""
     lines = [",".join(header)]
+    forms = {}  # row format per tuple of value types
     for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
+        kinds = tuple(map(type, row))
+        if (form := forms.get(kinds)) is None:
+            form = forms[kinds] = ",".join("%.17g" if issubclass(k, float) else "%s" for k in kinds)
+        line = form % tuple(row)
+        if "nan" in line or "inf" in line:  # a non-finite float, or a str holding it
+            line = ",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row)
+        lines.append(line)
     return "\n".join(lines) + "\n"
 
 
 def _svg_polyline(pts, xmin, xmax, ymin, ymax, w, h, color):
-    def sx(x):
-        return 40.0 + (x - xmin) / (xmax - xmin or 1.0) * (w - 60.0)
-
-    def sy(y):
-        return h - 30.0 - (y - ymin) / (ymax - ymin or 1.0) * (h - 50.0)
-
-    coords = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in pts)
+    dx, dy = xmax - xmin or 1.0, ymax - ymin or 1.0
+    sw, top, sh = w - 60.0, h - 30.0, h - 50.0
+    coords = " ".join(["%.2f,%.2f" % (40.0 + (x - xmin) / dx * sw, top - (y - ymin) / dy * sh)
+                       for x, y in pts])
     return f'<polyline fill="none" stroke="{color}" stroke-width="1" points="{coords}"/>'
 
 
@@ -222,8 +244,8 @@ def _render_svg(series: list[tuple[str, list]], labels: tuple[str, str]) -> str:
 
 # ---------------------------------------------------------------------------
 # subcommands: each returns (results, table, plot), None for what it lacks;
-# results is the JSON report's payload, table the CSV's (header, rows) and
-# plot the SVG's (series, labels)
+# results is the JSON report's payload, table the CSV's (header, rows), rows
+# iterated once, and plot the SVG's (series, labels)
 
 
 def _eq_dict(e: equilibria.Equilibrium) -> dict:
@@ -317,14 +339,15 @@ def cmd_bt_curves(params, *, lambda1_min, lambda1_max, lambda2_min, lambda2_max,
 
 
 def cmd_simulate(params, *, x0, y0, t_end, tol):
-    traj = simmod.integrate(params, State(x0, y0), t_end, tol, on_failure="keep")
+    traj = simmod.integrate(params, State(x0, y0), t_end, tol, max_steps=SIMULATE_MAX_STEPS,
+                            on_failure="keep")
     results = {
         "tol": tol,
         "terminated": traj.terminated,
         "n_steps": len(traj) - 1,
         "final": {"x": traj.final.x, "y": traj.final.y},
     }
-    rows = [[t, x, y] for t, x, y in zip(traj.times, traj.xs, traj.ys)]
+    rows = zip(traj.times, traj.xs, traj.ys)
     return results, (["t", "x", "y"], rows), ([("black", list(zip(traj.xs, traj.ys)))], ("x", "y"))
 
 

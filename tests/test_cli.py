@@ -1,10 +1,16 @@
 import json
+import math
 import random
 import shlex
+import struct
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import report_forms
+from predbif import cli
+from predbif import sim as simmod
 from predbif.cli import build_parser, cmd_sweep, parse_config, params_from_config, run, to_json
 from predbif.equilibria import classify_region, interior_equilibria, isocline_y
 from predbif.errors import PredbifError
@@ -71,6 +77,22 @@ class TestConfig:
     def test_full_params_roundtrip(self, gold_cfg):
         p = params_from_config(parse_config(gold_cfg))
         assert p.a == 2.0 and p.h == 0.1715598183
+
+    # numbers of the JSON grammar take a direct path; ١٢ (Arabic-Indic
+    # digits) is a number to float() and to a regex's \d, not to JSON
+    @pytest.mark.parametrize("text", [
+        "25", "-0", "0.17", "1e-4", "1E+400", "-2.82", "12345678901234567890123", "01", "+1",
+        "1.", ".5", "1_0", "0x10", "\u0661\u0662", "1\u0661", "0.\u0665", "NaN", "Infinity",
+        "true", "null", '"x"', "[1, 2]"])
+    def test_value_parses_as_json_loads_does(self, text, tmp_path):
+        path = tmp_path / "x.cfg"
+        path.write_text(f"v = {text}\n")
+        try:
+            want = json.loads(text)
+        except json.JSONDecodeError:
+            want = text
+        got = parse_config(path)["v"]
+        assert type(got) is type(want) and repr(got) == repr(want)
 
 
 class TestExitCodes:
@@ -267,6 +289,17 @@ class TestDeterminism:
                         "--format", "csv"]) == 0
         assert (out1 / "bt-curves.csv").read_bytes() == (out2 / "bt-curves.csv").read_bytes()
 
+    def test_infinite_config_value_echo_reparses(self, tmp_path):
+        # the echo keeps sections the command does not read, 1e400 as inf
+        cfg = tmp_path / "inf.cfg"
+        cfg.write_text((CONFIGS / "bt_example.cfg").read_text()
+                       + "hopf.delta_min = 1e400\nhopf.delta_max = -1e400\n")
+        assert run(["equilibria", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        text = (tmp_path / "equilibria.json").read_text()
+        assert '"delta_max": -Infinity' in text and '"delta_min": Infinity' in text
+        assert json.loads(text)["config"]["hopf"] == {"delta_min": math.inf,
+                                                      "delta_max": -math.inf}
+
     def test_to_json_sorted_and_reparses(self):
         text = to_json({"b": [1.5, float("nan")], "a": {"z": True, "y": None}})
         assert text.index('"a"') < text.index('"b"')
@@ -392,6 +425,31 @@ class TestReports:
         assert rep["results"]["tol"] == 1e-6
         assert "tol" not in rep["config"]
 
+    def test_simulate_passes_its_step_budget(self, gold_cfg, tmp_path, monkeypatch):
+        seen, integrate = {}, simmod.integrate
+
+        def spy(*args, **kwargs):
+            seen.update(kwargs)
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(simmod, "integrate", spy)
+        assert run(["simulate", "--config", gold_cfg, "--out", str(tmp_path)]) == 0
+        assert seen == {"max_steps": cli.SIMULATE_MAX_STEPS, "on_failure": "keep"}
+        assert cli.SIMULATE_MAX_STEPS == 100_000
+
+    def test_simulate_stops_at_its_step_budget(self, tmp_path):
+        # admissible but extreme parameters: without the budget this ran
+        # toward sim.integrate's default 10,000,000 steps for minutes
+        cfg = tmp_path / "extreme.cfg"
+        cfg.write_text((CONFIGS / "bt_example.cfg").read_text()
+                       + "params.delta = 1.09e81\nparams.m = 8.1e298\n")
+        assert run(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        res = json.loads((tmp_path / "simulate.json").read_text())["results"]
+        assert res["terminated"] == "StepFailure"
+        assert res["n_steps"] <= cli.SIMULATE_MAX_STEPS
+        with open(tmp_path / "simulate.csv") as fh:
+            assert sum(1 for _ in fh) == res["n_steps"] + 2
+
     def test_simulate_csv_schema(self, gold_cfg, tmp_path):
         cfg = tmp_path / "s.cfg"
         cfg.write_text(GOLD_KV + "simulate.x0 = 0.5\nsimulate.y0 = 0.3\n"
@@ -469,3 +527,107 @@ class TestReports:
             else:
                 assert region in ("K1", "None")
             assert int(n_int) >= 0
+
+
+#: floats at the edges of the 17-digit format, and non-finite ones
+EDGE_FLOATS = [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+               2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308, 0.1,
+               1e16, 1e-7, 123456789012345680.0, np.float64(0.1), np.float64(-math.inf),
+               np.float64(math.nan)]
+
+#: characters JSON escapes, non-ASCII ones (a surrogate pair and a lone
+#: surrogate), the CSV separator, a format directive and the letters of the
+#: non-finite spellings
+STR_CHARS = list('ab"\\/\n\r\t\x00\x1f\x7fé€☃\U0001f600\ud800 ,%s') + [
+    "inf", "nan", "Infinity", "NaN"]
+
+
+def _rand_float(rng):
+    pick = rng.random()
+    if pick < 0.3:
+        return rng.choice(EDGE_FLOATS)
+    if pick < 0.6:  # any bit pattern: subnormals, NaN payloads, both zeros
+        return struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))[0]
+    if pick < 0.8:
+        return np.float64(rng.uniform(-1e3, 1e3))
+    return rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-300, 300)
+
+
+def _rand_str(rng):
+    return "".join(rng.choice(STR_CHARS) for _ in range(rng.randint(0, 6)))
+
+
+def _rand_scalar(rng):
+    kind = rng.randrange(6)
+    if kind == 0:
+        return rng.random() < 0.5
+    if kind == 1:
+        return rng.randint(-2**80, 2**80)
+    if kind == 2:
+        return None
+    if kind == 3:
+        return _rand_str(rng)
+    return _rand_float(rng)
+
+
+def _rand_value(rng, depth=0):
+    if depth >= 4 or rng.random() < 0.5:
+        return _rand_scalar(rng)
+    n = rng.choice([0, 1, 2, 5])
+    kind = rng.randrange(4)
+    if kind == 0:
+        return {_rand_str(rng): _rand_value(rng, depth + 1) for _ in range(n)}
+    if kind == 1:
+        return {rng.randint(-10**20, 10**20): _rand_value(rng, depth + 1) for _ in range(n)}
+    items = [_rand_value(rng, depth + 1) for _ in range(n)]
+    return items if kind == 2 else tuple(items)
+
+
+class TestEmitters:
+    """The one-pass emitters write the bytes of the per-value forms in
+    ``tests/report_forms.py``."""
+
+    def test_json_equals_per_value_form(self):
+        rng = random.Random(28)
+        deep_list, deep_dict = [], {}
+        for _ in range(40):
+            deep_list, deep_dict = [deep_list, 1.5], {"k": deep_dict, 7: None}
+        values = [{}, [], (), deep_list, deep_dict, *EDGE_FLOATS]
+        values += [_rand_value(rng) for _ in range(3000)]
+        for value in values:
+            if isinstance(value, dict) and len({type(k) for k in value}) > 1:
+                continue  # mixed key types do not sort in either form
+            for indent in (0, 1, 3):
+                text = cli.to_json(value, indent)
+                assert text == report_forms.to_json(value, indent), value
+            json.loads(text)  # NaN and +-inf in the spellings json reads
+
+    def test_csv_equals_per_value_form(self):
+        rng = random.Random(29)
+        header = ["t", "x", "label"]
+        for _ in range(300):
+            n = rng.choice([0, 1, 3, 20])
+            rows = [[_rand_scalar(rng) for _ in range(rng.randint(0, 5))] for _ in range(n)]
+            for given in (rows, [tuple(r) for r in rows]):
+                assert cli._render_csv(header, given) == report_forms.render_csv(header, given)
+            cols = [[_rand_float(rng) for _ in range(n)] for _ in range(3)]
+            assert (cli._render_csv(header, zip(*cols))
+                    == report_forms.render_csv(header, zip(*cols)))
+        assert cli._render_csv([], []) == "\n"
+
+    def test_svg_equals_per_value_form(self):
+        rng = random.Random(30)
+        cases = [[], [("black", [])], [("red", [(0.5, 0.25)])],
+                 [("black", [(2.0, y) for y in (0.1, -3.0, 7.5)])],
+                 [("black", [(x, 1.0) for x in (0.1, -3.0, 7.5)])]]
+        for _ in range(200):
+            # plain floats: numpy would warn on inf - inf
+            cases.append([(color, [(float(_rand_float(rng)), float(_rand_float(rng)))
+                                   for _ in range(rng.choice([0, 1, 2, 30]))])
+                          for color in ("black", "red", "blue")[:rng.randint(1, 3)]])
+        for _ in range(100):
+            cases.append([("black", [(rng.uniform(-5, 5), np.float64(rng.uniform(0, 1)))
+                                     for _ in range(50)])])
+        for series in cases:
+            assert (cli._render_svg(series, ("x", "y"))
+                    == report_forms.render_svg(series, ("x", "y"))), series
