@@ -157,7 +157,7 @@ def command_options(command: str, cfg: dict) -> dict:
 def _fmt(x: float) -> str:
     if x != x:
         return "NaN"
-    if x in (math.inf, -math.inf):
+    if math.isinf(x):
         return "Infinity" if x > 0 else "-Infinity"
     return format(x, ".17g")
 
