@@ -9,7 +9,8 @@
    Python rounds twice.
 
    Status codes: 0 = reached t_end, 1 = minimum step reached or
-   ``max_steps`` step attempts used up before t_end, 2 = escaped. */
+   ``max_steps`` step attempts used up before t_end, 2 = escaped or not
+   finite. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -175,7 +176,7 @@ integrate_kernel(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
             fy = k7y;
             if (push(lists, t, x, y, fx, fy) < 0)
                 goto fail;
-            if (x * x + y * y > escape2) {
+            if (!(x * x + y * y <= escape2)) {  /* NaN escapes too */
                 status = 2;
                 break;
             }
@@ -222,7 +223,7 @@ static struct PyModuleDef module = {
     .m_name = "predbif._rk_cy",
     .m_doc = "Compiled adaptive Dormand-Prince 5(4) kernel, the twin of predbif._rk_py.\n\n"
              "Status codes: 0 = reached t_end, 1 = minimum step reached or max_steps\n"
-             "step attempts used up before t_end, 2 = escaped.",
+             "step attempts used up before t_end, 2 = escaped or not finite.",
     .m_size = -1,
     .m_methods = methods,
 };

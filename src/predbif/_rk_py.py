@@ -7,7 +7,7 @@ float expression has the same operands in the same order, and
 ``tests/test_sim.py`` compares the two bit for bit.
 
 Status codes: 0 = reached t_end, 1 = minimum step reached or ``max_steps``
-step attempts used up before t_end, 2 = escaped.
+step attempts used up before t_end, 2 = escaped or not finite.
 """
 
 from __future__ import annotations
@@ -156,7 +156,7 @@ def integrate_kernel(a, b, c, h_par, delta, eta, m,
             ys_append(y)
             dxs_append(fx)
             dys_append(fy)
-            if x * x + y * y > escape2:
+            if not x * x + y * y <= escape2:  # NaN escapes too
                 status = 2
                 break
             err_prev_pow = (1e-10 if 1e-10 > err else err) ** 0.08

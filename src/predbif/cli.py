@@ -162,10 +162,10 @@ def _fmt(x: float) -> str:
     return format(x, ".17g")
 
 
-def to_json(obj, indent: int = 0) -> str:
+def to_json(obj) -> str:
     """Deterministic JSON: sorted keys, floats at 17 significant digits."""
     out = []
-    _json_into(out, obj, "\n" + "  " * indent)
+    _json_into(out, obj, "\n")
     return "".join(out)
 
 
@@ -217,15 +217,10 @@ def _svg_polyline(pts, xmin, xmax, ymin, ymax, w, h, color):
 def _render_svg(series: list[tuple[str, list]], labels: tuple[str, str]) -> str:
     """Minimal 640x480 line plot: one polyline per (color, points) series."""
     w, h = 640, 480
-    all_pts = [p for _, pts in series for p in pts]
-    if not all_pts:
-        xmin = ymin = 0.0
-        xmax = ymax = 1.0
-    else:
-        xmin = min(p[0] for p in all_pts)
-        xmax = max(p[0] for p in all_pts)
-        ymin = min(p[1] for p in all_pts)
-        ymax = max(p[1] for p in all_pts)
+    xmin, xmax, ymin, ymax = 0.0, 1.0, 0.0, 1.0
+    if all_pts := [p for _, pts in series for p in pts]:
+        xs, ys = zip(*all_pts)
+        xmin, xmax, ymin, ymax = min(xs), max(xs), min(ys), max(ys)
     body = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
         f'viewBox="0 0 {w} {h}">',

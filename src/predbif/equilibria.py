@@ -46,49 +46,47 @@ class Equilibrium:
 def classify_region(h: float, c: float) -> str:
     """Tag the (h, c) point with the interior-equilibrium existence region:
     K1, K2, K3 or None.  The K2 tolerance band applies only for c < 1; with
-    c >= 1 a point just below the diagonal is K3, on or above it None."""
+    c >= 1 a point just below the diagonal is K3, on or above it None.  K1
+    is c < 1 < h/c outside the band with disc = (c - 1)^2 - 4(h - c) > 0,
+    where E+- exist; the tag alone decides which E+- are listed."""
     if h <= 0 or c <= 0:
         raise DomainError(f"h, c must be positive, got h={h}, c={c}")
     if c < 1.0 and abs(h - c) <= K2_EQUALITY_TOL * max(h, c, 1.0):
         return "K2"
     if h < c:
         return "K3"
-    if c < 1.0 and h < (c + 1.0) ** 2 / 4.0:
+    if c < 1.0 and (c - 1.0) ** 2 - 4.0 * (h - c) > 0:
         return "K1"
     return "None"
 
 
 def trivial_equilibria(params: ModelParams) -> list[Equilibrium]:
-    """Origin, prey-extinction and predator-free equilibria with the branch
-    rules for the existence of the predator-free pair."""
+    """Origin, prey-extinction and the predator-free equilibria that the
+    region tag admits: E+ = x+ (K1, K3) or 1 - c (K2), then E- in K1."""
     h, c = params.h, params.c
     out = [Equilibrium(0.0, 0.0, "Origin", "always")]
     if params.m > 0:
         out.append(
             Equilibrium(0.0, params.delta * params.m / params.eta, "PreyExtinction", "m>0")
         )
-    disc = (c - 1.0) ** 2 - 4.0 * (h - c)
-    if abs(h - c) <= K2_EQUALITY_TOL * max(h, c, 1.0):
-        if c < 1.0:
-            out.append(Equilibrium(1.0 - c, 0.0, "PredatorFree", "h=c single"))
-    elif h < c:
-        xp = (1.0 - c + math.sqrt(disc)) / 2.0
-        out.append(Equilibrium(xp, 0.0, "PredatorFree", "h<c plus"))
-    elif disc > 0 and c < 1.0:
-        rt = math.sqrt(disc)
-        out.append(Equilibrium((1.0 - c + rt) / 2.0, 0.0, "PredatorFree", "h>c plus"))
-        out.append(Equilibrium((1.0 - c - rt) / 2.0, 0.0, "PredatorFree", "h>c minus"))
+    region = classify_region(h, c)
+    if region == "K2":
+        out.append(Equilibrium(1.0 - c, 0.0, "PredatorFree", "h=c single"))
+    elif region != "None":
+        rt = math.sqrt((c - 1.0) ** 2 - 4.0 * (h - c))
+        side = "h<c" if region == "K3" else "h>c"
+        out.append(Equilibrium((1.0 - c + rt) / 2.0, 0.0, "PredatorFree", f"{side} plus"))
+        if region == "K1":
+            out.append(Equilibrium((1.0 - c - rt) / 2.0, 0.0, "PredatorFree", "h>c minus"))
     return out
 
 
 def predator_free_x(params: ModelParams, which: str) -> float | None:
-    """Abscissa of E+ / E- when it exists with positive x, else None."""
-    sign = {"plus": 1.0, "minus": -1.0}[which]
-    disc = (params.c - 1.0) ** 2 - 4.0 * (params.h - params.c)
-    if disc < 0:
-        return None
-    x = (1.0 - params.c + sign * math.sqrt(disc)) / 2.0
-    return x if x > POSITIVITY_TOL else None
+    """Abscissa of E+ / E- as ``trivial_equilibria`` lists it, when it
+    exceeds POSITIVITY_TOL, else None."""
+    xs = [e.x for e in trivial_equilibria(params) if e.kind == "PredatorFree"]
+    i = {"plus": 0, "minus": 1}[which]
+    return xs[i] if i < len(xs) and xs[i] > POSITIVITY_TOL else None
 
 
 def quartic_coeffs(params: ModelParams) -> tuple[float, float, float, float]:

@@ -196,9 +196,9 @@ def detect_limit_cycle(params: ModelParams, center: Equilibrium,
     raises NotAnEquilibrium.
 
     Each direction first runs at most _PROBE_STEPS steps, a bit-exact
-    prefix of the full run.  The forward run stops there when h > c and
-    its last state has 0 <= x < x-, the smaller predator-free abscissa,
-    and y >= 0.  For y >= 0, x' <= x f(x)/(c + x) with f(x) = -x^2 +
+    prefix of the full run.  Once E- exists (K1, so h > c), the forward
+    run stops there when its last state has 0 <= x < x-, the abscissa of
+    E-, and y >= 0.  For y >= 0, x' <= x f(x)/(c + x) with f(x) = -x^2 +
     (1 - c)x + c - h, and f < 0 on [0, x-), so x never grows again; an
     interior equilibrium has x^2 y/p = x f(x)/(c + x) > 0, so x_c > x-
     and the orbit cannot return to the half-line x > x_c.  A prefix whose
@@ -220,7 +220,7 @@ def detect_limit_cycle(params: ModelParams, center: Equilibrium,
         raise DomainError("cycle probe needs a spiral-type equilibrium (complex eigenvalues)")
     xc, yc = center.x, center.y
     seed = State(xc + probe_radius, yc)
-    x_minus = predator_free_x(params, "minus") if params.h > params.c else None
+    x_minus = predator_free_x(params, "minus")
 
     for direction, label in ((1.0, "Attracting"), (-1.0, "Repelling")):
         traj = integrate(params, seed, direction * t_max, tol, max_steps=_PROBE_STEPS,

@@ -437,16 +437,18 @@ class TestReports:
         assert seen == {"max_steps": cli.SIMULATE_MAX_STEPS, "on_failure": "keep"}
         assert cli.SIMULATE_MAX_STEPS == 100_000
 
-    def test_simulate_stops_at_its_step_budget(self, tmp_path):
-        # admissible but extreme parameters: without the budget this ran
-        # toward sim.integrate's default 10,000,000 steps for minutes
+    def test_simulate_stops_at_a_non_finite_state(self, tmp_path):
+        # admissible but extreme parameters: the first step is NaN, which
+        # ends the run as an escape instead of stepping on at the minimum
+        # step until the budget runs out
         cfg = tmp_path / "extreme.cfg"
         cfg.write_text((CONFIGS / "bt_example.cfg").read_text()
                        + "params.delta = 1.09e81\nparams.m = 8.1e298\n")
         assert run(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
         res = json.loads((tmp_path / "simulate.json").read_text())["results"]
-        assert res["terminated"] == "StepFailure"
-        assert res["n_steps"] <= cli.SIMULATE_MAX_STEPS
+        assert res["terminated"] == "Escaped"
+        assert 1 <= res["n_steps"] <= 5
+        assert math.isnan(res["final"]["x"]) and math.isnan(res["final"]["y"])
         with open(tmp_path / "simulate.csv") as fh:
             assert sum(1 for _ in fh) == res["n_steps"] + 2
 
@@ -597,9 +599,8 @@ class TestEmitters:
         for value in values:
             if isinstance(value, dict) and len({type(k) for k in value}) > 1:
                 continue  # mixed key types do not sort in either form
-            for indent in (0, 1, 3):
-                text = cli.to_json(value, indent)
-                assert text == report_forms.to_json(value, indent), value
+            text = cli.to_json(value)
+            assert text == report_forms.to_json(value, 0), value
             json.loads(text)  # NaN and +-inf in the spellings json reads
 
     def test_csv_equals_per_value_form(self):

@@ -114,6 +114,64 @@ class TestTrivial:
             assert abs(dx) < 1e-12
 
 
+#: (h, c) where the region tag and the predator-free list once disagreed:
+#: tag None with E+- listed, tag K1 with a float disc of 0 and no E+- listed,
+#: and SLIVER's tag K3 without its E+ at x = 2.1e-9
+DISAGREED = [(0.46743856844673115, 0.36738958376423386),
+             (0.46976056333200084, 0.37078162131245523),
+             (1.0174938345140232, 1.0174938345511504)]
+
+
+def _ulps_from(v, k):
+    for _ in range(abs(k)):
+        v = math.nextafter(v, math.copysign(math.inf, k))
+    return v
+
+
+def _geometry_edge_draws(n: int):
+    """Seeded (h, c) within a few ulps of the K1 parabola h = (c+1)^2/4 and
+    of both edges of the K2 band, for c < 1 and c > 1."""
+    rng = random.Random(2901)
+    out = []
+    for _ in range(n):
+        c = rng.uniform(0.001, 0.999) if rng.random() < 0.7 else rng.uniform(1.0, 2.0)
+        edge = rng.randrange(3)
+        if edge == 0:
+            h = (c + 1.0) ** 2 / 4.0
+        else:
+            h = c + (1 if edge == 1 else -1) * equilibria.K2_EQUALITY_TOL * max(c, 1.0)
+        out.append((_ulps_from(h, rng.randint(-6, 6)), c))
+    return out
+
+
+class TestRegionDecidesPredatorFree:
+    """``classify_region`` alone decides which predator-free equilibria
+    exist: ``trivial_equilibria`` lists as many as the tag admits and
+    ``predator_free_x`` reads its abscissas from that list."""
+
+    @pytest.mark.parametrize("h, c", DISAGREED)
+    def test_pinned_points_agree(self, h, c):
+        self._check(h, c)
+
+    def test_edge_draws_agree(self):
+        draws = _geometry_edge_draws(6000)
+        for h, c in draws:
+            self._check(h, c)
+        # the draws reach every tag and the float disc == 0 of the parabola
+        assert {classify_region(h, c) for h, c in draws} == {"K1", "K2", "K3", "None"}
+        assert any((c - 1.0) ** 2 - 4.0 * (h - c) == 0.0 for h, c in draws)
+
+    @staticmethod
+    def _check(h, c):
+        p = ModelParams(GOLD.a, GOLD.b, c, h, GOLD.delta, GOLD.eta, GOLD.m)
+        tag = classify_region(h, c)
+        xs = [e.x for e in trivial_equilibria(p) if e.kind == "PredatorFree"]
+        assert len(xs) == {"K1": 2, "K2": 1, "K3": 1, "None": 0}[tag], (h, c, tag, xs)
+        for i, which in enumerate(("plus", "minus")):
+            want = xs[i] if i < len(xs) and xs[i] > POSITIVITY_TOL else None
+            assert predator_free_x(p, which) == want, (h, c, tag, which)
+
+
 class TestQuarticCoeffs:
     def test_roots_satisfy_isocline_equation(self):
         A, B, C, D = quartic_coeffs(GOLD)

@@ -178,7 +178,8 @@ def _kernel_cases():
     h and delta each moved by up to 10%, and per family and tolerance a
     start on the x = 0 axis, one on the y = 0 axis, a backward run, a
     negative-x0 escape (status 2) and a run that exhausts max_steps
-    (status 1)."""
+    (status 1); and bt_example.cfg with delta = 1.09e81 and m = 8.1e298,
+    whose first step is NaN (status 2)."""
     rng = random.Random(1)
     special = [(0.0, 0.7, 50.0, 10_000_000), (0.5, 0.0, 50.0, 10_000_000),
                (0.5, 0.5, -5.0, 10_000_000), (-2.0, 0.5, 50.0, 10_000_000),
@@ -193,6 +194,8 @@ def _kernel_cases():
         for tol in KERNEL_TOLS:
             cases += [(a, b, c, h, delta, eta, m, x0, y0, 0.0, t_end, tol, tol, max_steps)
                       for x0, y0, t_end, max_steps in special]
+    cases.append((2.0, -2.82, 0.05, 0.17, 1.09e81, 0.1, 8.1e298, 0.5, 0.5, 0.0, 100.0,
+                  1e-9, 1e-9, 100_000))
     return cases
 
 
@@ -283,7 +286,7 @@ def _reference_kernel(a, b, c, h_par, delta, eta, m,
             ys.append(y)
             dxs.append(fx)
             dys.append(fy)
-            if x * x + y * y > ESCAPE_RADIUS * ESCAPE_RADIUS:
+            if not x * x + y * y <= ESCAPE_RADIUS * ESCAPE_RADIUS:
                 status = 2
                 break
             err_prev = max(err, 1e-10)
@@ -309,8 +312,9 @@ def _reference_kernel(a, b, c, h_par, delta, eta, m,
 class TestBackends:
     def test_case_set_covers_every_status_and_axis(self):
         cases = _kernel_cases()
-        statuses = {_rk_py.integrate_kernel(*args)[5] for args in cases}
-        assert statuses == {0, 1, 2}
+        outs = [_rk_py.integrate_kernel(*args) for args in cases]
+        assert {out[5] for out in outs} == {0, 1, 2}
+        assert any(out[5] == 2 and math.isnan(out[1][-1]) for out in outs)
         assert {args[12] for args in cases} == set(KERNEL_TOLS)
         assert any(args[7] == 0.0 for args in cases)
         assert any(args[8] == 0.0 for args in cases)
