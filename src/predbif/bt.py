@@ -19,7 +19,7 @@ Bifurcation Theory, section 8.4); the normal form gives P's offset from H.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .equilibria import fold_curve_point, hopf_curve_point
 from .errors import DegenerateBT, DomainError, NoCandidate, SingularSolve
@@ -31,8 +31,7 @@ BT_RESIDUAL_TOL = 1e-8
 NONDEGENERACY_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class BTPoint:
+class BTPoint(NamedTuple):
     x: float
     y: float
     h_bt: float
@@ -40,11 +39,10 @@ class BTPoint:
     case_tag: str  # EtaAeq1 | EtaAlt1 | EtaAgt1-x3 | EtaAgt1-x4
 
     def params(self, base: ModelParams) -> ModelParams:
-        return validate(replace(base, h=self.h_bt, delta=self.delta_bt))
+        return validate(base._replace(h=self.h_bt, delta=self.delta_bt))
 
 
-@dataclass
-class BTNormalForm:
+class BTNormalForm(NamedTuple):
     point: BTPoint
     params: ModelParams
     v0: tuple[float, float]
@@ -61,8 +59,7 @@ class BTNormalForm:
     nondegeneracy: dict  # BT.1/BT.2/BT.3 -> bool
 
 
-@dataclass
-class CurveSet:
+class CurveSet(NamedTuple):
     T: list[tuple[float, float]]
     H: list[tuple[float, float]]
     P: list[tuple[float, float]]
@@ -112,7 +109,7 @@ def bt_locate(params: ModelParams) -> list[BTPoint]:
         h, delta, y = hopf_curve_point(params, x)
         if h <= 0 or delta <= 0:
             continue
-        f, ((fx, fy), (gx, gy)) = field(replace(params, h=h, delta=delta), x, y)
+        f, ((fx, fy), (gx, gy)) = field(params._replace(h=h, delta=delta), x, y)
         tr, det = fx + gy, fx * gy - fy * gx
         if max(abs(f[0]), abs(f[1])) >= BT_RESIDUAL_TOL or abs(tr) >= BT_RESIDUAL_TOL \
                 or abs(det) >= BT_RESIDUAL_TOL:

@@ -17,7 +17,6 @@ unfolding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import polyroots
@@ -31,8 +30,7 @@ K2_EQUALITY_TOL = 1e-10
 POSITIVITY_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class Equilibrium:
+class Equilibrium(NamedTuple):
     x: float
     y: float
     kind: str  # Origin | PreyExtinction | PredatorFree | Interior
@@ -75,7 +73,9 @@ def trivial_equilibria(params: ModelParams) -> list[Equilibrium]:
     elif region != "None":
         rt = math.sqrt((c - 1.0) ** 2 - 4.0 * (h - c))
         side = "h<c" if region == "K3" else "h>c"
-        out.append(Equilibrium((1.0 - c + rt) / 2.0, 0.0, "PredatorFree", f"{side} plus"))
+        # for c >= 1 (K3 only) 1 - c + rt cancels; x+ = -(c - h)/x- does not
+        xp = (1.0 - c + rt) / 2.0 if c < 1.0 else 2.0 * (c - h) / (c - 1.0 + rt)
+        out.append(Equilibrium(xp, 0.0, "PredatorFree", f"{side} plus"))
         if region == "K1":
             out.append(Equilibrium((1.0 - c - rt) / 2.0, 0.0, "PredatorFree", "h>c minus"))
     return out

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .equilibria import (Equilibrium, _CurvePoint, _on_curve, _zero_on_curve,
                          interior_equilibria, predator_free_x)
@@ -32,8 +32,7 @@ from .model import ModelParams, State, field, jet, jet2, rhs, solve2
 TRACE_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class HopfData:
+class HopfData(NamedTuple):
     delta_H: float
     omega: float
     l1: float  # first Lyapunov coefficient, <q, q> = 1; > 0: the cycle repels

@@ -18,15 +18,14 @@ called, so loading this module (and ``predbif.cli``) does not load numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .errors import DomainError, ParameterOutOfRange
 
 EQUILIBRIUM_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class ModelParams:
+class ModelParams(NamedTuple):
     """The seven scaled parameters. ``b`` may be negative but must keep the
     Holling denominator positive for all x >= 0, i.e. b > -2*sqrt(a)."""
 
@@ -39,11 +38,10 @@ class ModelParams:
     m: float
 
     def with_(self, **kw) -> "ModelParams":
-        return validate(replace(self, **kw))
+        return validate(self._replace(**kw))
 
 
-@dataclass(frozen=True)
-class State:
+class State(NamedTuple):
     x: float
     y: float
 

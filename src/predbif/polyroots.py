@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DegenerateResolvent
 
@@ -27,8 +27,7 @@ DEGENERATE_Q2_TOL = 1e-12
 MAX_MOVE = 1e-3
 
 
-@dataclass
-class CubicResolution:
+class CubicResolution(NamedTuple):
     """Discriminant and roots of a monic cubic x^3+Ax^2+Bx+C."""
 
     Delta: float
@@ -43,8 +42,7 @@ class CubicResolution:
         return out
 
 
-@dataclass
-class FerrariDecomposition:
+class FerrariDecomposition(NamedTuple):
     """The four roots of a monic quartic and the path that found them."""
 
     roots: list[complex]

@@ -8,7 +8,7 @@ The stepper lives in a compiled kernel with a pure-Python twin
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ._backend import integrate_kernel
 from .errors import DomainError, NotAnEquilibrium, StepFailure
@@ -29,9 +29,9 @@ CONVERGED_TOL = 1e-10
 _PROBE_STEPS = 500
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """The kernel's five float lists, kept as it returns them."""
+class Trajectory(NamedTuple):
+    """The kernel's five float lists, kept as it returns them.  ``len`` is
+    the point count, so the tuple's ``_make`` and ``_replace`` do not apply."""
 
     times: list[float]
     xs: list[float]
@@ -48,15 +48,13 @@ class Trajectory:
         return State(self.xs[-1], self.ys[-1])
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     x_violation: float
     y_violation: float
     ok: bool
 
 
-@dataclass(frozen=True)
-class CycleProbe:
+class CycleProbe(NamedTuple):
     found: bool
     period: float | None
     stability: str | None  # Attracting | Repelling | Inconclusive

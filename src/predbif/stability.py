@@ -8,7 +8,7 @@ center-manifold reduction is re-run here.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError
 from .equilibria import Equilibrium
@@ -18,8 +18,7 @@ from .model import ModelParams, jacobian
 ZERO_EIG_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class StabilityReport:
+class StabilityReport(NamedTuple):
     eigenvalues: tuple[complex, complex]
     trace: float
     det: float

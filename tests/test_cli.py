@@ -406,7 +406,7 @@ class TestReports:
         base = ModelParams(a=2.0, b=-2.82, c=0.05, h=h, delta=1.0, eta=0.1, m=0.8)
         delta = base.eta * isocline_y(base, x_hopf) / (base.m + x_hopf)
         cfg = tmp_path / "h.cfg"
-        cfg.write_text("".join(f"params.{k} = {v!r}\n" for k, v in vars(base).items()
+        cfg.write_text("".join(f"params.{k} = {v!r}\n" for k, v in base._asdict().items()
                                if k != "delta")
                        + f"params.delta = {0.99 * delta!r}\n"
                        + f"hopf.delta_min = {0.99 * delta!r}\n"

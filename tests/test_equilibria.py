@@ -102,7 +102,7 @@ class TestTrivial:
         assert pf[0].x == pytest.approx(0.95)
 
     def test_m_zero_drops_prey_extinction(self):
-        p = ModelParams(**{**GOLD.__dict__, "m": 0.0})
+        p = ModelParams(**{**GOLD._asdict(), "m": 0.0})
         kinds = [e.kind for e in trivial_equilibria(p)]
         assert "PreyExtinction" not in kinds
 
@@ -170,6 +170,43 @@ class TestRegionDecidesPredatorFree:
         for i, which in enumerate(("plus", "minus")):
             want = xs[i] if i < len(xs) and xs[i] > POSITIVITY_TOL else None
             assert predator_free_x(p, which) == want, (h, c, tag, which)
+
+
+class TestLargeCPredatorFree:
+    """For c >= 1 the K3 point E+ is 2(c - h)/((c - 1) + sqrt(disc)), which
+    does not cancel; for c < 1 it keeps (1 - c + sqrt(disc))/2 bit for bit."""
+
+    @staticmethod
+    def _plus(h, c):
+        p = ModelParams(GOLD.a, GOLD.b, c, h, GOLD.delta, GOLD.eta, GOLD.m)
+        pf = [e for e in trivial_equilibria(p) if e.kind == "PredatorFree"]
+        assert [e.source for e in pf][:1] == [f"{'h<c' if h < c else 'h>c'} plus"], (h, c)
+        return pf[0].x
+
+    def test_e_plus_at_large_c_matches_exact_value(self):
+        from decimal import Decimal, localcontext
+
+        c = 1e8
+        h = c - 0.02
+        with localcontext() as ctx:
+            ctx.prec = 60
+            dc, dh = Decimal(c), Decimal(h)
+            want = 2 * (dc - dh) / ((dc - 1) + ((dc - 1) ** 2 - 4 * (dh - dc)).sqrt())
+        got = self._plus(h, c)
+        assert got != 0.0 and abs(Decimal(got) - want) <= 4 * Decimal(math.ulp(got)), got
+        assert got == pytest.approx(2.0e-10, rel=1e-6)
+
+    def test_e_plus_just_below_the_diagonal_is_positive(self):
+        c = 1e6
+        assert self._plus(math.nextafter(c, 0.0), c) > 0.0
+
+    @pytest.mark.parametrize("h, c, bits", [
+        (0.1715598183, 0.05, "0x1.985de4da5487fp-1"),
+        (0.3, 0.5, "0x1.86526aa25a13bp-1"),
+        (0.01, 0.9, "0x1.fd4c39cb4e0f8p-1"),
+    ])
+    def test_c_below_one_keeps_its_bits(self, h, c, bits):
+        assert self._plus(h, c).hex() == bits
 
 
 class TestQuarticCoeffs:

@@ -35,16 +35,16 @@ class TestValidate:
     @pytest.mark.parametrize("field", ["a", "c", "h", "delta", "eta"])
     def test_rejects_nonpositive(self, field):
         with pytest.raises(ParameterOutOfRange):
-            validate(ModelParams(**{**GOLD.__dict__, field: 0.0}))
+            validate(ModelParams(**{**GOLD._asdict(), field: 0.0}))
 
     def test_rejects_negative_m(self):
         with pytest.raises(ParameterOutOfRange):
-            validate(ModelParams(**{**GOLD.__dict__, "m": -0.1}))
+            validate(ModelParams(**{**GOLD._asdict(), "m": -0.1}))
 
     def test_m_zero_rejected(self):
         # m = n/k with n > 0, as rescale_parameters requires
         with pytest.raises(ParameterOutOfRange, match="m must be strictly positive"):
-            validate(ModelParams(**{**GOLD.__dict__, "m": 0.0}))
+            validate(ModelParams(**{**GOLD._asdict(), "m": 0.0}))
 
     def test_denominator_positivity_constraint(self):
         with pytest.raises(ParameterOutOfRange):
@@ -84,7 +84,7 @@ class TestRhs:
             rhs(GOLD, State(-0.1, 0.5))
 
     def test_m_zero_origin_singular(self):
-        p = ModelParams(**{**GOLD.__dict__, "m": 0.0})
+        p = ModelParams(**{**GOLD._asdict(), "m": 0.0})
         with pytest.raises(DomainError):
             rhs(p, State(0.0, 0.5))
 
@@ -257,7 +257,7 @@ class TestJet:
         with pytest.raises(DomainError):
             jet(GOLD, -0.1, 0.5)
         with pytest.raises(DomainError):
-            jet(ModelParams(**{**GOLD.__dict__, "m": 0.0}), 0.0, 0.5)
+            jet(ModelParams(**{**GOLD._asdict(), "m": 0.0}), 0.0, 0.5)
 
 
 class TestLinspace:

@@ -1,5 +1,7 @@
 """numpy stays off the CLI's import path and the scalar analysis path, and
-integration off the Hopf scan.
+integration off the Hopf scan.  ``dataclasses`` (and the ``inspect`` it
+loads) stays off the import path too: the records are ``typing.NamedTuple``
+classes.
 
 The 2x2 algebra of stability, Hopf and Bogdanov-Takens analysis runs on the
 float tuples of ``model.jet``, and ``sim`` keeps a trajectory as the
@@ -44,6 +46,15 @@ for argv in json.loads(sys.argv[1]):
     codes.append(cli.run(argv))
     loaded.append("numpy" in sys.modules)
 print(json.dumps({"loaded": loaded, "codes": codes}))
+"""
+
+# Prints the modules that ``import predbif.cli`` adds to those loaded before
+# it, so modules that ``site`` preloads do not count.
+_FRESH_IMPORT = """
+import json, sys
+before = set(sys.modules)
+import predbif.cli
+print(json.dumps(sorted(set(sys.modules) - before)))
 """
 
 
@@ -121,6 +132,23 @@ def test_no_linalg_under_src():
     for path in sorted(SRC.iterdir()):
         if path.suffix == ".c":
             assert "linalg" not in path.read_text(), path
+
+
+def test_no_module_imports_dataclasses():
+    sources = sorted(SRC.glob("*.py"))
+    assert sources
+    for path in sources:
+        tree = ast.parse(path.read_text())
+        assert [name for name in _imports(tree) if name.split(".")[0] == "dataclasses"] == [], path
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", _FRESH_IMPORT], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, check=True, timeout=300)
+    added = set(json.loads(out.stdout.splitlines()[-1]))
+    assert "predbif.cli" in added
+    assert added & {"dataclasses", "inspect"} == set()
 
 
 def test_hopf_imports_nothing_from_sim():

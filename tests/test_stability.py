@@ -61,7 +61,7 @@ class TestPreyExtinction:
         assert rep.sector == ("Right" if q1 > 0 else "Left")
 
     def test_m_zero_rejected(self):
-        p = ModelParams(**{**GOLD.__dict__, "m": 0.0})
+        p = ModelParams(**{**GOLD._asdict(), "m": 0.0})
         with pytest.raises(DomainError):
             classify_prey_extinction(p)
 
